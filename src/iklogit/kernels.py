@@ -179,9 +179,11 @@ def gram_matrix(
 ) -> np.ndarray:
     """Assemble the full symmetric Gram matrix of ``data`` under ``spec``.
 
-    Built row by row over the lower triangle and mirrored, so peak scratch
-    memory stays at one row.  Raises ResourceError when the n x n result
-    would exceed ``max_bytes``.
+    This is :func:`kernel_rows` of the data against itself: one row at a
+    time, so scratch memory beyond the result is one n x d block.  The
+    result is exactly symmetric, since |a - b| and (a - b)^2 do not depend
+    on the order of a and b in floating point.  Raises ResourceError when
+    the n x n result would exceed ``max_bytes``.
     """
     _require_resolved(spec)
     n = data.n
@@ -190,13 +192,7 @@ def gram_matrix(
             f"Gram matrix of size {n}x{n} needs {n * n * 8} bytes, "
             f"cap is {max_bytes}"
         )
-    feats = data.features
-    gram = np.empty((n, n), dtype=np.float64)
-    for i in range(n):
-        gram[i, : i + 1] = _rows_against(spec, feats[: i + 1], feats[i])
-    upper = np.triu_indices(n, k=1)
-    gram[upper] = gram.T[upper]
-    return gram
+    return kernel_rows(spec, data, data.features)
 
 
 def kernel_rows(

@@ -37,6 +37,10 @@ SPARSITY_THRESHOLD = 1e-10
 MODEL_SCHEMA = "iklogit-model"
 MODEL_SCHEMA_VERSION = 1
 
+# Kernel values held at once while scoring: test rows go in blocks of
+# this many bytes, so memory does not grow with the number of test rows.
+SCORE_BLOCK_BYTES = 2**22
+
 # Probabilities are clipped into the open interval (0, 1).
 _P_LO = np.finfo(np.float64).tiny
 _P_HI = 1.0 - 2.0**-53
@@ -126,8 +130,13 @@ class FittedModel:
 
     def scores(self, test_features: np.ndarray) -> np.ndarray:
         """Decision scores K_z alpha for each test row."""
-        rows = kernel_rows(self.kernel, self.train_features, test_features)
-        return rows @ self.alpha
+        tests = np.atleast_2d(np.asarray(test_features, dtype=np.float64))
+        step = max(1, SCORE_BLOCK_BYTES // (8 * max(self.alpha.size, 1)))
+        train = self.train_features
+        return np.concatenate([
+            kernel_rows(self.kernel, train, tests[i : i + step]) @ self.alpha
+            for i in range(0, max(len(tests), 1), step)
+        ])
 
 
 def fit(spec: ModelSpec, train: Dataset) -> FittedModel:

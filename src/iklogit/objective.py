@@ -8,10 +8,11 @@ weights lam > 0, lam1 >= 0, the full objective over coefficients alpha is
 
 which splits into a difference of convex functions f = g - h with
 
-    g(alpha) = loss + (lam/2) ||B alpha||^2 + lam1 ||alpha||_1
+    g(alpha) = loss + (lam/2) alpha^T K+ alpha + lam1 ||alpha||_1
     h(alpha) = (lam/2) alpha^T K- alpha
 
 Both g and h are convex; g is strongly convex with modulus lam * tau.
+K+ a is applied as K a + K- a; the loss and its gradient live in loss_terms.
 Setting lam1 = 0 recovers the plain (indefinite) kernel logistic model.
 """
 
@@ -88,20 +89,6 @@ class DcObjective:
         return self.decomp.gram.shape[0]
 
 
-@dataclass(frozen=True)
-class ProxParams:
-    """Threshold of the L1 proximal map used by the inner solver."""
-
-    threshold: float
-
-    def __post_init__(self) -> None:
-        if not (np.isfinite(self.threshold) and self.threshold >= 0):
-            raise InputError(f"threshold must be >= 0, got {self.threshold}")
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        return soft_threshold(v, self.threshold)
-
-
 def _check_alpha(obj: DcObjective, alpha: np.ndarray) -> np.ndarray:
     a = np.asarray(alpha, dtype=np.float64)
     if a.shape != (obj.n,):
@@ -111,32 +98,49 @@ def _check_alpha(obj: DcObjective, alpha: np.ndarray) -> np.ndarray:
     return a
 
 
+def loss_terms(
+    obj: DcObjective, alpha: np.ndarray, with_grad: bool = True
+) -> tuple[np.ndarray, float, np.ndarray | None]:
+    """Scores K a, loss (1/n) sum ln(1 + exp(-y_i (K a)_i)), and its gradient.
+
+    The gradient -(1/n) K (y * s), s_i = sigmoid(-y_i (K a)_i), costs a second
+    dense product; it is None when ``with_grad`` is False.
+    """
+    gram = obj.decomp.gram
+    scores = gram @ alpha
+    margins = obj.y_signed * scores
+    # sum / n is np.mean's own arithmetic, without its per-call overhead.
+    loss = float(softplus(-margins).sum()) / obj.n
+    if not with_grad:
+        return scores, loss, None
+    return scores, loss, -(gram @ (obj.y_signed * sigmoid(-margins))) / obj.n
+
+
 def logistic_loss(obj: DcObjective, alpha: np.ndarray) -> float:
     """Mean logistic loss (1/n) sum ln(1 + exp(-y_i (K alpha)_i))."""
-    a = _check_alpha(obj, alpha)
-    margins = obj.y_signed * (obj.decomp.gram @ a)
-    return float(np.mean(softplus(-margins)))
+    return loss_terms(obj, _check_alpha(obj, alpha), with_grad=False)[1]
 
 
 def f_value(obj: DcObjective, alpha: np.ndarray) -> float:
     """Full objective: loss + (lam/2) a^T K a + lam1 ||a||_1."""
     a = _check_alpha(obj, alpha)
-    quad = 0.5 * obj.lam * float(a @ (obj.decomp.gram @ a))
-    return logistic_loss(obj, a) + quad + obj.lam1 * float(np.abs(a).sum())
+    scores, loss, _ = loss_terms(obj, a, with_grad=False)
+    quad = 0.5 * obj.lam * float(a @ scores)
+    return loss + quad + obj.lam1 * float(np.abs(a).sum())
 
 
 def g_value(obj: DcObjective, alpha: np.ndarray) -> float:
-    """Convex part: loss + (lam/2) ||B a||^2 + lam1 ||a||_1."""
+    """Convex part: loss + (lam/2) (a^T K a + a^T K- a) + lam1 ||a||_1."""
     a = _check_alpha(obj, alpha)
-    ba = obj.decomp.bfactor @ a
-    quad = 0.5 * obj.lam * float(ba @ ba)
-    return logistic_loss(obj, a) + quad + obj.lam1 * float(np.abs(a).sum())
+    scores, loss, _ = loss_terms(obj, a, with_grad=False)
+    quad = 0.5 * obj.lam * float(a @ scores + a @ obj.decomp.kminus_dot(a))
+    return loss + quad + obj.lam1 * float(np.abs(a).sum())
 
 
 def h_value(obj: DcObjective, alpha: np.ndarray) -> float:
     """Concave-side part: (lam/2) a^T K- a."""
     a = _check_alpha(obj, alpha)
-    return 0.5 * obj.lam * float(a @ (obj.decomp.kminus @ a))
+    return 0.5 * obj.lam * float(a @ obj.decomp.kminus_dot(a))
 
 
 def smooth_grad_g(obj: DcObjective, alpha: np.ndarray) -> np.ndarray:
@@ -145,15 +149,14 @@ def smooth_grad_g(obj: DcObjective, alpha: np.ndarray) -> np.ndarray:
     Equals -(1/n) K (y * s) + lam K+ a with s_i = sigmoid(-y_i (K a)_i).
     """
     a = _check_alpha(obj, alpha)
-    gram = obj.decomp.gram
-    s = sigmoid(-obj.y_signed * (gram @ a))
-    return -(gram @ (obj.y_signed * s)) / obj.n + obj.lam * (obj.decomp.kplus @ a)
+    scores, _, loss_grad = loss_terms(obj, a)
+    return loss_grad + obj.lam * (scores + obj.decomp.kminus_dot(a))
 
 
 def grad_h(obj: DcObjective, alpha: np.ndarray) -> np.ndarray:
     """Gradient of h: lam K- a."""
     a = _check_alpha(obj, alpha)
-    return obj.lam * (obj.decomp.kminus @ a)
+    return obj.lam * obj.decomp.kminus_dot(a)
 
 
 def grad_h_lipschitz(obj: DcObjective) -> float:

@@ -4,7 +4,7 @@ Outer loop: at iterate alpha_k, the concave side is linearized through
 omega_k = grad_h(alpha_k) and the next iterate solves the strongly convex
 subproblem
 
-    min_a  loss(a) + (lam/2)||B a||^2 + lam1 ||a||_1
+    min_a  loss(a) + (lam/2) a^T K+ a + lam1 ||a||_1
            - omega_k^T (a - alpha_k) + (1/(2 gamma_k)) ||a - alpha_k||^2
 
 The outer loop stops when max(||a_{k+1} - a_k||, |f_k - f_{k+1}|) falls
@@ -26,15 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .objective import (
-    DcObjective,
-    ProxParams,
-    f_value,
-    grad_h,
-    sigmoid,
-    soft_threshold,
-    softplus,
-)
+from .objective import DcObjective, f_value, grad_h, loss_terms, soft_threshold
 
 CONVERGED = "converged"
 MAX_ITERATIONS = "max_iterations"
@@ -158,13 +150,10 @@ def _phi_value_grad(
     gamma: float,
 ) -> tuple[float, np.ndarray]:
     """Value and gradient of the subproblem's smooth part phi at alpha."""
-    gram = obj.decomp.gram
     # Overflow here is diagnosed by the caller via non-finite values.
     with np.errstate(over="ignore", invalid="ignore"):
-        scores = gram @ alpha
-        margins = obj.y_signed * scores
-        loss = float(np.mean(softplus(-margins)))
-        kp_a = obj.decomp.kplus @ alpha
+        scores, loss, loss_grad = loss_terms(obj, alpha)
+        kp_a = scores + obj.decomp.kminus_dot(alpha)
         diff = alpha - anchor
         value = (
             loss
@@ -172,13 +161,7 @@ def _phi_value_grad(
             - float(omega @ diff)
             + 0.5 / gamma * float(diff @ diff)
         )
-        s = sigmoid(-margins)
-        grad = (
-            -(gram @ (obj.y_signed * s)) / obj.n
-            + obj.lam * kp_a
-            - omega
-            + diff / gamma
-        )
+        grad = loss_grad + obj.lam * kp_a - omega + diff / gamma
     return value, grad
 
 
@@ -202,12 +185,13 @@ def inner_solve(
     anchor = np.asarray(alpha_k, dtype=np.float64)
     omega = np.asarray(omega, dtype=np.float64)
     step = 1.0 / smooth_lipschitz_bound(obj, gamma)
-    prox = ProxParams(threshold=step * obj.lam1)
+    threshold = step * obj.lam1
 
     x = anchor.copy()
     phi_x, grad_x = _phi_value_grad(obj, x, omega, anchor, gamma)
     total_x = phi_x + obj.lam1 * float(np.abs(x).sum())
-    residual = float(np.max(np.abs(x - prox.apply(x - step * grad_x)))) if x.size else 0.0
+    moved = soft_threshold(x - step * grad_x, threshold)
+    residual = float(np.max(np.abs(x - moved))) if x.size else 0.0
     if residual <= cfg.epsilon_inner:
         return InnerResult(alpha=x, iterations=0, residual=residual, converged=True)
 
@@ -215,18 +199,19 @@ def inner_solve(
     theta = 1.0
     for it in range(1, cfg.max_inner + 1):
         _, grad_y = _phi_value_grad(obj, y, omega, anchor, gamma)
-        cand = prox.apply(y - step * grad_y)
+        cand = soft_threshold(y - step * grad_y, threshold)
         phi_c, grad_c = _phi_value_grad(obj, cand, omega, anchor, gamma)
         total_c = phi_c + obj.lam1 * float(np.abs(cand).sum())
         if not np.isfinite(total_c):
             raise NumericalError("inner solve produced a non-finite objective")
         if total_c > total_x:
             # Momentum overshot; fall back to a plain step from x.
-            cand = prox.apply(x - step * grad_x)
+            cand = soft_threshold(x - step * grad_x, threshold)
             phi_c, grad_c = _phi_value_grad(obj, cand, omega, anchor, gamma)
             total_c = phi_c + obj.lam1 * float(np.abs(cand).sum())
             theta = 1.0
-        residual = float(np.max(np.abs(cand - prox.apply(cand - step * grad_c))))
+        moved = soft_threshold(cand - step * grad_c, threshold)
+        residual = float(np.max(np.abs(cand - moved)))
         if residual <= cfg.epsilon_inner:
             return InnerResult(alpha=cand, iterations=it, residual=residual, converged=True)
         theta_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * theta * theta))
@@ -244,13 +229,9 @@ def stationarity_residual(obj: DcObjective, alpha: np.ndarray, gamma: float = 1.
     """
     a = np.asarray(alpha, dtype=np.float64)
     step = 1.0 / smooth_lipschitz_bound(obj, gamma)
-    gram = obj.decomp.gram
-    s = sigmoid(-obj.y_signed * (gram @ a))
-    grad = (
-        -(gram @ (obj.y_signed * s)) / obj.n
-        + obj.lam * (obj.decomp.kplus @ a)
-        - obj.lam * (obj.decomp.kminus @ a)
-    )
+    # grad g - grad h = loss gradient + lam (K+ - K-) a = ... + lam K a.
+    scores, _, loss_grad = loss_terms(obj, a)
+    grad = loss_grad + obj.lam * scores
     moved = soft_threshold(a - step * grad, step * obj.lam1)
     return float(np.max(np.abs(a - moved))) if a.size else 0.0
 

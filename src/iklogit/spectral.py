@@ -8,13 +8,14 @@ descending, splits as K = K+ - K- where both parts are positive definite:
 * K- carries ``tau`` on the nonnegative directions and ``tau - mu_i`` on
   the negative ones.
 
-The factor B satisfies B^T B = K+, so the smooth quadratic part of the
-objective can be written as a plain squared norm ||B alpha||^2.
+So K- = tau I + W W^T with W = V_- sqrt(-mu_-), where V_- and mu_- are the
+r negative eigenpairs, and K+ = K + K-.  Only K, its eigensystem and the
+n x r factor W are stored; products with K- and K+ go through W.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,28 +37,57 @@ class GramDecomposition:
         Eigenvalues mu, sorted descending.
     eigenvectors : ndarray of shape (n, n)
         Orthonormal columns matching ``eigenvalues``.
-    num_nonneg : int
-        Count of eigenvalues >= 0.
     tau : float
         The positive spectral shift.
-    kplus, kminus : ndarray of shape (n, n)
-        The positive-definite parts with K = kplus - kminus.
-    bfactor : ndarray of shape (n, n)
-        Matrix B with B^T B = kplus.
+    lowrank : ndarray of shape (n, r)
+        W = V_- sqrt(-mu_-) over the r negative eigenpairs; K- = tau I + W W^T.
     """
 
     gram: np.ndarray
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    num_nonneg: int
     tau: float
-    kplus: np.ndarray
-    kminus: np.ndarray
-    bfactor: np.ndarray
+    lowrank: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        neg = self.eigenvalues < 0.0
+        factor = self.eigenvectors[:, neg] * np.sqrt(-self.eigenvalues[neg])
+        object.__setattr__(self, "lowrank", factor)
 
     @property
     def n(self) -> int:
         return self.gram.shape[0]
+
+    @property
+    def num_nonneg(self) -> int:
+        """Count of eigenvalues >= 0."""
+        return int(np.count_nonzero(self.eigenvalues >= 0.0))
+
+    def kminus_dot(self, alpha: np.ndarray) -> np.ndarray:
+        """K- alpha = tau alpha + W (W^T alpha), without forming K-."""
+        return self.tau * alpha + self.lowrank @ (self.lowrank.T @ alpha)
+
+    # Dense K+, K- and B are formed on demand, for checks and tests only.
+    def _dense(self, sign: float) -> np.ndarray:
+        """V diag(max(sign * mu, 0) + tau) V^T: K+ for sign 1, K- for sign -1."""
+        vecs = self.eigenvectors
+        mat = (vecs * (np.maximum(sign * self.eigenvalues, 0.0) + self.tau)) @ vecs.T
+        # Re-symmetrize to kill rounding skew before downstream eigen checks.
+        return 0.5 * (mat + mat.T)
+
+    @property
+    def kplus(self) -> np.ndarray:
+        return self._dense(1.0)
+
+    @property
+    def kminus(self) -> np.ndarray:
+        return self._dense(-1.0)
+
+    @property
+    def bfactor(self) -> np.ndarray:
+        """Matrix B with B^T B = K+."""
+        shift = np.maximum(self.eigenvalues, 0.0) + self.tau
+        return np.sqrt(shift)[:, None] * self.eigenvectors.T
 
     def stats(self) -> dict:
         """Spectrum summary used by reports: size, extreme eigenvalues, split."""
@@ -122,26 +152,8 @@ def positive_decompose(
     if np.any(np.diff(vals) > 0):
         raise InputError("eigenvalues must be sorted descending")
 
-    num_nonneg = int(np.count_nonzero(vals >= 0.0))
-    shift_plus = np.where(vals >= 0.0, vals + tau, tau)
-    shift_minus = np.where(vals >= 0.0, tau, tau - vals)
-
-    kplus = (vecs * shift_plus) @ vecs.T
-    kminus = (vecs * shift_minus) @ vecs.T
-    # Re-symmetrize to kill rounding skew before downstream eigen checks.
-    kplus = 0.5 * (kplus + kplus.T)
-    kminus = 0.5 * (kminus + kminus.T)
-    bfactor = np.sqrt(shift_plus)[:, None] * vecs.T
-
     return GramDecomposition(
-        gram=mat,
-        eigenvalues=vals,
-        eigenvectors=vecs,
-        num_nonneg=num_nonneg,
-        tau=float(tau),
-        kplus=kplus,
-        kminus=kminus,
-        bfactor=bfactor,
+        gram=mat, eigenvalues=vals, eigenvectors=vecs, tau=float(tau)
     )
 
 

@@ -72,8 +72,9 @@ def ref_inner_prox_gradient(
     """Plain (unaccelerated) proximal gradient on the subproblem.
 
     Step size from independently computed spectral norms; runs until the
-    iterate stops changing bitwise or the cap.  Serves as the long-run
-    oracle for the accelerated inner solver.
+    iterate repeats, bitwise, any earlier iterate of the run (a fixed point
+    or a rounding cycle), or the cap.  Serves as the long-run oracle for
+    the accelerated inner solver.
     """
     n = len(y)
     lip = (
@@ -83,12 +84,14 @@ def ref_inner_prox_gradient(
     )
     t = 1.0 / lip
     alpha = np.asarray(anchor, dtype=float).copy()
+    seen = {alpha.tobytes()}
     for _ in range(max_iter):
         _, loss_grad = _loss_and_grad(gram, y, alpha)
         grad = loss_grad + lam * (kplus @ alpha) - omega + (alpha - anchor) / gamma
         new = ref_soft_threshold(alpha - t * grad, t * lam1)
-        if np.array_equal(new, alpha):
+        if new.tobytes() in seen:
             break
+        seen.add(new.tobytes())
         alpha = new
     return alpha
 

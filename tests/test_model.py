@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import iklogit.model
 from iklogit import (
     CONVERGED,
     Dataset,
@@ -17,6 +18,7 @@ from iklogit import (
     f_value,
     fit,
     gram_matrix,
+    kernel_rows,
     load_model,
     predict_label,
     predict_proba,
@@ -253,6 +255,17 @@ class TestPredict:
         probs = predict_proba(model, test)
         assert np.array_equal(labels, (scores >= 0.0).astype(int))
         assert np.array_equal(labels == 1, probs >= 0.5)
+
+    def test_scores_in_row_blocks_match_one_block(self, rng, monkeypatch):
+        data = random_dataset(rng, n=15, d=3)
+        model = fit(ModelSpec(variant="l1-riklr", lam=0.3, lam1=0.02), data)
+        test = rng.normal(size=(40, 3))
+        whole = kernel_rows(model.kernel, data, test) @ model.alpha
+        # 15 coefficients of 8 bytes: blocks of 7 rows, the last one short.
+        monkeypatch.setattr(iklogit.model, "SCORE_BLOCK_BYTES", 7 * 15 * 8)
+        assert np.allclose(model.scores(test), whole, rtol=1e-13, atol=1e-15)
+        assert model.scores(test[0]).shape == (1,)
+        assert model.scores(test[:0]).shape == (0,)
 
     def test_dimension_mismatch_rejected(self, rng):
         model = zero_score_model(d=2)

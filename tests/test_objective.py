@@ -8,7 +8,6 @@ import pytest
 from iklogit import (
     DcObjective,
     InputError,
-    ProxParams,
     decompose_gram,
     f_value,
     g_value,
@@ -198,12 +197,6 @@ class TestSoftThreshold:
         best = prox_obj(star)
         for _ in range(200):
             assert best <= prox_obj(star + rng.normal(scale=0.1, size=6)) + 1e-12
-
-    def test_prox_params_wrapper(self):
-        params = ProxParams(threshold=0.5)
-        assert np.allclose(params.apply(np.array([2.0, -0.2])), [1.5, 0.0])
-        with pytest.raises(InputError):
-            ProxParams(threshold=-1.0)
 
 
 class TestDcObjectiveValidation:

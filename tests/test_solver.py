@@ -42,11 +42,7 @@ class TestLipschitzBound:
             gram=np.eye(1),
             eigenvalues=np.array([1.0]),
             eigenvectors=np.eye(1),
-            num_nonneg=1,
             tau=0.0,
-            kplus=np.eye(1),
-            kminus=np.zeros((1, 1)),
-            bfactor=np.eye(1),
         )
         obj = DcObjective(decomp, np.array([1.0]), lam=1.0)
         assert smooth_lipschitz_bound(obj, gamma=1.0) == pytest.approx(2.25, abs=1e-15)
@@ -94,11 +90,7 @@ class TestInnerSolve:
             gram=np.zeros((1, 1)),
             eigenvalues=np.array([0.0]),
             eigenvectors=np.eye(1),
-            num_nonneg=1,
             tau=1.0,
-            kplus=np.eye(1),
-            kminus=np.eye(1),
-            bfactor=np.eye(1),
         )
         obj = DcObjective(decomp, np.array([1.0]), lam=1.0, lam1=0.0)
         result = inner_solve(obj, np.zeros(1), np.zeros(1), 1.0, SolverConfig())

@@ -58,6 +58,18 @@ class TestPositiveDecompose:
 
     def test_invariants_on_random_matrices(self, rng):
         tau = 1e-6
+        # Probe vectors come from their own stream so the matrices stay put.
+        probe = np.random.default_rng(7)
+
+        def assert_products_match(dec, alpha):
+            # K- and K+ are applied through the low-rank factor, never formed.
+            kminus_a = dec.kminus_dot(alpha)
+            kplus_a = dec.gram @ alpha + kminus_a
+            for applied, dense in ((kminus_a, dec.kminus), (kplus_a, dec.kplus)):
+                expected = dense @ alpha
+                err = np.linalg.norm(applied - expected)
+                assert err <= 1e-10 * np.linalg.norm(expected)
+
         for _ in range(20):
             n = int(rng.integers(2, 20))
             gram = random_symmetric(rng, n, scale=float(rng.uniform(0.1, 5.0)))
@@ -67,6 +79,14 @@ class TestPositiveDecompose:
             assert np.linalg.eigvalsh(dec.kminus).min() == pytest.approx(tau, abs=1e-12)
             assert np.allclose(dec.bfactor.T @ dec.bfactor, dec.kplus, atol=1e-10)
             assert dec.num_nonneg == int(np.sum(dec.eigenvalues >= 0))
+            assert dec.lowrank.shape == (n, n - dec.num_nonneg)
+            assert_products_match(dec, probe.normal(size=n))
+
+        # PSD Gram: no negative eigenpairs, so K- = tau I.
+        rbf_gram = gram_matrix(KernelSpec.rbf(1.0), random_dataset(rng, 12, 3))
+        psd = decompose_gram(rbf_gram, tau)
+        assert psd.lowrank.shape == (12, 0)
+        assert_products_match(psd, probe.normal(size=12))
 
     def test_psd_input_gives_tau_scaled_identity_minus_part(self, rng):
         data = random_dataset(rng, 10, 3)
