@@ -6,141 +6,24 @@ logistic objective as a difference of convex functions (:mod:`.objective`),
 and solve it with a proximal linearized iteration (:mod:`.solver`).
 :mod:`.model` and :mod:`.experiment` wrap this into fit/predict calls and
 a reproducible benchmark protocol; :mod:`.cli` exposes both as commands.
+
+The package root re-exports the user API documented in the README; every
+other name is imported from its module.
 """
 
-from .errors import (
-    ConfigError,
-    InputError,
-    NumericalError,
-    ParseError,
-    ResourceError,
-)
-from .kernels import (
-    Dataset,
-    KernelSpec,
-    gram_matrix,
-    kernel_eval,
-    kernel_rows,
-    normalize_binary_labels,
-)
-from .spectral import (
-    GramDecomposition,
-    decompose_gram,
-    positive_decompose,
-    sym_eigendecompose,
-)
-from .objective import (
-    DcObjective,
-    f_value,
-    g_value,
-    grad_h,
-    grad_h_lipschitz,
-    h_value,
-    logistic_loss,
-    sigmoid,
-    smooth_grad_g,
-    soft_threshold,
-)
-from .solver import (
-    CONVERGED,
-    MAX_ITERATIONS,
-    InnerResult,
-    RateEstimate,
-    SolveTrace,
-    SolverConfig,
-    inner_solve,
-    pla_fit,
-    rate_monitor,
-    smooth_lipschitz_bound,
-    stationarity_residual,
-)
+from .errors import ConfigError, InputError, NumericalError, ParseError, ResourceError
+from .kernels import Dataset, KernelSpec, gram_matrix
+from .spectral import decompose_gram
+from .objective import DcObjective
+from .solver import SolverConfig, pla_fit, rate_monitor
 from .model import (
     FittedModel,
     ModelSpec,
-    VARIANTS,
     fit,
     load_model,
     predict_label,
     predict_proba,
     save_model,
-    selected_count,
-)
-from .experiment import (
-    CsvOptions,
-    DEFAULT_GRID,
-    ExperimentSpec,
-    ReportRow,
-    accuracy,
-    cv_select,
-    format_results_table,
-    format_stats_table,
-    half_split,
-    ingest_csv,
-    read_features,
-    rows_to_records,
-    run_experiment,
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "ConfigError",
-    "InputError",
-    "NumericalError",
-    "ParseError",
-    "ResourceError",
-    "Dataset",
-    "KernelSpec",
-    "gram_matrix",
-    "kernel_eval",
-    "kernel_rows",
-    "normalize_binary_labels",
-    "GramDecomposition",
-    "decompose_gram",
-    "positive_decompose",
-    "sym_eigendecompose",
-    "DcObjective",
-    "f_value",
-    "g_value",
-    "grad_h",
-    "grad_h_lipschitz",
-    "h_value",
-    "logistic_loss",
-    "sigmoid",
-    "smooth_grad_g",
-    "soft_threshold",
-    "CONVERGED",
-    "MAX_ITERATIONS",
-    "InnerResult",
-    "RateEstimate",
-    "SolveTrace",
-    "SolverConfig",
-    "inner_solve",
-    "pla_fit",
-    "rate_monitor",
-    "smooth_lipschitz_bound",
-    "stationarity_residual",
-    "FittedModel",
-    "ModelSpec",
-    "VARIANTS",
-    "fit",
-    "load_model",
-    "predict_label",
-    "predict_proba",
-    "save_model",
-    "selected_count",
-    "CsvOptions",
-    "DEFAULT_GRID",
-    "ExperimentSpec",
-    "ReportRow",
-    "accuracy",
-    "cv_select",
-    "format_results_table",
-    "format_stats_table",
-    "half_split",
-    "ingest_csv",
-    "read_features",
-    "rows_to_records",
-    "run_experiment",
-    "__version__",
-]

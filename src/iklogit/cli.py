@@ -14,9 +14,8 @@ import logging
 import sys
 from pathlib import Path
 
-from .errors import ConfigError, InputError, NumericalError
+from .errors import ConfigError, NumericalError, ResourceError
 from .experiment import (
-    DEFAULT_GRID,
     CsvOptions,
     ExperimentSpec,
     accuracy,
@@ -41,16 +40,6 @@ from .solver import CONVERGED, SolverConfig
 from .spectral import sym_eigendecompose
 
 log = logging.getLogger("iklogit")
-
-_CSV_KEYS = {"path", "delimiter", "has_header", "label_column", "standardize"}
-_SOLVER_KEYS = {"gamma", "epsilon_outer", "max_outer", "epsilon_inner", "max_inner"}
-_MODEL_KEYS = {"variant", "lambda", "lambda1", "tau", "kernel"}
-_KERNEL_KEYS = {"kind", "eta", "sigma"}
-_BENCH_KEYS = {
-    "data", "name", "variants", "grid", "repeats", "cv_folds",
-    "base_seed", "tau", "solver", "output",
-}
-
 
 def _load_config(path: str | None) -> dict:
     if path is None:
@@ -88,20 +77,28 @@ def _apply_overrides(cfg: dict, overrides: list[str]) -> dict:
     return cfg
 
 
-def _check_keys(section: dict, allowed: set, where: str) -> None:
-    unknown = set(section) - allowed
+def _as_is(value):
+    return value
+
+
+def _cast(section: dict, table: dict, where: str, required: tuple = ()) -> dict:
+    """Keyword arguments from the keys present in ``section``, cast by ``table``.
+
+    ``table`` maps each allowed key to its cast; a None cast marks a key
+    the command reads itself.  Absent keys are left out, so the spec
+    dataclass supplies the default.
+    """
+    unknown = set(section) - set(table)
     if unknown:
         raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
-
-
-def _csv_options(section: dict) -> CsvOptions:
-    _check_keys(section, _CSV_KEYS, "data")
-    return CsvOptions(
-        delimiter=section.get("delimiter", ","),
-        has_header=bool(section.get("has_header", False)),
-        label_column=section.get("label_column", -1),
-        standardize=bool(section.get("standardize", False)),
-    )
+    for key in required:
+        if key not in section:
+            raise ConfigError(f"{where}.{key} is required")
+    return {
+        _FIELDS.get(key, key): cast(section[key])
+        for key, cast in table.items()
+        if cast is not None and key in section
+    }
 
 
 def _data_path(section: dict) -> str:
@@ -111,39 +108,46 @@ def _data_path(section: dict) -> str:
     return str(path)
 
 
+def _csv_options(section: dict) -> CsvOptions:
+    return CsvOptions(**_cast(section, _DATA, "data"))
+
+
 def _solver_config(section: dict) -> SolverConfig:
-    _check_keys(section, _SOLVER_KEYS, "solver")
-    kwargs = {}
-    for key in ("gamma", "epsilon_outer", "epsilon_inner"):
-        if key in section:
-            kwargs[key] = float(section[key])
-    for key in ("max_outer", "max_inner"):
-        if key in section:
-            kwargs[key] = int(section[key])
-    return SolverConfig(**kwargs)
+    return SolverConfig(**_cast(section, _SOLVER, "solver"))
 
 
 def _kernel_spec(section: dict | None) -> KernelSpec | None:
     if section is None:
         return None
-    _check_keys(section, _KERNEL_KEYS, "kernel")
-    return KernelSpec.from_dict(section)
+    return KernelSpec.from_dict(_cast(section, _KERNEL, "kernel"))
 
 
 def _model_spec(section: dict, solver: SolverConfig) -> ModelSpec:
-    _check_keys(section, _MODEL_KEYS, "model")
-    if "variant" not in section:
-        raise ConfigError("model.variant is required")
-    if "lambda" not in section:
-        raise ConfigError("model.lambda is required")
-    return ModelSpec(
-        variant=section["variant"],
-        lam=float(section["lambda"]),
-        lam1=float(section.get("lambda1", 0.0)),
-        kernel=_kernel_spec(section.get("kernel")),
-        tau=float(section.get("tau", 1e-6)),
-        solver=solver,
-    )
+    kwargs = _cast(section, _MODEL, "model", required=("variant", "lambda"))
+    return ModelSpec(solver=solver, **kwargs)
+
+
+# One table per config section: key -> cast.
+_DATA = {
+    "path": None, "delimiter": _as_is, "has_header": bool,
+    "label_column": _as_is, "standardize": bool,
+}
+_SOLVER = {
+    "gamma": float, "epsilon_outer": float, "max_outer": int,
+    "epsilon_inner": float, "max_inner": int,
+}
+_KERNEL = {"kind": _as_is, "eta": _as_is, "sigma": _as_is}
+_MODEL = {
+    "variant": _as_is, "lambda": float, "lambda1": float,
+    "tau": float, "kernel": _kernel_spec,
+}
+_BENCH = {
+    "data": None, "name": _as_is, "variants": tuple, "grid": tuple,
+    "repeats": int, "cv_folds": int, "base_seed": int, "tau": float,
+    "solver": _solver_config, "output": None,
+}
+# Config keys spelled differently from their dataclass field.
+_FIELDS = {"lambda": "lam", "lambda1": "lam1"}
 
 
 def _write_json(path: str, payload) -> None:
@@ -204,19 +208,10 @@ def cmd_kernel_stats(cfg: dict) -> int:
 
 
 def cmd_bench(cfg: dict) -> int:
-    _check_keys(cfg, _BENCH_KEYS, "bench config")
+    kwargs = _cast(cfg, _BENCH, "bench config")
     data_cfg = cfg.get("data", {})
     spec = ExperimentSpec(
-        path=_data_path(data_cfg),
-        csv=_csv_options(data_cfg),
-        name=cfg.get("name"),
-        variants=tuple(cfg.get("variants", ("klr", "l1-rklr", "iklr", "l1-riklr"))),
-        grid=tuple(cfg.get("grid", DEFAULT_GRID)),
-        repeats=int(cfg.get("repeats", 10)),
-        cv_folds=int(cfg.get("cv_folds", 5)),
-        base_seed=int(cfg.get("base_seed", 0)),
-        tau=float(cfg.get("tau", 1e-6)),
-        solver=_solver_config(cfg.get("solver", {})),
+        path=_data_path(data_cfg), csv=_csv_options(data_cfg), **kwargs
     )
     rows = run_experiment(spec)
 
@@ -364,7 +359,7 @@ def main(argv: list[str] | None = None) -> int:
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, TypeError, KeyError, OSError) as exc:
+    except (ValueError, TypeError, KeyError, OSError, ResourceError) as exc:
         # InputError and its subclasses land here too.
         print(f"error: {exc}", file=sys.stderr)
         return 1

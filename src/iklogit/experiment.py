@@ -14,12 +14,12 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, InputError, ParseError
+from .errors import ConfigError, InputError, NumericalError, ParseError
 from .kernels import Dataset, KernelSpec, gram_matrix, normalize_binary_labels
 from .model import ModelSpec, VARIANTS, fit, predict_label, selected_count
 from .solver import SolverConfig
@@ -262,7 +262,8 @@ def cv_select(spec: ExperimentSpec, variant: str, train: Dataset, seed: int) -> 
 
     Ties break toward larger lambda1, then larger lambda, then larger
     sigma (sparser and smoother models win).  A grid point whose fold fit
-    raises scores 0 with a warning.  The test half never enters here.
+    raises NumericalError or InputError scores 0 with a warning; any other
+    exception propagates.  The test half never enters here.
     """
     folds = _stratified_folds(train.labels, spec.cv_folds, np.random.default_rng(seed))
     all_rows = np.arange(train.n)
@@ -277,7 +278,7 @@ def cv_select(spec: ExperimentSpec, variant: str, train: Dataset, seed: int) -> 
                 model = fit(_model_spec(spec, variant, params), train.subset(tr_idx))
                 fold_accs.append(accuracy(model, train.subset(val_idx)))
             score = float(np.mean(fold_accs))
-        except Exception as exc:
+        except (NumericalError, InputError) as exc:
             warnings.warn(f"grid point {params} failed during CV: {exc}")
             score = 0.0
         scored.append((score, params))
@@ -308,29 +309,13 @@ class ReportRow:
     selected: list[int]
     failed_repeats: list[int]
 
-    def to_dict(self) -> dict:
-        return {
-            "dataset": self.dataset,
-            "n": self.n,
-            "d": self.d,
-            "eig_min": self.eig_min,
-            "eig_max": self.eig_max,
-            "variant": self.variant,
-            "mean_accuracy": self.mean_accuracy,
-            "accuracy_std": self.accuracy_std,
-            "mean_selected": self.mean_selected,
-            "chosen": self.chosen,
-            "accuracies": self.accuracies,
-            "selected": self.selected,
-            "failed_repeats": self.failed_repeats,
-        }
-
 
 def run_experiment(spec: ExperimentSpec) -> list[ReportRow]:
     """Execute the full protocol; one ReportRow per requested variant.
 
-    Failed repeats are excluded from aggregation and listed in
-    ``failed_repeats``; identical specs reproduce reports exactly.
+    Repeats that raise NumericalError or InputError are excluded from
+    aggregation and listed in ``failed_repeats``; any other exception
+    propagates.  Identical specs reproduce reports exactly.
     """
     data = ingest_csv(spec.path, spec.csv)
     tl1 = KernelSpec.tl1().resolve(data.d)
@@ -352,7 +337,7 @@ def run_experiment(spec: ExperimentSpec) -> list[ReportRow]:
                 accs.append(accuracy(model, test))
                 sels.append(selected_count(model))
                 chosen.append(params)
-            except Exception as exc:
+            except (NumericalError, InputError) as exc:
                 warnings.warn(f"repeat {r} of {variant} failed: {exc}")
                 failed.append(r)
         rows.append(
@@ -433,4 +418,4 @@ def format_results_table(rows: list[ReportRow]) -> str:
 
 def rows_to_records(rows: list[ReportRow]) -> list[dict]:
     """JSON-ready report records."""
-    return [row.to_dict() for row in rows]
+    return [asdict(row) for row in rows]

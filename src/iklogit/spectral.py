@@ -55,10 +55,6 @@ class GramDecomposition:
         object.__setattr__(self, "lowrank", factor)
 
     @property
-    def n(self) -> int:
-        return self.gram.shape[0]
-
-    @property
     def num_nonneg(self) -> int:
         """Count of eigenvalues >= 0."""
         return int(np.count_nonzero(self.eigenvalues >= 0.0))
@@ -88,16 +84,6 @@ class GramDecomposition:
         """Matrix B with B^T B = K+."""
         shift = np.maximum(self.eigenvalues, 0.0) + self.tau
         return np.sqrt(shift)[:, None] * self.eigenvectors.T
-
-    def stats(self) -> dict:
-        """Spectrum summary used by reports: size, extreme eigenvalues, split."""
-        return {
-            "n": self.n,
-            "eig_min": float(self.eigenvalues[-1]),
-            "eig_max": float(self.eigenvalues[0]),
-            "num_nonneg": self.num_nonneg,
-            "tau": self.tau,
-        }
 
 
 def sym_eigendecompose(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

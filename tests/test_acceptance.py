@@ -16,32 +16,33 @@ import numpy as np
 import pytest
 
 from iklogit import (
-    CONVERGED,
-    DEFAULT_GRID,
-    Dataset,
     DcObjective,
-    ExperimentSpec,
     KernelSpec,
+    ModelSpec,
     SolverConfig,
     decompose_gram,
-    f_value,
     fit,
-    g_value,
-    grad_h,
     gram_matrix,
-    h_value,
-    half_split,
-    ingest_csv,
-    inner_solve,
-    logistic_loss,
-    ModelSpec,
     pla_fit,
     rate_monitor,
-    run_experiment,
-    smooth_grad_g,
-    sym_eigendecompose,
 )
-from iklogit.solver import RATE_OK
+from iklogit.experiment import (
+    DEFAULT_GRID,
+    ExperimentSpec,
+    half_split,
+    ingest_csv,
+    run_experiment,
+)
+from iklogit.objective import (
+    f_value,
+    g_value,
+    grad_h,
+    h_value,
+    logistic_loss,
+    smooth_grad_g,
+)
+from iklogit.solver import CONVERGED, RATE_OK, inner_solve
+from iklogit.spectral import sym_eigendecompose
 
 from conftest import (
     UCI_FILES,

@@ -113,6 +113,17 @@ class TestTrain:
         assert rc == 1
         assert "unknown model keys" in capsys.readouterr().err
 
+    def test_gram_size_cap_exits_one(self, tmp_path, capsys):
+        # 8193 rows need an 8193 x 8193 Gram, just over the 2**29-byte cap.
+        n = 8193
+        features = np.arange(n, dtype=float)[:, None]
+        path = write_csv(tmp_path / "big.csv", features, np.arange(n) % 2)
+        rc = main(["train", "--config", train_config(tmp_path, path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: Gram matrix of size 8193x8193")
+        assert "Traceback" not in err
+
     def test_invalid_config_json_exits_one(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

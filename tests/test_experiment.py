@@ -6,15 +6,12 @@ import warnings
 import numpy as np
 import pytest
 
-from iklogit import (
-    ConfigError,
+from iklogit import ConfigError, Dataset, InputError, NumericalError, ParseError
+from iklogit.experiment import (
     CsvOptions,
-    Dataset,
     ExperimentSpec,
-    InputError,
-    ParseError,
     ReportRow,
-    SolverConfig,
+    _stratified_folds,
     accuracy,
     cv_select,
     format_results_table,
@@ -25,7 +22,6 @@ from iklogit import (
     rows_to_records,
     run_experiment,
 )
-from iklogit.experiment import _stratified_folds
 
 from conftest import separated_dataset, write_csv
 
@@ -268,7 +264,7 @@ class TestCvSelect:
 
         def flaky_fit(spec, data):
             if spec.lam == 10.0:
-                raise RuntimeError("synthetic failure")
+                raise NumericalError("synthetic failure")
             return real_fit(spec, data)
 
         monkeypatch.setattr("iklogit.experiment.fit", flaky_fit)
@@ -277,6 +273,18 @@ class TestCvSelect:
         with pytest.warns(UserWarning, match="failed during CV"):
             chosen = cv_select(spec, "iklr", train, seed=0)
         assert chosen["lambda"] == 0.1
+
+    def test_unexpected_fold_error_propagates(self, monkeypatch, tmp_path, rng):
+        def broken_fit(spec, data):
+            raise RuntimeError("bug in a fold fit")
+
+        monkeypatch.setattr("iklogit.experiment.fit", broken_fit)
+        spec = self.base_spec(tmp_path, grid=(0.1, 10.0))
+        train = separated_dataset(rng, n=12)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RuntimeError, match="bug in a fold fit"):
+                cv_select(spec, "iklr", train, seed=0)
 
     def test_deterministic_choice(self, rng, tmp_path):
         spec = self.base_spec(tmp_path, grid=(0.1, 1.0))
@@ -364,7 +372,7 @@ class TestRunExperiment:
 
         def flaky_split(data, seed):
             if seed == 1:
-                raise RuntimeError("synthetic repeat failure")
+                raise NumericalError("synthetic repeat failure")
             return real_half_split(data, seed)
 
         monkeypatch.setattr("iklogit.experiment.half_split", flaky_split)

@@ -3,16 +3,8 @@
 import numpy as np
 import pytest
 
-from iklogit import (
-    Dataset,
-    InputError,
-    KernelSpec,
-    ResourceError,
-    gram_matrix,
-    kernel_eval,
-    kernel_rows,
-    normalize_binary_labels,
-)
+from iklogit import Dataset, InputError, KernelSpec, ResourceError, gram_matrix
+from iklogit.kernels import kernel_eval, kernel_rows, normalize_binary_labels
 
 from conftest import random_dataset
 from reference_solvers import ref_tl1_gram

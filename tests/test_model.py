@@ -5,27 +5,25 @@ import pytest
 
 import iklogit.model
 from iklogit import (
-    CONVERGED,
     Dataset,
     DcObjective,
     FittedModel,
     InputError,
     KernelSpec,
-    MAX_ITERATIONS,
     ModelSpec,
     SolverConfig,
     decompose_gram,
-    f_value,
     fit,
     gram_matrix,
-    kernel_rows,
     load_model,
     predict_label,
     predict_proba,
     save_model,
-    selected_count,
 )
-from iklogit.model import L1_VARIANTS, SPARSITY_THRESHOLD, VARIANTS
+from iklogit.kernels import kernel_rows
+from iklogit.model import L1_VARIANTS, SPARSITY_THRESHOLD, VARIANTS, selected_count
+from iklogit.objective import f_value
+from iklogit.solver import CONVERGED, MAX_ITERATIONS
 
 from conftest import random_dataset
 from reference_solvers import ref_klr_solve, ref_l1_klr_solve

@@ -5,10 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from iklogit import (
-    DcObjective,
-    InputError,
-    decompose_gram,
+from iklogit import DcObjective, InputError, decompose_gram
+from iklogit.objective import (
     f_value,
     g_value,
     grad_h,

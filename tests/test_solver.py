@@ -4,25 +4,27 @@ import numpy as np
 import pytest
 
 from iklogit import (
-    CONVERGED,
-    MAX_ITERATIONS,
     DcObjective,
-    GramDecomposition,
     InputError,
     NumericalError,
-    SolveTrace,
     SolverConfig,
     decompose_gram,
-    f_value,
-    grad_h,
-    inner_solve,
     pla_fit,
     rate_monitor,
-    smooth_grad_g,
+)
+from iklogit.objective import f_value, grad_h, smooth_grad_g
+from iklogit.solver import (
+    CONVERGED,
+    MAX_ITERATIONS,
+    RATE_DEGENERATE,
+    RATE_INSUFFICIENT,
+    RATE_OK,
+    SolveTrace,
+    inner_solve,
     smooth_lipschitz_bound,
     stationarity_residual,
 )
-from iklogit.solver import RATE_DEGENERATE, RATE_INSUFFICIENT, RATE_OK
+from iklogit.spectral import GramDecomposition
 
 from conftest import symmetric_objective, tl1_objective
 from reference_solvers import ref_inner_objective, ref_inner_prox_gradient

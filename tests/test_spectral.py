@@ -3,14 +3,8 @@
 import numpy as np
 import pytest
 
-from iklogit import (
-    InputError,
-    KernelSpec,
-    decompose_gram,
-    gram_matrix,
-    positive_decompose,
-    sym_eigendecompose,
-)
+from iklogit import InputError, KernelSpec, decompose_gram, gram_matrix
+from iklogit.spectral import positive_decompose, sym_eigendecompose
 
 from conftest import random_dataset, random_symmetric
 
@@ -111,12 +105,3 @@ class TestPositiveDecompose:
         gram = np.eye(3)
         with pytest.raises(InputError):
             positive_decompose(gram, np.ones(2), np.eye(3), tau=0.1)
-
-    def test_stats_summary(self, rng):
-        dec = decompose_gram(random_symmetric(rng, 6), 1e-6)
-        stats = dec.stats()
-        assert stats["n"] == 6
-        assert stats["eig_min"] == pytest.approx(dec.eigenvalues[-1])
-        assert stats["eig_max"] == pytest.approx(dec.eigenvalues[0])
-        assert stats["num_nonneg"] == dec.num_nonneg
-        assert stats["tau"] == 1e-6
