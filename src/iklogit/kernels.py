@@ -140,12 +140,10 @@ class KernelSpec:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "KernelSpec":
-        kind = payload.get("kind")
-        if kind == "tl1":
-            return cls.tl1(payload.get("eta"))
-        if kind == "rbf":
-            return cls.rbf(payload.get("sigma"))
-        raise InputError(f"unknown kernel kind {kind!r}")
+        """Inverse of :meth:`to_dict`; a parameter of the other kind is rejected."""
+        return cls(
+            kind=payload.get("kind"), eta=payload.get("eta"), sigma=payload.get("sigma")
+        )
 
 
 def _require_resolved(spec: KernelSpec) -> None:

@@ -99,15 +99,20 @@ def _check_alpha(obj: DcObjective, alpha: np.ndarray) -> np.ndarray:
 
 
 def loss_terms(
-    obj: DcObjective, alpha: np.ndarray, with_grad: bool = True
+    obj: DcObjective,
+    alpha: np.ndarray,
+    with_grad: bool = True,
+    scores: np.ndarray | None = None,
 ) -> tuple[np.ndarray, float, np.ndarray | None]:
     """Scores K a, loss (1/n) sum ln(1 + exp(-y_i (K a)_i)), and its gradient.
 
-    The gradient -(1/n) K (y * s), s_i = sigmoid(-y_i (K a)_i), costs a second
-    dense product; it is None when ``with_grad`` is False.
+    ``scores``, when given, must be K a already computed; it saves the dense
+    product.  The gradient -(1/n) K (y * s), s_i = sigmoid(-y_i (K a)_i),
+    costs a dense product of its own; it is None when ``with_grad`` is False.
     """
     gram = obj.decomp.gram
-    scores = gram @ alpha
+    if scores is None:
+        scores = gram @ alpha
     margins = obj.y_signed * scores
     # sum / n is np.mean's own arithmetic, without its per-call overhead.
     loss = float(softplus(-margins).sum()) / obj.n
@@ -121,10 +126,15 @@ def logistic_loss(obj: DcObjective, alpha: np.ndarray) -> float:
     return loss_terms(obj, _check_alpha(obj, alpha), with_grad=False)[1]
 
 
-def f_value(obj: DcObjective, alpha: np.ndarray) -> float:
-    """Full objective: loss + (lam/2) a^T K a + lam1 ||a||_1."""
+def f_value(
+    obj: DcObjective, alpha: np.ndarray, scores: np.ndarray | None = None
+) -> float:
+    """Full objective: loss + (lam/2) a^T K a + lam1 ||a||_1.
+
+    ``scores`` is an optional known K a (see :func:`loss_terms`).
+    """
     a = _check_alpha(obj, alpha)
-    scores, loss, _ = loss_terms(obj, a, with_grad=False)
+    scores, loss, _ = loss_terms(obj, a, with_grad=False, scores=scores)
     quad = 0.5 * obj.lam * float(a @ scores)
     return loss + quad + obj.lam1 * float(np.abs(a).sum())
 

@@ -15,6 +15,20 @@ increase) with the fixed step 1/L_phi from :func:`smooth_lipschitz_bound`,
 warm-started at alpha_k.  Convergence is certified by the proximal
 fixed-point residual ||a - S_{t*lam1}(a - t grad_phi(a))||_inf, evaluated
 at the point actually returned.
+
+Product budget: every product with K and K- is computed once per point and
+carried next to the iterate.  An inner iteration does three dense n x n
+products (the loss gradient K (y * s) at the momentum point y, then K a and
+the loss gradient at the candidate) and one low-rank K- a at the candidate.
+K y and K- y are combinations of the carried products, since the momentum
+point y = c + beta (c - x) is linear in the iterates.  When beta = 0 (the
+first iteration and the one after a restart) y is the candidate itself and
+its gradient is reused, one dense product fewer.  A momentum restart costs
+two dense products and one low-rank product more.  Each outer step adds two
+dense products (the warm start's loss gradient and the stationarity
+residual's) and two low-rank ones (grad_h and the warm start's K- a); K a of
+the new iterate comes back from the inner solve and serves f_value, the
+residual and the next warm start.
 """
 
 from __future__ import annotations
@@ -84,12 +98,13 @@ def _check_gamma(g: float) -> None:
 
 @dataclass(frozen=True)
 class InnerResult:
-    """Outcome of one subproblem solve."""
+    """Outcome of one subproblem solve; ``scores`` is K alpha."""
 
     alpha: np.ndarray
     iterations: int
     residual: float
     converged: bool
+    scores: np.ndarray
 
 
 @dataclass
@@ -145,32 +160,42 @@ def smooth_lipschitz_bound(obj: DcObjective, gamma: float) -> float:
 def _phi_value_grad(
     obj: DcObjective,
     alpha: np.ndarray,
+    k_a: np.ndarray,
+    km_a: np.ndarray,
     omega: np.ndarray,
     anchor: np.ndarray,
     gamma: float,
-) -> tuple[float, np.ndarray]:
-    """Value and gradient of the subproblem's smooth part phi at alpha."""
-    # Overflow here is diagnosed by the caller via non-finite values.
-    with np.errstate(over="ignore", invalid="ignore"):
-        scores, loss, loss_grad = loss_terms(obj, alpha)
-        kp_a = scores + obj.decomp.kminus_dot(alpha)
-        diff = alpha - anchor
-        value = (
-            loss
-            + 0.5 * obj.lam * float(alpha @ kp_a)
-            - float(omega @ diff)
-            + 0.5 / gamma * float(diff @ diff)
-        )
-        grad = loss_grad + obj.lam * kp_a - omega + diff / gamma
+    with_value: bool = True,
+) -> tuple[float | None, np.ndarray]:
+    """Value and gradient of the subproblem's smooth part phi at alpha.
+
+    ``k_a`` and ``km_a`` are the known products K alpha and K- alpha.  The
+    value is None when ``with_value`` is False.
+    """
+    _, loss, loss_grad = loss_terms(obj, alpha, scores=k_a)
+    kp_a = k_a + km_a
+    diff = alpha - anchor
+    grad = loss_grad + obj.lam * kp_a - omega + diff / gamma
+    if not with_value:
+        return None, grad
+    value = (
+        loss
+        + 0.5 * obj.lam * float(alpha @ kp_a)
+        - float(omega @ diff)
+        + 0.5 / gamma * float(diff @ diff)
+    )
     return value, grad
 
 
+# Overflow in the loop is diagnosed through the non-finite objective check.
+@np.errstate(over="ignore", invalid="ignore")
 def inner_solve(
     obj: DcObjective,
     omega: np.ndarray,
     alpha_k: np.ndarray,
     gamma: float,
     cfg: SolverConfig,
+    scores: np.ndarray | None = None,
 ) -> InnerResult:
     """Solve one linearized subproblem to the fixed-point tolerance.
 
@@ -179,58 +204,88 @@ def inner_solve(
     and a plain proximal-gradient step (guaranteed descent at step 1/L)
     is taken instead.  Returns the first iterate whose residual passes
     ``cfg.epsilon_inner``, or the last iterate with ``converged=False``
-    after ``cfg.max_inner`` steps.
+    after ``cfg.max_inner`` steps.  ``scores`` is an optional known
+    K alpha_k.
     """
     _check_gamma(gamma)
     anchor = np.asarray(alpha_k, dtype=np.float64)
     omega = np.asarray(omega, dtype=np.float64)
     step = 1.0 / smooth_lipschitz_bound(obj, gamma)
     threshold = step * obj.lam1
+    gram, kminus_dot = obj.decomp.gram, obj.decomp.kminus_dot
+
+    def at(a: np.ndarray, k_a: np.ndarray | None = None):
+        """K a, K- a, the subproblem objective and the gradient of phi at a."""
+        if k_a is None:
+            k_a = gram @ a
+        km_a = kminus_dot(a)
+        phi, grad = _phi_value_grad(obj, a, k_a, km_a, omega, anchor, gamma)
+        return k_a, km_a, phi + obj.lam1 * float(np.abs(a).sum()), grad
 
     x = anchor.copy()
-    phi_x, grad_x = _phi_value_grad(obj, x, omega, anchor, gamma)
-    total_x = phi_x + obj.lam1 * float(np.abs(x).sum())
+    kx, kmx, total_x, grad_x = at(x, scores)
     moved = soft_threshold(x - step * grad_x, threshold)
     residual = float(np.max(np.abs(x - moved))) if x.size else 0.0
     if residual <= cfg.epsilon_inner:
-        return InnerResult(alpha=x, iterations=0, residual=residual, converged=True)
+        return InnerResult(
+            alpha=x, iterations=0, residual=residual, converged=True, scores=kx
+        )
 
+    grad_y = grad_x
     y = x
     theta = 1.0
     for it in range(1, cfg.max_inner + 1):
-        _, grad_y = _phi_value_grad(obj, y, omega, anchor, gamma)
         cand = soft_threshold(y - step * grad_y, threshold)
-        phi_c, grad_c = _phi_value_grad(obj, cand, omega, anchor, gamma)
-        total_c = phi_c + obj.lam1 * float(np.abs(cand).sum())
+        kc, kmc, total_c, grad_c = at(cand)
         if not np.isfinite(total_c):
             raise NumericalError("inner solve produced a non-finite objective")
         if total_c > total_x:
             # Momentum overshot; fall back to a plain step from x.
             cand = soft_threshold(x - step * grad_x, threshold)
-            phi_c, grad_c = _phi_value_grad(obj, cand, omega, anchor, gamma)
-            total_c = phi_c + obj.lam1 * float(np.abs(cand).sum())
+            kc, kmc, total_c, grad_c = at(cand)
             theta = 1.0
         moved = soft_threshold(cand - step * grad_c, threshold)
         residual = float(np.max(np.abs(cand - moved)))
         if residual <= cfg.epsilon_inner:
-            return InnerResult(alpha=cand, iterations=it, residual=residual, converged=True)
+            return InnerResult(
+                alpha=cand, iterations=it, residual=residual, converged=True, scores=kc
+            )
         theta_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * theta * theta))
-        y = cand + ((theta - 1.0) / theta_next) * (cand - x)
-        x, grad_x, total_x, theta = cand, grad_c, total_c, theta_next
+        beta = (theta - 1.0) / theta_next
+        if beta == 0.0:
+            # First step and the one after a restart: y is the candidate.
+            y, grad_y = cand, grad_c
+        else:
+            # y is linear in the iterates, and so are K y and K- y.
+            y = cand + beta * (cand - x)
+            ky = kc + beta * (kc - kx)
+            kmy = kmc + beta * (kmc - kmx)
+            _, grad_y = _phi_value_grad(
+                obj, y, ky, kmy, omega, anchor, gamma, with_value=False
+            )
+        x, kx, kmx, grad_x, total_x, theta = cand, kc, kmc, grad_c, total_c, theta_next
 
-    return InnerResult(alpha=x, iterations=cfg.max_inner, residual=residual, converged=False)
+    return InnerResult(
+        alpha=x, iterations=cfg.max_inner, residual=residual, converged=False, scores=kx
+    )
 
 
-def stationarity_residual(obj: DcObjective, alpha: np.ndarray, gamma: float = 1.0) -> float:
+def stationarity_residual(
+    obj: DcObjective,
+    alpha: np.ndarray,
+    gamma: float = 1.0,
+    scores: np.ndarray | None = None,
+) -> float:
     """Proximal fixed-point residual of the full DC objective at alpha.
 
     Zero exactly at critical points (grad_h(a) in the subdifferential of g).
     Uses the step t = 1/L_phi so the scale matches the inner certificate.
+    ``scores`` is an optional known K alpha.
     """
     a = np.asarray(alpha, dtype=np.float64)
     step = 1.0 / smooth_lipschitz_bound(obj, gamma)
     # grad g - grad h = loss gradient + lam (K+ - K-) a = ... + lam K a.
-    scores, _, loss_grad = loss_terms(obj, a)
+    scores, _, loss_grad = loss_terms(obj, a, scores=scores)
     grad = loss_grad + obj.lam * scores
     moved = soft_threshold(a - step * grad, step * obj.lam1)
     return float(np.max(np.abs(a - moved))) if a.size else 0.0
@@ -255,15 +310,17 @@ def pla_fit(obj: DcObjective, cfg: SolverConfig) -> tuple[np.ndarray, SolveTrace
         alpha = np.zeros(obj.n, dtype=np.float64)
 
     trace = SolveTrace()
-    f_cur = f_value(obj, alpha)
+    # K alpha of the current iterate, carried from one inner solve to the next.
+    scores = obj.decomp.gram @ alpha
+    f_cur = f_value(obj, alpha, scores=scores)
     trace.f_values.append(f_cur)
     trace.iterates.append(alpha.copy())
 
     for k in range(cfg.max_outer):
         gamma_k = cfg.gamma_at(k)
         omega = grad_h(obj, alpha)
-        inner = inner_solve(obj, omega, alpha, gamma_k, cfg)
-        alpha_new = inner.alpha
+        inner = inner_solve(obj, omega, alpha, gamma_k, cfg, scores=scores)
+        alpha_new, scores = inner.alpha, inner.scores
         norm_new = float(np.linalg.norm(alpha_new))
         if norm_new > cfg.divergence_norm:
             raise NumericalError(
@@ -271,7 +328,7 @@ def pla_fit(obj: DcObjective, cfg: SolverConfig) -> tuple[np.ndarray, SolveTrace
                 f"{k}); the objective is likely unbounded below for these "
                 "weights"
             )
-        f_new = f_value(obj, alpha_new)
+        f_new = f_value(obj, alpha_new, scores=scores)
         if not np.isfinite(f_new):
             raise NumericalError(f"objective became non-finite at outer step {k}")
 
@@ -280,7 +337,7 @@ def pla_fit(obj: DcObjective, cfg: SolverConfig) -> tuple[np.ndarray, SolveTrace
         trace.iterates.append(alpha_new.copy())
         trace.step_norms.append(step)
         trace.stationarity_residuals.append(
-            stationarity_residual(obj, alpha_new, gamma=gamma_k)
+            stationarity_residual(obj, alpha_new, gamma=gamma_k, scores=scores)
         )
         trace.inner_iterations.append(inner.iterations)
         trace.inner_converged.append(inner.converged)

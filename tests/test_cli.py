@@ -174,6 +174,13 @@ class TestKernelStats:
         assert record["eig_min"] >= -1e-10
         assert record["eig_max"] > 0
 
+    def test_parameter_of_other_kind_exits_one(self, clusters_csv, capsys):
+        override = 'kernel={"kind":"tl1","sigma":5}'
+        rc = main(["kernel-stats", "--data", str(clusters_csv), "--set", override])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: tl1 kernel takes eta, not sigma")
+
     def test_stats_file_output(self, clusters_csv, tmp_path, capsys):
         out = tmp_path / "stats.json"
         rc = main(["kernel-stats", "--data", str(clusters_csv), "--output", str(out)])

@@ -9,6 +9,15 @@ from iklogit.kernels import kernel_eval, kernel_rows, normalize_binary_labels
 from conftest import random_dataset
 from reference_solvers import ref_tl1_gram
 
+INVALID_SPECS = [
+    {"kind": "poly"},
+    {"kind": "tl1", "sigma": 1.0},
+    {"kind": "tl1", "eta": -1.0},
+    {"kind": "rbf"},
+    {"kind": "rbf", "sigma": 0.0},
+    {"kind": "rbf", "eta": 1.0, "sigma": 1.0},
+]
+
 
 class TestKernelEval:
     def test_tl1_identical_points_give_eta(self):
@@ -56,20 +65,16 @@ class TestKernelSpec:
         with pytest.raises(InputError, match="unresolved"):
             kernel_eval(KernelSpec.tl1(), [0.0], [1.0])
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"kind": "poly"},
-            {"kind": "tl1", "sigma": 1.0},
-            {"kind": "tl1", "eta": -1.0},
-            {"kind": "rbf"},
-            {"kind": "rbf", "sigma": 0.0},
-            {"kind": "rbf", "eta": 1.0, "sigma": 1.0},
-        ],
-    )
+    @pytest.mark.parametrize("kwargs", INVALID_SPECS)
     def test_invalid_specs_rejected(self, kwargs):
         with pytest.raises(InputError):
             KernelSpec(**kwargs)
+
+    @pytest.mark.parametrize("payload", INVALID_SPECS)
+    def test_invalid_dicts_rejected(self, payload):
+        # A parameter of the other kind is an error, not silently dropped.
+        with pytest.raises(InputError):
+            KernelSpec.from_dict(payload)
 
     def test_dict_round_trip(self):
         for spec in (KernelSpec.tl1(1.5), KernelSpec.rbf(0.3)):

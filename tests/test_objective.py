@@ -13,9 +13,11 @@ from iklogit.objective import (
     grad_h_lipschitz,
     h_value,
     logistic_loss,
+    loss_terms,
     smooth_grad_g,
     soft_threshold,
 )
+from iklogit.solver import stationarity_residual
 
 from conftest import symmetric_objective, tl1_objective
 from reference_solvers import central_difference_gradient, ref_full_objective
@@ -111,6 +113,28 @@ class TestDcSplit:
             theta = float(rng.uniform(0.05, 0.95))
             mid = theta * a + (1 - theta) * b
             assert reduced(mid) <= theta * reduced(a) + (1 - theta) * reduced(b) + 1e-10
+
+
+def bits(value) -> bytes:
+    return np.asarray(value, dtype=np.float64).tobytes()
+
+
+class TestKnownScores:
+    def test_passing_k_alpha_is_bitwise_neutral(self, rng):
+        # The solver hands each iterate's K alpha to these functions, which
+        # must then give exactly what they compute on their own.
+        obj = tl1_objective(rng, n=25)
+        for _ in range(5):
+            alpha = rng.normal(size=obj.n) * (rng.random(obj.n) < 0.5)
+            scores = obj.decomp.gram @ alpha
+            for with_grad in (True, False):
+                given = loss_terms(obj, alpha, with_grad=with_grad, scores=scores)
+                own = loss_terms(obj, alpha, with_grad=with_grad)
+                assert list(map(bits, given)) == list(map(bits, own))
+            assert bits(f_value(obj, alpha, scores=scores)) == bits(f_value(obj, alpha))
+            for gamma in (1.0, 0.3):
+                given = stationarity_residual(obj, alpha, gamma, scores=scores)
+                assert bits(given) == bits(stationarity_residual(obj, alpha, gamma))
 
 
 class TestGradients:

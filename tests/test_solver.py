@@ -1,5 +1,7 @@
 """Inner solver, outer PLA loop, residuals, and the rate monitor."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -134,6 +136,17 @@ class TestInnerSolve:
         assert not result.converged
         assert result.iterations == 1
         assert np.all(np.isfinite(result.alpha))
+
+    def test_returned_scores_are_k_alpha(self, rng):
+        obj = tl1_objective(rng, n=30)
+        omega = grad_h(obj, np.zeros(obj.n))
+        for cfg in (SolverConfig(), SolverConfig(max_inner=3, epsilon_inner=1e-15)):
+            result = inner_solve(obj, omega, np.zeros(obj.n), 1.0, cfg)
+            assert result.iterations > 0
+            assert np.array_equal(result.scores, obj.decomp.gram @ result.alpha)
+        known = obj.decomp.gram @ result.alpha
+        again = inner_solve(obj, omega, result.alpha, 1.0, SolverConfig(), scores=known)
+        assert np.array_equal(again.scores, obj.decomp.gram @ again.alpha)
 
     def test_non_finite_blowup_raises(self, rng):
         obj = symmetric_objective(rng, lam1=0.0)
@@ -291,6 +304,40 @@ class TestStationarityResidual:
         alpha, trace = pla_fit(obj, SolverConfig())
         first = stationarity_residual(obj, trace.iterates[0])
         assert trace.stationarity_residuals[-1] < first
+
+
+class TestProductBudget:
+    def test_products_per_inner_iteration(self, rng, monkeypatch):
+        # Every product with K and K- is computed once per point: three dense
+        # and one low-rank product per inner iteration, plus restarts and a
+        # few per outer step.  Recomputing K y at the momentum point, or the
+        # gradient at y when beta = 0, costs at least 4 dense and 2 low-rank.
+        dense, lowrank = [], []
+
+        class CountingGram(np.ndarray):
+            def __matmul__(self, other):
+                dense.append(1)
+                return np.matmul(self.view(np.ndarray), other)
+
+        obj = tl1_objective(rng, n=60, d=3, lam=0.1, lam1=0.01)
+        assert np.any(obj.decomp.eigenvalues < 0)
+        counted = dataclasses.replace(
+            obj.decomp, gram=obj.decomp.gram.view(CountingGram)
+        )
+        obj = DcObjective(counted, obj.y_signed, lam=obj.lam, lam1=obj.lam1)
+        kminus_dot = GramDecomposition.kminus_dot
+
+        def counting_kminus_dot(self, alpha):
+            lowrank.append(1)
+            return kminus_dot(self, alpha)
+
+        monkeypatch.setattr(GramDecomposition, "kminus_dot", counting_kminus_dot)
+        _, trace = pla_fit(obj, SolverConfig())
+        assert trace.status == CONVERGED
+        inner, outer = sum(trace.inner_iterations), trace.num_iterations
+        assert inner > 10 * outer
+        assert len(dense) <= 3.3 * inner
+        assert len(lowrank) <= 1.3 * inner + 2 * outer + 2
 
 
 class TestRateMonitor:
