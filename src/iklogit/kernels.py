@@ -177,11 +177,11 @@ def gram_matrix(
 ) -> np.ndarray:
     """Assemble the full symmetric Gram matrix of ``data`` under ``spec``.
 
-    This is :func:`kernel_rows` of the data against itself: one row at a
-    time, so scratch memory beyond the result is one n x d block.  The
-    result is exactly symmetric, since |a - b| and (a - b)^2 do not depend
-    on the order of a and b in floating point.  Raises ResourceError when
-    the n x n result would exceed ``max_bytes``.
+    This is :func:`kernel_rows` of the data against itself, so scratch
+    memory beyond the result is one n x d row block.  The result is
+    exactly symmetric, since |a - b| and (a - b)^2 do not depend on the
+    order of a and b in floating point.  Raises ResourceError when the
+    n x n result would exceed ``max_bytes``.
     """
     _require_resolved(spec)
     n = data.n
@@ -200,7 +200,10 @@ def kernel_rows(
 ) -> np.ndarray:
     """Cross-kernel block: entry (i, j) = k(test_i, train_j).
 
-    ``train`` may be a Dataset or a bare (n, d) feature matrix.
+    ``train`` may be a Dataset or a bare (n, d) feature matrix.  The loop
+    runs over the shorter side, one row of it against every row of the
+    longer side, so scratch memory beyond the result is one row block of
+    the longer side.  Either orientation gives bitwise-equal entries.
     """
     _require_resolved(spec)
     base = train.features if isinstance(train, Dataset) else np.asarray(train, float)
@@ -216,6 +219,10 @@ def kernel_rows(
     if not np.all(np.isfinite(tests)):
         raise InputError("test features contain non-finite values")
     out = np.empty((tests.shape[0], base.shape[0]), dtype=np.float64)
-    for j in range(tests.shape[0]):
-        out[j] = _rows_against(spec, base, tests[j])
+    if tests.shape[0] <= base.shape[0]:
+        for j in range(tests.shape[0]):
+            out[j] = _rows_against(spec, base, tests[j])
+    else:
+        for i in range(base.shape[0]):
+            out[:, i] = _rows_against(spec, tests, base[i])
     return out

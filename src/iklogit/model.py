@@ -37,8 +37,10 @@ SPARSITY_THRESHOLD = 1e-10
 MODEL_SCHEMA = "iklogit-model"
 MODEL_SCHEMA_VERSION = 1
 
-# Kernel values held at once while scoring: test rows go in blocks of
-# this many bytes, so memory does not grow with the number of test rows.
+# Bytes held at once while scoring: test rows go in blocks whose kernel
+# values (one per nonzero coefficient) and per-row scratch (one per
+# feature) each fit in this many bytes, so memory does not grow with the
+# number of test rows.
 SCORE_BLOCK_BYTES = 2**22
 
 # Probabilities are clipped into the open interval (0, 1).
@@ -111,10 +113,13 @@ class FittedModel:
     trace: SolveTrace | None = None
 
     def __post_init__(self) -> None:
-        self.alpha = np.asarray(self.alpha, dtype=np.float64)
-        self.train_features = np.asarray(self.train_features, dtype=np.float64)
+        self.alpha = _float_array(self.alpha, "alpha")
+        self.train_features = _float_array(self.train_features, "train_features")
         if self.alpha.ndim != 1 or not np.all(np.isfinite(self.alpha)):
             raise InputError("alpha must be a finite 1-D vector")
+        feats = self.train_features
+        if feats.ndim != 2 or not np.all(np.isfinite(feats)):
+            raise InputError("train_features must be a finite 2-D array")
         if self.train_features.shape[0] != self.alpha.shape[0]:
             raise InputError(
                 "alpha length must equal the retained training size: "
@@ -129,14 +134,28 @@ class FittedModel:
         return np.flatnonzero(np.abs(self.alpha) > self.sparsity_threshold)
 
     def scores(self, test_features: np.ndarray) -> np.ndarray:
-        """Decision scores K_z alpha for each test row."""
+        """Decision scores K_z alpha for each test row.
+
+        Only the training rows whose coefficient is nonzero are scored:
+        the sum is K_z alpha term for term, without the zero terms.
+        """
         tests = np.atleast_2d(np.asarray(test_features, dtype=np.float64))
-        step = max(1, SCORE_BLOCK_BYTES // (8 * max(self.alpha.size, 1)))
-        train = self.train_features
+        nonzero = np.flatnonzero(self.alpha)
+        rows, coef = self.train_features[nonzero], self.alpha[nonzero]
+        width = max(nonzero.size, self.train_features.shape[1], 1)
+        step = max(1, SCORE_BLOCK_BYTES // (8 * width))
         return np.concatenate([
-            kernel_rows(self.kernel, train, tests[i : i + step]) @ self.alpha
+            kernel_rows(self.kernel, rows, tests[i : i + step]) @ coef
             for i in range(0, max(len(tests), 1), step)
         ])
+
+
+def _float_array(value, name: str) -> np.ndarray:
+    """``value`` as a float array; ragged or non-numeric input is an InputError."""
+    try:
+        return np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise InputError(f"{name} must be an array of numbers") from None
 
 
 def fit(spec: ModelSpec, train: Dataset) -> FittedModel:
@@ -217,8 +236,8 @@ def load_model(path: str) -> FittedModel:
             f"unsupported model schema version {payload.get('schema_version')}"
         )
     return FittedModel(
-        alpha=np.asarray(payload["alpha"], dtype=np.float64),
-        train_features=np.asarray(payload["train_features"], dtype=np.float64),
+        alpha=payload["alpha"],
+        train_features=payload["train_features"],
         kernel=KernelSpec.from_dict(payload["kernel"]),
         variant=payload["variant"],
         lam=payload["lambda"],

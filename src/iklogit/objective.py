@@ -163,10 +163,14 @@ def smooth_grad_g(obj: DcObjective, alpha: np.ndarray) -> np.ndarray:
     return loss_grad + obj.lam * (scores + obj.decomp.kminus_dot(a))
 
 
-def grad_h(obj: DcObjective, alpha: np.ndarray) -> np.ndarray:
-    """Gradient of h: lam K- a."""
+def grad_h(
+    obj: DcObjective, alpha: np.ndarray, kminus: np.ndarray | None = None
+) -> np.ndarray:
+    """Gradient of h: lam K- a.  ``kminus`` is an optional known K- a."""
     a = _check_alpha(obj, alpha)
-    return obj.lam * obj.decomp.kminus_dot(a)
+    if kminus is None:
+        kminus = obj.decomp.kminus_dot(a)
+    return obj.lam * kminus
 
 
 def grad_h_lipschitz(obj: DcObjective) -> float:

@@ -24,11 +24,11 @@ K y and K- y are combinations of the carried products, since the momentum
 point y = c + beta (c - x) is linear in the iterates.  When beta = 0 (the
 first iteration and the one after a restart) y is the candidate itself and
 its gradient is reused, one dense product fewer.  A momentum restart costs
-two dense products and one low-rank product more.  Each outer step adds two
-dense products (the warm start's loss gradient and the stationarity
-residual's) and two low-rank ones (grad_h and the warm start's K- a); K a of
-the new iterate comes back from the inner solve and serves f_value, the
-residual and the next warm start.
+two dense products and one low-rank product more.  The outer loop adds no
+product of its own: K a, K- a and the loss gradient of the new iterate come
+back from the inner solve and serve f_value, grad_h, the stationarity
+residual and the next warm start.  Only the starting point costs one dense
+K a, one low-rank K- a and, at the first warm start, one dense loss gradient.
 """
 
 from __future__ import annotations
@@ -98,13 +98,19 @@ def _check_gamma(g: float) -> None:
 
 @dataclass(frozen=True)
 class InnerResult:
-    """Outcome of one subproblem solve; ``scores`` is K alpha."""
+    """Outcome of one subproblem solve.
+
+    ``scores`` is K alpha, ``kminus`` is K- alpha and ``loss_grad`` is the
+    loss gradient at alpha (see :func:`loss_terms`).
+    """
 
     alpha: np.ndarray
     iterations: int
     residual: float
     converged: bool
     scores: np.ndarray
+    kminus: np.ndarray
+    loss_grad: np.ndarray
 
 
 @dataclass
@@ -166,25 +172,31 @@ def _phi_value_grad(
     anchor: np.ndarray,
     gamma: float,
     with_value: bool = True,
-) -> tuple[float | None, np.ndarray]:
+    loss_grad: np.ndarray | None = None,
+) -> tuple[float | None, np.ndarray, np.ndarray]:
     """Value and gradient of the subproblem's smooth part phi at alpha.
 
-    ``k_a`` and ``km_a`` are the known products K alpha and K- alpha.  The
-    value is None when ``with_value`` is False.
+    ``k_a`` and ``km_a`` are the known products K alpha and K- alpha, and
+    ``loss_grad`` is an optional known loss gradient at alpha.  Returns the
+    value (None when ``with_value`` is False), the gradient and the loss
+    gradient.
     """
-    _, loss, loss_grad = loss_terms(obj, alpha, scores=k_a)
+    if loss_grad is None:
+        _, loss, loss_grad = loss_terms(obj, alpha, scores=k_a)
+    elif with_value:
+        _, loss, _ = loss_terms(obj, alpha, with_grad=False, scores=k_a)
     kp_a = k_a + km_a
     diff = alpha - anchor
     grad = loss_grad + obj.lam * kp_a - omega + diff / gamma
     if not with_value:
-        return None, grad
+        return None, grad, loss_grad
     value = (
         loss
         + 0.5 * obj.lam * float(alpha @ kp_a)
         - float(omega @ diff)
         + 0.5 / gamma * float(diff @ diff)
     )
-    return value, grad
+    return value, grad, loss_grad
 
 
 # Overflow in the loop is diagnosed through the non-finite objective check.
@@ -196,6 +208,8 @@ def inner_solve(
     gamma: float,
     cfg: SolverConfig,
     scores: np.ndarray | None = None,
+    kminus: np.ndarray | None = None,
+    loss_grad: np.ndarray | None = None,
 ) -> InnerResult:
     """Solve one linearized subproblem to the fixed-point tolerance.
 
@@ -204,8 +218,9 @@ def inner_solve(
     and a plain proximal-gradient step (guaranteed descent at step 1/L)
     is taken instead.  Returns the first iterate whose residual passes
     ``cfg.epsilon_inner``, or the last iterate with ``converged=False``
-    after ``cfg.max_inner`` steps.  ``scores`` is an optional known
-    K alpha_k.
+    after ``cfg.max_inner`` steps.  ``scores``, ``kminus`` and
+    ``loss_grad`` are an optional known K alpha_k, K- alpha_k and loss
+    gradient at alpha_k.
     """
     _check_gamma(gamma)
     anchor = np.asarray(alpha_k, dtype=np.float64)
@@ -214,42 +229,41 @@ def inner_solve(
     threshold = step * obj.lam1
     gram, kminus_dot = obj.decomp.gram, obj.decomp.kminus_dot
 
-    def at(a: np.ndarray, k_a: np.ndarray | None = None):
-        """K a, K- a, the subproblem objective and the gradient of phi at a."""
+    def at(a, k_a=None, km_a=None, lg_a=None):
+        """K a, K- a, loss gradient, subproblem objective and gradient of phi."""
         if k_a is None:
             k_a = gram @ a
-        km_a = kminus_dot(a)
-        phi, grad = _phi_value_grad(obj, a, k_a, km_a, omega, anchor, gamma)
-        return k_a, km_a, phi + obj.lam1 * float(np.abs(a).sum()), grad
+        if km_a is None:
+            km_a = kminus_dot(a)
+        phi, grad, lg_a = _phi_value_grad(
+            obj, a, k_a, km_a, omega, anchor, gamma, loss_grad=lg_a
+        )
+        return k_a, km_a, lg_a, phi + obj.lam1 * float(np.abs(a).sum()), grad
 
     x = anchor.copy()
-    kx, kmx, total_x, grad_x = at(x, scores)
+    kx, kmx, lgx, total_x, grad_x = at(x, scores, kminus, loss_grad)
     moved = soft_threshold(x - step * grad_x, threshold)
     residual = float(np.max(np.abs(x - moved))) if x.size else 0.0
     if residual <= cfg.epsilon_inner:
-        return InnerResult(
-            alpha=x, iterations=0, residual=residual, converged=True, scores=kx
-        )
+        return InnerResult(x, 0, residual, True, kx, kmx, lgx)
 
     grad_y = grad_x
     y = x
     theta = 1.0
     for it in range(1, cfg.max_inner + 1):
         cand = soft_threshold(y - step * grad_y, threshold)
-        kc, kmc, total_c, grad_c = at(cand)
+        kc, kmc, lgc, total_c, grad_c = at(cand)
         if not np.isfinite(total_c):
             raise NumericalError("inner solve produced a non-finite objective")
         if total_c > total_x:
             # Momentum overshot; fall back to a plain step from x.
             cand = soft_threshold(x - step * grad_x, threshold)
-            kc, kmc, total_c, grad_c = at(cand)
+            kc, kmc, lgc, total_c, grad_c = at(cand)
             theta = 1.0
         moved = soft_threshold(cand - step * grad_c, threshold)
         residual = float(np.max(np.abs(cand - moved)))
         if residual <= cfg.epsilon_inner:
-            return InnerResult(
-                alpha=cand, iterations=it, residual=residual, converged=True, scores=kc
-            )
+            return InnerResult(cand, it, residual, True, kc, kmc, lgc)
         theta_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * theta * theta))
         beta = (theta - 1.0) / theta_next
         if beta == 0.0:
@@ -260,14 +274,13 @@ def inner_solve(
             y = cand + beta * (cand - x)
             ky = kc + beta * (kc - kx)
             kmy = kmc + beta * (kmc - kmx)
-            _, grad_y = _phi_value_grad(
+            _, grad_y, _ = _phi_value_grad(
                 obj, y, ky, kmy, omega, anchor, gamma, with_value=False
             )
-        x, kx, kmx, grad_x, total_x, theta = cand, kc, kmc, grad_c, total_c, theta_next
+        x, kx, kmx, lgx = cand, kc, kmc, lgc
+        grad_x, total_x, theta = grad_c, total_c, theta_next
 
-    return InnerResult(
-        alpha=x, iterations=cfg.max_inner, residual=residual, converged=False, scores=kx
-    )
+    return InnerResult(x, cfg.max_inner, residual, False, kx, kmx, lgx)
 
 
 def stationarity_residual(
@@ -275,17 +288,20 @@ def stationarity_residual(
     alpha: np.ndarray,
     gamma: float = 1.0,
     scores: np.ndarray | None = None,
+    loss_grad: np.ndarray | None = None,
 ) -> float:
     """Proximal fixed-point residual of the full DC objective at alpha.
 
     Zero exactly at critical points (grad_h(a) in the subdifferential of g).
     Uses the step t = 1/L_phi so the scale matches the inner certificate.
-    ``scores`` is an optional known K alpha.
+    ``scores`` and ``loss_grad`` are an optional known K alpha and loss
+    gradient at alpha; ``loss_grad`` is used only together with ``scores``.
     """
     a = np.asarray(alpha, dtype=np.float64)
     step = 1.0 / smooth_lipschitz_bound(obj, gamma)
     # grad g - grad h = loss gradient + lam (K+ - K-) a = ... + lam K a.
-    scores, _, loss_grad = loss_terms(obj, a, scores=scores)
+    if scores is None or loss_grad is None:
+        scores, _, loss_grad = loss_terms(obj, a, scores=scores)
     grad = loss_grad + obj.lam * scores
     moved = soft_threshold(a - step * grad, step * obj.lam1)
     return float(np.max(np.abs(a - moved))) if a.size else 0.0
@@ -310,17 +326,24 @@ def pla_fit(obj: DcObjective, cfg: SolverConfig) -> tuple[np.ndarray, SolveTrace
         alpha = np.zeros(obj.n, dtype=np.float64)
 
     trace = SolveTrace()
-    # K alpha of the current iterate, carried from one inner solve to the next.
+    # K alpha, K- alpha and the loss gradient of the current iterate, carried
+    # from one inner solve to the next; the first inner solve forms the last.
     scores = obj.decomp.gram @ alpha
+    kminus = obj.decomp.kminus_dot(alpha)
+    loss_grad = None
     f_cur = f_value(obj, alpha, scores=scores)
     trace.f_values.append(f_cur)
     trace.iterates.append(alpha.copy())
 
     for k in range(cfg.max_outer):
         gamma_k = cfg.gamma_at(k)
-        omega = grad_h(obj, alpha)
-        inner = inner_solve(obj, omega, alpha, gamma_k, cfg, scores=scores)
+        omega = grad_h(obj, alpha, kminus=kminus)
+        inner = inner_solve(
+            obj, omega, alpha, gamma_k, cfg,
+            scores=scores, kminus=kminus, loss_grad=loss_grad,
+        )
         alpha_new, scores = inner.alpha, inner.scores
+        kminus, loss_grad = inner.kminus, inner.loss_grad
         norm_new = float(np.linalg.norm(alpha_new))
         if norm_new > cfg.divergence_norm:
             raise NumericalError(
@@ -337,7 +360,9 @@ def pla_fit(obj: DcObjective, cfg: SolverConfig) -> tuple[np.ndarray, SolveTrace
         trace.iterates.append(alpha_new.copy())
         trace.step_norms.append(step)
         trace.stationarity_residuals.append(
-            stationarity_residual(obj, alpha_new, gamma=gamma_k, scores=scores)
+            stationarity_residual(
+                obj, alpha_new, gamma=gamma_k, scores=scores, loss_grad=loss_grad
+            )
         )
         trace.inner_iterations.append(inner.iterations)
         trace.inner_converged.append(inner.converged)

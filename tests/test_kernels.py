@@ -141,6 +141,20 @@ class TestKernelRows:
         with pytest.raises(InputError):
             kernel_rows(KernelSpec.tl1(1.0), data, np.zeros((2, 4)))
 
+    @pytest.mark.parametrize("kind", ["tl1", "rbf"])
+    @pytest.mark.parametrize("m, n", [(3, 11), (11, 3), (7, 7)])
+    @pytest.mark.parametrize("d", [3, 40])
+    def test_either_orientation_bitwise_equal(self, rng, kind, m, n, d):
+        # The loop runs over the shorter side; swapping the sides swaps
+        # which one that is, and every entry must come out the same.
+        spec = KernelSpec.tl1(2.0 * d) if kind == "tl1" else KernelSpec.rbf(np.sqrt(d))
+        a = rng.normal(size=(m, d))
+        b = rng.normal(size=(n, d))
+        rows = kernel_rows(spec, a, b)
+        assert rows.shape == (n, m)
+        assert np.array_equal(rows, kernel_rows(spec, b, a).T)
+        assert np.count_nonzero(rows) > rows.size // 2
+
 
 class TestDataset:
     def test_basic_properties(self):

@@ -112,6 +112,30 @@ class TestFittedModelInvariants:
                 tau=1e-6,
             )
 
+    @pytest.mark.parametrize(
+        "features",
+        [
+            [[0.0, 1.0], [np.nan, 2.0]],
+            [[0.0, 1.0], [2.0, np.inf]],
+            [[0.0, 1.0], [2.0]],
+            [0.0, 1.0],
+            [["a", 1.0], [0.0, 1.0]],
+        ],
+    )
+    def test_rejects_malformed_train_features(self, features):
+        # Row 1 has a zero coefficient, so scoring never reads it; the model
+        # is still rejected.
+        with pytest.raises(InputError, match="train_features"):
+            FittedModel(
+                alpha=np.array([1.0, 0.0]),
+                train_features=features,
+                kernel=KernelSpec.rbf(1.0),
+                variant="klr",
+                lam=1.0,
+                lam1=0.0,
+                tau=1e-6,
+            )
+
     def test_rejects_length_mismatch(self):
         with pytest.raises(InputError, match="length"):
             FittedModel(
@@ -259,16 +283,78 @@ class TestPredict:
         model = fit(ModelSpec(variant="l1-riklr", lam=0.3, lam1=0.02), data)
         test = rng.normal(size=(40, 3))
         whole = kernel_rows(model.kernel, data, test) @ model.alpha
-        # 15 coefficients of 8 bytes: blocks of 7 rows, the last one short.
-        monkeypatch.setattr(iklogit.model, "SCORE_BLOCK_BYTES", 7 * 15 * 8)
+        nonzero = np.count_nonzero(model.alpha)
+        assert 3 < nonzero < 15
+        # A block row holds one 8-byte value per nonzero coefficient (more
+        # than d = 3): blocks of 7 rows, the last one short.
+        monkeypatch.setattr(iklogit.model, "SCORE_BLOCK_BYTES", 7 * nonzero * 8)
         assert np.allclose(model.scores(test), whole, rtol=1e-13, atol=1e-15)
         assert model.scores(test[0]).shape == (1,)
         assert model.scores(test[:0]).shape == (0,)
+
+    def test_score_blocks_sized_by_features_when_support_is_small(
+        self, rng, monkeypatch
+    ):
+        # Two nonzero coefficients, d = 10: the per-row scratch of 10 values
+        # sets the block size, 3 rows of 10 values of 8 bytes.
+        model = FittedModel(
+            alpha=np.array([0.5, 0.0, -1.0, 0.0]),
+            train_features=rng.normal(size=(4, 10)),
+            kernel=KernelSpec.rbf(3.0),
+            variant="klr",
+            lam=1.0,
+            lam1=0.0,
+            tau=1e-6,
+        )
+        test = rng.normal(size=(10, 10))
+        whole = model.scores(test)
+        blocks = []
+
+        def recording_kernel_rows(spec, train, tests):
+            blocks.append(len(tests))
+            return kernel_rows(spec, train, tests)
+
+        monkeypatch.setattr(iklogit.model, "kernel_rows", recording_kernel_rows)
+        monkeypatch.setattr(iklogit.model, "SCORE_BLOCK_BYTES", 3 * 10 * 8)
+        assert np.array_equal(model.scores(test), whole)
+        assert blocks == [3, 3, 3, 1]
 
     def test_dimension_mismatch_rejected(self, rng):
         model = zero_score_model(d=2)
         with pytest.raises(InputError):
             predict_proba(model, rng.normal(size=(3, 5)))
+
+    def test_all_zero_alpha_still_checks_test_rows(self, rng):
+        model = zero_score_model(d=2)
+        with pytest.raises(InputError, match="dimension"):
+            model.scores(np.zeros((3, 5)))
+        with pytest.raises(InputError, match="non-finite"):
+            predict_proba(model, np.array([[0.0, 1.0], [np.nan, 0.0]]))
+        with pytest.raises(InputError, match="non-finite"):
+            predict_label(model, np.array([[np.inf, 1.0]]))
+        assert np.array_equal(model.scores(rng.normal(size=(4, 2))), np.zeros(4))
+
+    def test_zero_coefficient_rows_are_never_read(self, rng):
+        alpha = np.array([0.7, 0.0, -1.2, -0.0, 0.4])
+        model = FittedModel(
+            alpha=alpha,
+            train_features=rng.normal(size=(5, 3)),
+            kernel=KernelSpec.tl1(4.0),
+            variant="iklr",
+            lam=1.0,
+            lam1=0.0,
+            tau=1e-6,
+        )
+        test = rng.normal(size=(30, 3))
+        full = kernel_rows(model.kernel, model.train_features, test) @ alpha
+        before = model.scores(test)
+        assert np.count_nonzero(before) > 20
+        assert np.allclose(before, full, rtol=1e-13, atol=1e-15)
+        model.train_features[[1, 3]] = rng.normal(size=(2, 3)) * 100.0
+        assert np.array_equal(model.scores(test), before)
+        # Written in place, past the constructor's finiteness check.
+        model.train_features[[1, 3]] = np.nan
+        assert np.array_equal(model.scores(test), before)
 
 
 class TestSelectedCount:
@@ -371,6 +457,21 @@ class TestSerialization:
         loaded = load_model(str(path))
         test = rng.normal(size=(8, 2))
         assert np.array_equal(loaded.scores(test), model.scores(test))
+
+    @pytest.mark.parametrize("bad_row", [[float("nan"), 0.0, 0.0], [1.0, 2.0]])
+    def test_rejects_malformed_train_row(self, rng, tmp_path, bad_row):
+        import json
+
+        data = random_dataset(rng, n=15, d=3)
+        model = fit(ModelSpec(variant="l1-riklr", lam=0.3, lam1=0.02), data)
+        zero = int(np.flatnonzero(model.alpha == 0.0)[0])
+        path = tmp_path / "m.json"
+        save_model(model, str(path))
+        payload = json.loads(path.read_text())
+        payload["train_features"][zero] = bad_row
+        path.write_text(json.dumps(payload))
+        with pytest.raises(InputError, match="train_features"):
+            load_model(str(path))
 
     def test_rejects_foreign_json(self, tmp_path):
         path = tmp_path / "other.json"

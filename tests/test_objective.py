@@ -121,8 +121,9 @@ def bits(value) -> bytes:
 
 class TestKnownScores:
     def test_passing_k_alpha_is_bitwise_neutral(self, rng):
-        # The solver hands each iterate's K alpha to these functions, which
-        # must then give exactly what they compute on their own.
+        # The solver hands each iterate's K alpha, K- alpha and loss gradient
+        # to these functions, which must then give exactly what they compute
+        # on their own.
         obj = tl1_objective(rng, n=25)
         for _ in range(5):
             alpha = rng.normal(size=obj.n) * (rng.random(obj.n) < 0.5)
@@ -132,9 +133,19 @@ class TestKnownScores:
                 own = loss_terms(obj, alpha, with_grad=with_grad)
                 assert list(map(bits, given)) == list(map(bits, own))
             assert bits(f_value(obj, alpha, scores=scores)) == bits(f_value(obj, alpha))
+            _, _, loss_grad = loss_terms(obj, alpha)
             for gamma in (1.0, 0.3):
+                own = bits(stationarity_residual(obj, alpha, gamma))
                 given = stationarity_residual(obj, alpha, gamma, scores=scores)
-                assert bits(given) == bits(stationarity_residual(obj, alpha, gamma))
+                assert bits(given) == own
+                given = stationarity_residual(
+                    obj, alpha, gamma, scores=scores, loss_grad=loss_grad
+                )
+                assert bits(given) == own
+                given = stationarity_residual(obj, alpha, gamma, loss_grad=loss_grad)
+                assert bits(given) == own
+            kminus = obj.decomp.kminus_dot(alpha)
+            assert bits(grad_h(obj, alpha, kminus=kminus)) == bits(grad_h(obj, alpha))
 
 
 class TestGradients:

@@ -5,6 +5,8 @@ import dataclasses
 import numpy as np
 import pytest
 
+import iklogit.solver
+
 from iklogit import (
     DcObjective,
     InputError,
@@ -14,7 +16,7 @@ from iklogit import (
     pla_fit,
     rate_monitor,
 )
-from iklogit.objective import f_value, grad_h, smooth_grad_g
+from iklogit.objective import f_value, grad_h, loss_terms, smooth_grad_g
 from iklogit.solver import (
     CONVERGED,
     MAX_ITERATIONS,
@@ -307,11 +309,9 @@ class TestStationarityResidual:
 
 
 class TestProductBudget:
-    def test_products_per_inner_iteration(self, rng, monkeypatch):
-        # Every product with K and K- is computed once per point: three dense
-        # and one low-rank product per inner iteration, plus restarts and a
-        # few per outer step.  Recomputing K y at the momentum point, or the
-        # gradient at y when beta = 0, costs at least 4 dense and 2 low-rank.
+    @staticmethod
+    def counted_objective(rng, monkeypatch):
+        """An indefinite TL1 objective whose K and K- products are counted."""
         dense, lowrank = [], []
 
         class CountingGram(np.ndarray):
@@ -332,12 +332,64 @@ class TestProductBudget:
             return kminus_dot(self, alpha)
 
         monkeypatch.setattr(GramDecomposition, "kminus_dot", counting_kminus_dot)
+        return obj, dense, lowrank
+
+    def test_products_per_inner_iteration(self, rng, monkeypatch):
+        # Every product with K and K- is computed once per point: three dense
+        # and one low-rank product per inner iteration, plus restarts and a
+        # few per fit.  Recomputing K y at the momentum point, or the
+        # gradient at y when beta = 0, costs at least 4 dense and 2 low-rank.
+        obj, dense, lowrank = self.counted_objective(rng, monkeypatch)
         _, trace = pla_fit(obj, SolverConfig())
         assert trace.status == CONVERGED
         inner, outer = sum(trace.inner_iterations), trace.num_iterations
         assert inner > 10 * outer
         assert len(dense) <= 3.3 * inner
-        assert len(lowrank) <= 1.3 * inner + 2 * outer + 2
+        assert len(lowrank) <= 1.3 * inner + 1 * outer + 2
+
+    def test_outer_loop_adds_no_products(self, rng, monkeypatch):
+        # K a, K- a and the loss gradient of each new iterate come back from
+        # the inner solve; outside it, only the starting point's K a and
+        # K- a are computed.
+        obj, dense, lowrank = self.counted_objective(rng, monkeypatch)
+        inside = {"dense": 0, "lowrank": 0, "solves": 0}
+
+        def counting_inner_solve(*args, **kwargs):
+            before = len(dense), len(lowrank)
+            result = inner_solve(*args, **kwargs)
+            inside["dense"] += len(dense) - before[0]
+            inside["lowrank"] += len(lowrank) - before[1]
+            inside["solves"] += 1
+            return result
+
+        monkeypatch.setattr(iklogit.solver, "inner_solve", counting_inner_solve)
+        _, trace = pla_fit(obj, SolverConfig())
+        assert trace.status == CONVERGED
+        assert inside["solves"] == trace.num_iterations > 10
+        assert len(dense) - inside["dense"] == 1
+        assert len(lowrank) - inside["lowrank"] == 1
+
+    def test_known_warm_start_products_are_reused(self, rng, monkeypatch):
+        obj, dense, lowrank = self.counted_objective(rng, monkeypatch)
+        alpha = rng.normal(size=obj.n) * (rng.random(obj.n) < 0.3)
+        gram = obj.decomp.gram.view(np.ndarray)
+        scores = gram @ alpha
+        kminus = obj.decomp.kminus_dot(alpha)
+        _, _, loss_grad = loss_terms(obj, alpha, scores=scores)
+        del dense[:], lowrank[:]
+        # A tolerance the warm start already meets: the solve returns it.
+        cfg = SolverConfig(epsilon_inner=1e6)
+        omega = grad_h(obj, alpha, kminus=kminus)
+        known = inner_solve(
+            obj, omega, alpha, 1.0, cfg,
+            scores=scores, kminus=kminus, loss_grad=loss_grad,
+        )
+        assert known.iterations == 0
+        assert (len(dense), len(lowrank)) == (0, 0)
+        own = inner_solve(obj, omega, alpha, 1.0, cfg)
+        for field in ("alpha", "scores", "kminus", "loss_grad"):
+            assert np.array_equal(getattr(known, field), getattr(own, field))
+        assert own.residual == known.residual
 
 
 class TestRateMonitor:
