@@ -25,8 +25,9 @@ from .experiment import (
     read_features,
     rows_to_records,
     run_experiment,
+    spectrum_range,
 )
-from .kernels import KernelSpec, gram_matrix
+from .kernels import KernelSpec
 from .model import (
     ModelSpec,
     fit,
@@ -37,7 +38,6 @@ from .model import (
     selected_count,
 )
 from .solver import CONVERGED, SolverConfig
-from .spectral import sym_eigendecompose
 
 log = logging.getLogger("iklogit")
 
@@ -191,13 +191,13 @@ def cmd_kernel_stats(cfg: dict) -> int:
     data = ingest_csv(path, _csv_options(data_cfg))
     kernel = _kernel_spec(cfg.get("kernel")) or KernelSpec.tl1()
     kernel = kernel.resolve(data.d)
-    eigvals, _ = sym_eigendecompose(gram_matrix(kernel, data))
+    eig_min, eig_max = spectrum_range(kernel, data)
     record = {
         "dataset": cfg.get("name", Path(path).stem),
         "d": data.d,
         "n": data.n,
-        "eig_min": float(eigvals[-1]),
-        "eig_max": float(eigvals[0]),
+        "eig_min": eig_min,
+        "eig_max": eig_max,
         "kernel": kernel.to_dict(),
     }
     print(json.dumps(record))

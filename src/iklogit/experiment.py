@@ -310,6 +310,12 @@ class ReportRow:
     failed_repeats: list[int]
 
 
+def spectrum_range(kernel: KernelSpec, data: Dataset) -> tuple[float, float]:
+    """(eig_min, eig_max) of the Gram of ``data`` under a resolved kernel."""
+    eigvals, _ = sym_eigendecompose(gram_matrix(kernel, data))
+    return float(eigvals[-1]), float(eigvals[0])
+
+
 def run_experiment(spec: ExperimentSpec) -> list[ReportRow]:
     """Execute the full protocol; one ReportRow per requested variant.
 
@@ -318,9 +324,7 @@ def run_experiment(spec: ExperimentSpec) -> list[ReportRow]:
     propagates.  Identical specs reproduce reports exactly.
     """
     data = ingest_csv(spec.path, spec.csv)
-    tl1 = KernelSpec.tl1().resolve(data.d)
-    eigvals, _ = sym_eigendecompose(gram_matrix(tl1, data))
-    eig_min, eig_max = float(eigvals[-1]), float(eigvals[0])
+    eig_min, eig_max = spectrum_range(KernelSpec.tl1().resolve(data.d), data)
 
     rows = []
     for variant in spec.variants:

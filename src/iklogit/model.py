@@ -35,7 +35,9 @@ L1_VARIANTS = ("l1-rklr", "l1-riklr")
 SPARSITY_THRESHOLD = 1e-10
 
 MODEL_SCHEMA = "iklogit-model"
-MODEL_SCHEMA_VERSION = 1
+# Schema 2 stores d and the nonzero-coefficient rows; schema 1 files (every
+# training row) still load.
+MODEL_SCHEMA_VERSION = 2
 
 # Bytes held at once while scoring: test rows go in blocks whose kernel
 # values (one per nonzero coefficient) and per-row scratch (one per
@@ -99,7 +101,9 @@ class ModelSpec:
 class FittedModel:
     """Trained coefficients plus everything prediction needs.
 
-    ``trace`` is None for models loaded from disk.
+    ``alpha`` and ``train_features`` cover the retained training rows: all
+    after :func:`fit`, the nonzero-coefficient ones after loading a schema 2
+    file.  ``trace`` is None for models loaded from disk.
     """
 
     alpha: np.ndarray
@@ -203,11 +207,12 @@ def selected_count(model: FittedModel) -> int:
 
 
 def save_model(model: FittedModel, path: str) -> None:
-    """Write a self-describing JSON model file.
+    """Write a self-describing JSON model file: d and the rows scoring reads.
 
-    Floats serialize via repr and therefore round-trip bitwise; a loaded
-    model reproduces predictions exactly.
+    Only rows with a nonzero coefficient are written.  Floats serialize via
+    repr and round-trip bitwise; a loaded model predicts exactly the same.
     """
+    nonzero = np.flatnonzero(model.alpha)
     payload = {
         "schema": MODEL_SCHEMA,
         "schema_version": MODEL_SCHEMA_VERSION,
@@ -217,8 +222,9 @@ def save_model(model: FittedModel, path: str) -> None:
         "lambda1": model.lam1,
         "tau": model.tau,
         "sparsity_threshold": model.sparsity_threshold,
-        "alpha": model.alpha.tolist(),
-        "train_features": model.train_features.tolist(),
+        "d": model.train_features.shape[1],
+        "alpha": model.alpha[nonzero].tolist(),
+        "train_features": model.train_features[nonzero].tolist(),
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh)
@@ -226,18 +232,21 @@ def save_model(model: FittedModel, path: str) -> None:
 
 
 def load_model(path: str) -> FittedModel:
-    """Read a model file written by :func:`save_model`."""
+    """Read a model file of schema 1 (every training row) or 2 (nonzero rows)."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     if payload.get("schema") != MODEL_SCHEMA:
         raise InputError(f"not a model file: {path}")
-    if payload.get("schema_version") != MODEL_SCHEMA_VERSION:
-        raise InputError(
-            f"unsupported model schema version {payload.get('schema_version')}"
-        )
-    return FittedModel(
+    version = payload.get("schema_version")
+    if version not in (1, MODEL_SCHEMA_VERSION):
+        raise InputError(f"unsupported model schema version {version}")
+    rows = payload["train_features"]
+    d = payload["d"] if version == MODEL_SCHEMA_VERSION else None
+    if d is not None and not rows:
+        rows = np.zeros((0, d))  # an all-zero alpha stores no row
+    model = FittedModel(
         alpha=payload["alpha"],
-        train_features=payload["train_features"],
+        train_features=rows,
         kernel=KernelSpec.from_dict(payload["kernel"]),
         variant=payload["variant"],
         lam=payload["lambda"],
@@ -246,3 +255,6 @@ def load_model(path: str) -> FittedModel:
         sparsity_threshold=payload["sparsity_threshold"],
         trace=None,
     )
+    if d is not None and model.train_features.shape[1] != d:
+        raise InputError(f"train_features rows must have d = {d} values")
+    return model

@@ -49,6 +49,10 @@ RATE_OK = "ok"
 RATE_INSUFFICIENT = "insufficient_data"
 RATE_DEGENERATE = "degenerate"
 
+# Iterate-norm cap: the objective is unbounded below for strongly
+# indefinite Grams, and runaway iterates signal exactly that.
+DIVERGENCE_NORM = 1e12
+
 
 @dataclass
 class SolverConfig:
@@ -64,14 +68,11 @@ class SolverConfig:
     epsilon_inner: float = 1e-8
     max_inner: int = 5000
     alpha0: np.ndarray | None = None
-    # Iterate-norm cap: the objective is unbounded below for strongly
-    # indefinite Grams, and runaway iterates signal exactly that.
-    divergence_norm: float = 1e12
 
     def __post_init__(self) -> None:
         if not callable(self.gamma):
             _check_gamma(float(self.gamma))
-        for name in ("epsilon_outer", "epsilon_inner", "divergence_norm"):
+        for name in ("epsilon_outer", "epsilon_inner"):
             val = getattr(self, name)
             if not (np.isfinite(val) and val > 0):
                 raise InputError(f"{name} must be positive, got {val}")
@@ -345,7 +346,7 @@ def pla_fit(obj: DcObjective, cfg: SolverConfig) -> tuple[np.ndarray, SolveTrace
         alpha_new, scores = inner.alpha, inner.scores
         kminus, loss_grad = inner.kminus, inner.loss_grad
         norm_new = float(np.linalg.norm(alpha_new))
-        if norm_new > cfg.divergence_norm:
+        if norm_new > DIVERGENCE_NORM:
             raise NumericalError(
                 f"iterates are diverging (norm {norm_new:.3e} at outer step "
                 f"{k}); the objective is likely unbounded below for these "
@@ -374,8 +375,6 @@ def pla_fit(obj: DcObjective, cfg: SolverConfig) -> tuple[np.ndarray, SolveTrace
         if exact_repeat or max(step, delta_f) < cfg.epsilon_outer:
             trace.status = CONVERGED
             break
-    else:
-        trace.status = MAX_ITERATIONS
 
     return alpha, trace
 

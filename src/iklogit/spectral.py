@@ -9,13 +9,15 @@ descending, splits as K = K+ - K- where both parts are positive definite:
   the negative ones.
 
 So K- = tau I + W W^T with W = V_- sqrt(-mu_-), where V_- and mu_- are the
-r negative eigenpairs, and K+ = K + K-.  Only K, its eigensystem and the
-n x r factor W are stored; products with K- and K+ go through W.
+r negative eigenpairs, and K+ = K + K-.  The split stores only K, its
+eigenvalues (for the solver's step bounds) and the n x r factor W; products
+with K- and K+ go through W.  The eigenvectors are read once, to build W,
+and are not kept.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -27,7 +29,7 @@ SYMMETRY_TOL = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class GramDecomposition:
-    """Eigensystem of a Gram matrix together with its shifted positive parts.
+    """A Gram matrix, its spectrum and the low-rank factor of its negative part.
 
     Attributes
     ----------
@@ -35,55 +37,29 @@ class GramDecomposition:
         The original symmetric matrix K.
     eigenvalues : ndarray of shape (n,)
         Eigenvalues mu, sorted descending.
-    eigenvectors : ndarray of shape (n, n)
-        Orthonormal columns matching ``eigenvalues``.
     tau : float
         The positive spectral shift.
     lowrank : ndarray of shape (n, r)
         W = V_- sqrt(-mu_-) over the r negative eigenpairs; K- = tau I + W W^T.
+
+    ``eigenvectors`` (orthonormal columns matching ``eigenvalues``) is a
+    constructor argument only: W is built from it and it is not stored.
     """
 
     gram: np.ndarray
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    eigenvectors: InitVar[np.ndarray]
     tau: float
     lowrank: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, eigenvectors: np.ndarray) -> None:
         neg = self.eigenvalues < 0.0
-        factor = self.eigenvectors[:, neg] * np.sqrt(-self.eigenvalues[neg])
+        factor = eigenvectors[:, neg] * np.sqrt(-self.eigenvalues[neg])
         object.__setattr__(self, "lowrank", factor)
-
-    @property
-    def num_nonneg(self) -> int:
-        """Count of eigenvalues >= 0."""
-        return int(np.count_nonzero(self.eigenvalues >= 0.0))
 
     def kminus_dot(self, alpha: np.ndarray) -> np.ndarray:
         """K- alpha = tau alpha + W (W^T alpha), without forming K-."""
         return self.tau * alpha + self.lowrank @ (self.lowrank.T @ alpha)
-
-    # Dense K+, K- and B are formed on demand, for checks and tests only.
-    def _dense(self, sign: float) -> np.ndarray:
-        """V diag(max(sign * mu, 0) + tau) V^T: K+ for sign 1, K- for sign -1."""
-        vecs = self.eigenvectors
-        mat = (vecs * (np.maximum(sign * self.eigenvalues, 0.0) + self.tau)) @ vecs.T
-        # Re-symmetrize to kill rounding skew before downstream eigen checks.
-        return 0.5 * (mat + mat.T)
-
-    @property
-    def kplus(self) -> np.ndarray:
-        return self._dense(1.0)
-
-    @property
-    def kminus(self) -> np.ndarray:
-        return self._dense(-1.0)
-
-    @property
-    def bfactor(self) -> np.ndarray:
-        """Matrix B with B^T B = K+."""
-        shift = np.maximum(self.eigenvalues, 0.0) + self.tau
-        return np.sqrt(shift)[:, None] * self.eigenvectors.T
 
 
 def sym_eigendecompose(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -16,6 +16,7 @@ from iklogit import (
     decompose_gram,
     gram_matrix,
 )
+from iklogit.spectral import sym_eigendecompose
 
 # User-supplied benchmark files live here (see scripts/fetch_uci.py).
 DATA_DIR = Path(os.environ.get("IKLOGIT_DATA_DIR", Path(__file__).parent.parent / "data"))
@@ -99,6 +100,37 @@ def symmetric_objective(
     decomp = decompose_gram(gram, tau)
     y = rng.choice([-1.0, 1.0], size=n)
     return DcObjective(decomp=decomp, y_signed=y, lam=lam, lam1=lam1)
+
+
+# Dense forms of a GramDecomposition, for checks only: the package applies
+# K+ and K- as products and keeps no eigenvectors, so these redo the
+# eigendecomposition of the stored K.
+def _dense(decomp, sign: float) -> np.ndarray:
+    """V diag(max(sign * mu, 0) + tau) V^T: K+ for sign 1, K- for sign -1."""
+    _, vecs = sym_eigendecompose(decomp.gram)
+    mat = (vecs * (np.maximum(sign * decomp.eigenvalues, 0.0) + decomp.tau)) @ vecs.T
+    # Re-symmetrize to kill rounding skew before downstream eigen checks.
+    return 0.5 * (mat + mat.T)
+
+
+def kplus(decomp) -> np.ndarray:
+    return _dense(decomp, 1.0)
+
+
+def kminus(decomp) -> np.ndarray:
+    return _dense(decomp, -1.0)
+
+
+def bfactor(decomp) -> np.ndarray:
+    """Matrix B with B^T B = K+."""
+    _, vecs = sym_eigendecompose(decomp.gram)
+    shift = np.maximum(decomp.eigenvalues, 0.0) + decomp.tau
+    return np.sqrt(shift)[:, None] * vecs.T
+
+
+def num_nonneg(decomp) -> int:
+    """Count of eigenvalues >= 0."""
+    return int(np.count_nonzero(decomp.eigenvalues >= 0.0))
 
 
 def write_csv(path: Path, features: np.ndarray, labels: np.ndarray) -> Path:

@@ -46,7 +46,10 @@ from iklogit.spectral import sym_eigendecompose
 
 from conftest import (
     UCI_FILES,
+    bfactor,
     dataset_path,
+    kminus,
+    kplus,
     random_dataset,
     separated_dataset,
     write_csv,
@@ -102,13 +105,13 @@ def check_decomposition(gram):
     assert raw_eigs[0] < 0 < raw_eigs[-1]
     decomp = decompose_gram(gram, TAU)
     k_norm = max(1.0, np.linalg.norm(gram))
-    assert np.linalg.norm((decomp.kplus - decomp.kminus) - gram) <= 1e-8 * k_norm
+    assert np.linalg.norm((kplus(decomp) - kminus(decomp)) - gram) <= 1e-8 * k_norm
     # Independent eigensolves confirm both shifted parts sit at tau.
-    assert abs(np.linalg.eigvalsh(decomp.kplus)[0] - TAU) <= 1e-12
-    assert abs(np.linalg.eigvalsh(decomp.kminus)[0] - TAU) <= 1e-12
-    kp_norm = max(1.0, np.linalg.norm(decomp.kplus))
+    assert abs(np.linalg.eigvalsh(kplus(decomp))[0] - TAU) <= 1e-12
+    assert abs(np.linalg.eigvalsh(kminus(decomp))[0] - TAU) <= 1e-12
+    kp_norm = max(1.0, np.linalg.norm(kplus(decomp)))
     assert (
-        np.linalg.norm(decomp.bfactor.T @ decomp.bfactor - decomp.kplus)
+        np.linalg.norm(bfactor(decomp).T @ bfactor(decomp) - kplus(decomp))
         <= 1e-8 * kp_norm
     )
 
@@ -189,9 +192,9 @@ def test_criterion_03_gradient_checks(record_property):
     r = np.random.default_rng(304)
     worst = 0.0
     for obj in instances:
-        lam, kplus = obj.lam, obj.decomp.kplus
+        lam, kp = obj.lam, kplus(obj.decomp)
 
-        def smooth_part(a, obj=obj, lam=lam, kplus=kplus):
+        def smooth_part(a, obj=obj, lam=lam, kplus=kp):
             return logistic_loss(obj, a) + 0.5 * lam * float(a @ (kplus @ a))
 
         def concave_part(a, obj=obj):
@@ -243,9 +246,9 @@ def test_criterion_04_inner_solver_oracle(record_property):
         assert result.converged
         assert result.residual <= 1e-8
         reference = ref_inner_prox_gradient(
-            gram, decomp.kplus, y_signed, lam, lam1, omega, anchor, gamma
+            gram, kplus(decomp), y_signed, lam, lam1, omega, anchor, gamma
         )
-        args = (gram, decomp.kplus, y_signed, lam, lam1, omega, anchor, gamma)
+        args = (gram, kplus(decomp), y_signed, lam, lam1, omega, anchor, gamma)
         value_ours = ref_inner_objective(*args, result.alpha)
         value_ref = ref_inner_objective(*args, reference)
         gap = abs(value_ours - value_ref)

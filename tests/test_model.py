@@ -1,5 +1,7 @@
 """Model layer: variant specs, fit/predict, serialization."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,30 @@ def zero_score_model(n=3, d=2):
         lam1=0.0,
         tau=1e-6,
     )
+
+
+def v1_payload(model):
+    """A model file as schema 1 wrote it: every training row, no d."""
+    return {
+        "schema": "iklogit-model",
+        "schema_version": 1,
+        "variant": model.variant,
+        "kernel": model.kernel.to_dict(),
+        "lambda": model.lam,
+        "lambda1": model.lam1,
+        "tau": model.tau,
+        "sparsity_threshold": model.sparsity_threshold,
+        "alpha": model.alpha.tolist(),
+        "train_features": model.train_features.tolist(),
+    }
+
+
+def sparse_model(rng):
+    """A fitted model with both zero and nonzero coefficients."""
+    data = random_dataset(rng, n=15, d=3)
+    model = fit(ModelSpec(variant="l1-riklr", lam=0.3, lam1=0.02), data)
+    assert 0 < np.count_nonzero(model.alpha) < data.n
+    return model
 
 
 class TestModelSpec:
@@ -436,8 +462,9 @@ class TestSerialization:
         path = tmp_path / "model.json"
         save_model(model, str(path))
         loaded = load_model(str(path))
-        assert np.array_equal(loaded.alpha, model.alpha)
-        assert np.array_equal(loaded.train_features, model.train_features)
+        nonzero = np.flatnonzero(model.alpha)
+        assert np.array_equal(loaded.alpha, model.alpha[nonzero])
+        assert np.array_equal(loaded.train_features, model.train_features[nonzero])
         assert loaded.kernel == model.kernel
         assert loaded.variant == model.variant
         assert loaded.lam == model.lam
@@ -458,19 +485,83 @@ class TestSerialization:
         test = rng.normal(size=(8, 2))
         assert np.array_equal(loaded.scores(test), model.scores(test))
 
-    @pytest.mark.parametrize("bad_row", [[float("nan"), 0.0, 0.0], [1.0, 2.0]])
-    def test_rejects_malformed_train_row(self, rng, tmp_path, bad_row):
-        import json
-
-        data = random_dataset(rng, n=15, d=3)
-        model = fit(ModelSpec(variant="l1-riklr", lam=0.3, lam1=0.02), data)
-        zero = int(np.flatnonzero(model.alpha == 0.0)[0])
+    def test_file_stores_only_nonzero_rows(self, rng, tmp_path):
+        model = sparse_model(rng)
         path = tmp_path / "m.json"
         save_model(model, str(path))
         payload = json.loads(path.read_text())
-        payload["train_features"][zero] = bad_row
+        nonzero = np.flatnonzero(model.alpha)
+        assert payload["schema_version"] == 2
+        assert payload["d"] == 3
+        assert payload["alpha"] == model.alpha[nonzero].tolist()
+        assert payload["train_features"] == model.train_features[nonzero].tolist()
+        loaded = load_model(str(path))
+        assert selected_count(loaded) == selected_count(model)
+        test = rng.normal(size=(40, 3))
+        assert np.array_equal(loaded.scores(test), model.scores(test))
+        assert np.array_equal(predict_proba(loaded, test), predict_proba(model, test))
+        assert np.array_equal(predict_label(loaded, test), predict_label(model, test))
+
+    def test_schema_1_file_loads_and_predicts_bitwise(self, rng, tmp_path):
+        model = sparse_model(rng)
+        path = tmp_path / "v1.json"
+        path.write_text(json.dumps(v1_payload(model)) + "\n")
+        loaded = load_model(str(path))
+        assert np.array_equal(loaded.alpha, model.alpha)
+        assert np.array_equal(loaded.train_features, model.train_features)
+        test = rng.normal(size=(40, 3))
+        assert np.array_equal(loaded.scores(test), model.scores(test))
+        assert np.array_equal(predict_proba(loaded, test), predict_proba(model, test))
+        assert np.array_equal(predict_label(loaded, test), predict_label(model, test))
+
+    def test_all_zero_alpha_round_trip_keeps_width(self, rng, tmp_path):
+        model = zero_score_model(n=3, d=2)
+        path = tmp_path / "m.json"
+        save_model(model, str(path))
+        payload = json.loads(path.read_text())
+        assert (payload["alpha"], payload["train_features"]) == ([], [])
+        loaded = load_model(str(path))
+        assert loaded.train_features.shape == (0, 2)
+        assert np.array_equal(loaded.scores(rng.normal(size=(4, 2))), np.zeros(4))
+        with pytest.raises(InputError, match="dimension"):
+            loaded.scores(np.zeros((3, 5)))
+        with pytest.raises(InputError, match="non-finite"):
+            predict_proba(loaded, np.array([[0.0, 1.0], [np.nan, 0.0]]))
+        with pytest.raises(InputError, match="non-finite"):
+            predict_label(loaded, np.array([[np.inf, 1.0]]))
+
+    @pytest.mark.parametrize("bad_row", [[float("nan"), 0.0, 0.0], [1.0, 2.0]])
+    def test_rejects_malformed_train_row(self, rng, tmp_path, bad_row):
+        model = sparse_model(rng)
+        path = tmp_path / "m.json"
+        save_model(model, str(path))
+        payload = json.loads(path.read_text())
+        payload["train_features"][0] = bad_row
         path.write_text(json.dumps(payload))
         with pytest.raises(InputError, match="train_features"):
+            load_model(str(path))
+
+    @pytest.mark.parametrize("bad_row", [[float("nan"), 0.0, 0.0], [1.0, 2.0]])
+    def test_rejects_malformed_schema_1_row(self, rng, tmp_path, bad_row):
+        # Schema 1 stores every row; a zero-coefficient row is never scored
+        # but is still checked.
+        model = sparse_model(rng)
+        payload = v1_payload(model)
+        zero = int(np.flatnonzero(model.alpha == 0.0)[0])
+        payload["train_features"][zero] = bad_row
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(InputError, match="train_features"):
+            load_model(str(path))
+
+    def test_rejects_rows_of_another_width_than_d(self, rng, tmp_path):
+        model = sparse_model(rng)
+        path = tmp_path / "m.json"
+        save_model(model, str(path))
+        payload = json.loads(path.read_text())
+        payload["d"] = 4
+        path.write_text(json.dumps(payload))
+        with pytest.raises(InputError, match="d = 4"):
             load_model(str(path))
 
     def test_rejects_foreign_json(self, tmp_path):
@@ -480,8 +571,6 @@ class TestSerialization:
             load_model(str(path))
 
     def test_rejects_unknown_schema_version(self, rng, tmp_path):
-        import json
-
         data = random_dataset(rng, n=8, d=2)
         model = fit(ModelSpec(variant="klr", lam=1.0), data)
         path = tmp_path / "m.json"

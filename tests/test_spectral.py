@@ -1,12 +1,21 @@
 """Eigendecomposition and the shifted positive split."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from iklogit import InputError, KernelSpec, decompose_gram, gram_matrix
 from iklogit.spectral import positive_decompose, sym_eigendecompose
 
-from conftest import random_dataset, random_symmetric
+from conftest import (
+    bfactor,
+    kminus,
+    kplus,
+    num_nonneg,
+    random_dataset,
+    random_symmetric,
+)
 
 
 class TestSymEigendecompose:
@@ -46,9 +55,16 @@ class TestPositiveDecompose:
         gram = np.diag([5.0, -2.0])
         vals, vecs = sym_eigendecompose(gram)
         dec = positive_decompose(gram, vals, vecs, tau=1.0)
-        assert dec.num_nonneg == 1
-        assert np.allclose(dec.kplus, np.diag([6.0, 1.0]), atol=1e-12)
-        assert np.allclose(dec.kminus, np.diag([1.0, 3.0]), atol=1e-12)
+        assert num_nonneg(dec) == 1
+        assert np.allclose(kplus(dec), np.diag([6.0, 1.0]), atol=1e-12)
+        assert np.allclose(kminus(dec), np.diag([1.0, 3.0]), atol=1e-12)
+
+    def test_stores_only_gram_spectrum_and_lowrank_factor(self, rng):
+        dec = decompose_gram(random_symmetric(rng, 6), 1e-6)
+        arrays = {k for k, v in vars(dec).items() if isinstance(v, np.ndarray)}
+        assert arrays == {"gram", "eigenvalues", "lowrank"}
+        fields = {f.name for f in dataclasses.fields(dec)}
+        assert fields == {"gram", "eigenvalues", "tau", "lowrank"}
 
     def test_invariants_on_random_matrices(self, rng):
         tau = 1e-6
@@ -59,7 +75,7 @@ class TestPositiveDecompose:
             # K- and K+ are applied through the low-rank factor, never formed.
             kminus_a = dec.kminus_dot(alpha)
             kplus_a = dec.gram @ alpha + kminus_a
-            for applied, dense in ((kminus_a, dec.kminus), (kplus_a, dec.kplus)):
+            for applied, dense in ((kminus_a, kminus(dec)), (kplus_a, kplus(dec))):
                 expected = dense @ alpha
                 err = np.linalg.norm(applied - expected)
                 assert err <= 1e-10 * np.linalg.norm(expected)
@@ -68,12 +84,12 @@ class TestPositiveDecompose:
             n = int(rng.integers(2, 20))
             gram = random_symmetric(rng, n, scale=float(rng.uniform(0.1, 5.0)))
             dec = decompose_gram(gram, tau)
-            assert np.allclose(dec.kplus - dec.kminus, gram, atol=1e-10)
-            assert np.linalg.eigvalsh(dec.kplus).min() == pytest.approx(tau, abs=1e-12)
-            assert np.linalg.eigvalsh(dec.kminus).min() == pytest.approx(tau, abs=1e-12)
-            assert np.allclose(dec.bfactor.T @ dec.bfactor, dec.kplus, atol=1e-10)
-            assert dec.num_nonneg == int(np.sum(dec.eigenvalues >= 0))
-            assert dec.lowrank.shape == (n, n - dec.num_nonneg)
+            assert np.allclose(kplus(dec) - kminus(dec), gram, atol=1e-10)
+            assert np.linalg.eigvalsh(kplus(dec)).min() == pytest.approx(tau, abs=1e-12)
+            assert np.linalg.eigvalsh(kminus(dec)).min() == pytest.approx(tau, abs=1e-12)
+            assert np.allclose(bfactor(dec).T @ bfactor(dec), kplus(dec), atol=1e-10)
+            assert num_nonneg(dec) == int(np.sum(dec.eigenvalues >= 0))
+            assert dec.lowrank.shape == (n, n - num_nonneg(dec))
             assert_products_match(dec, probe.normal(size=n))
 
         # PSD Gram: no negative eigenpairs, so K- = tau I.
@@ -86,8 +102,8 @@ class TestPositiveDecompose:
         data = random_dataset(rng, 10, 3)
         gram = gram_matrix(KernelSpec.rbf(1.0), data)
         dec = decompose_gram(gram, 0.5)
-        if dec.num_nonneg == 10:
-            assert np.allclose(dec.kminus, 0.5 * np.eye(10), atol=1e-10)
+        if num_nonneg(dec) == 10:
+            assert np.allclose(kminus(dec), 0.5 * np.eye(10), atol=1e-10)
 
     def test_tau_must_be_positive(self):
         gram = np.eye(2)
