@@ -35,7 +35,6 @@ from .model import (
     predict_label,
     predict_proba,
     save_model,
-    selected_count,
 )
 from .solver import CONVERGED, SolverConfig
 
@@ -179,7 +178,7 @@ def cmd_train(cfg: dict) -> int:
     print(f"status: {trace.status}")
     print(f"outer_iterations: {trace.num_iterations}")
     print(f"final_objective: {trace.f_values[-1]!r}")
-    print(f"selected_count: {selected_count(model)}")
+    print(f"selected_count: {model.support.size}")
     print(f"stationarity_residual: {trace.stationarity_residuals[-1]!r}")
     print(f"model_file: {model_path}")
     return 0 if trace.status == CONVERGED else 2

@@ -21,13 +21,12 @@ import numpy as np
 
 from .errors import ConfigError, InputError, NumericalError, ParseError
 from .kernels import Dataset, KernelSpec, gram_matrix, normalize_binary_labels
-from .model import ModelSpec, VARIANTS, fit, predict_label, selected_count
+from .model import (L1_VARIANTS, RBF_VARIANTS, VARIANTS, ModelSpec, fit,
+                    predict_label)
 from .solver import SolverConfig
 from .spectral import sym_eigendecompose
 
 DEFAULT_GRID = (0.0001, 0.001, 0.01, 0.1, 1.0, 5.0, 10.0)
-
-RBF_VARIANTS = ("klr", "l1-rklr")
 
 
 @dataclass
@@ -227,10 +226,8 @@ class ExperimentSpec:
 
 
 def _candidate_points(spec: ExperimentSpec, variant: str) -> list[dict]:
-    is_l1 = variant in ("l1-rklr", "l1-riklr")
-    is_rbf = variant in RBF_VARIANTS
-    lam1_values = spec.grid if is_l1 else (0.0,)
-    sigma_values = spec.grid if is_rbf else (None,)
+    lam1_values = spec.grid if variant in L1_VARIANTS else (0.0,)
+    sigma_values = spec.grid if variant in RBF_VARIANTS else (None,)
     return [
         {"lambda": lam, "lambda1": lam1, "sigma": sigma}
         for lam in spec.grid
@@ -339,7 +336,7 @@ def run_experiment(spec: ExperimentSpec) -> list[ReportRow]:
                 params = cv_select(spec, variant, train, run_seed)
                 model = fit(_model_spec(spec, variant, params), train)
                 accs.append(accuracy(model, test))
-                sels.append(selected_count(model))
+                sels.append(model.support.size)
                 chosen.append(params)
             except (NumericalError, InputError) as exc:
                 warnings.warn(f"repeat {r} of {variant} failed: {exc}")

@@ -11,6 +11,7 @@ Two kernels are supported:
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -90,6 +91,11 @@ class Dataset:
         return Dataset(self.features[idx], self.labels[idx])
 
 
+def _positive(value) -> bool:
+    """True for a positive finite number, False for anything else."""
+    return isinstance(value, numbers.Real) and bool(np.isfinite(value)) and value > 0
+
+
 @dataclass(frozen=True)
 class KernelSpec:
     """Kernel family plus its single active parameter.
@@ -108,12 +114,12 @@ class KernelSpec:
         if self.kind == "tl1":
             if self.sigma is not None:
                 raise InputError("tl1 kernel takes eta, not sigma")
-            if self.eta is not None and not (np.isfinite(self.eta) and self.eta > 0):
+            if self.eta is not None and not _positive(self.eta):
                 raise InputError(f"eta must be positive and finite, got {self.eta}")
         else:
             if self.eta is not None:
                 raise InputError("rbf kernel takes sigma, not eta")
-            if self.sigma is None or not (np.isfinite(self.sigma) and self.sigma > 0):
+            if not _positive(self.sigma):
                 raise InputError(f"sigma must be positive and finite, got {self.sigma}")
 
     @classmethod
@@ -141,6 +147,8 @@ class KernelSpec:
     @classmethod
     def from_dict(cls, payload: dict) -> "KernelSpec":
         """Inverse of :meth:`to_dict`; a parameter of the other kind is rejected."""
+        if not isinstance(payload, dict):
+            raise InputError(f"kernel must be a JSON object, got {payload!r}")
         return cls(
             kind=payload.get("kind"), eta=payload.get("eta"), sigma=payload.get("sigma")
         )
@@ -158,18 +166,6 @@ def _rows_against(spec: KernelSpec, block: np.ndarray, point: np.ndarray) -> np.
         return np.maximum(spec.eta - dist, 0.0)
     sq = ((block - point) ** 2).sum(axis=1)
     return np.exp(-sq / spec.sigma**2)
-
-
-def kernel_eval(spec: KernelSpec, x: np.ndarray, z: np.ndarray) -> float:
-    """Evaluate the kernel at a single pair of points."""
-    _require_resolved(spec)
-    xv = np.asarray(x, dtype=np.float64).ravel()
-    zv = np.asarray(z, dtype=np.float64).ravel()
-    if xv.shape != zv.shape:
-        raise InputError(f"dimension mismatch: {xv.shape} vs {zv.shape}")
-    if not (np.all(np.isfinite(xv)) and np.all(np.isfinite(zv))):
-        raise InputError("kernel arguments contain non-finite values")
-    return float(_rows_against(spec, zv[None, :], xv)[0])
 
 
 def gram_matrix(

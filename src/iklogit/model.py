@@ -18,6 +18,7 @@ variants require lambda1 = 0).
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +31,7 @@ from .spectral import decompose_gram
 
 VARIANTS = ("klr", "l1-rklr", "iklr", "l1-riklr")
 L1_VARIANTS = ("l1-rklr", "l1-riklr")
+RBF_VARIANTS = ("klr", "l1-rklr")
 
 # Coefficients at or below this magnitude count as pruned.
 SPARSITY_THRESHOLD = 1e-10
@@ -92,7 +94,7 @@ class ModelSpec:
         """The configured kernel, or the variant default, resolved for d."""
         if self.kernel is not None:
             return self.kernel.resolve(d)
-        if self.variant in ("klr", "l1-rklr"):
+        if self.variant in RBF_VARIANTS:
             return KernelSpec.rbf(1.0)
         return KernelSpec.tl1().resolve(d)
 
@@ -129,8 +131,12 @@ class FittedModel:
                 "alpha length must equal the retained training size: "
                 f"{self.alpha.shape[0]} vs {self.train_features.shape[0]}"
             )
-        if not (np.isfinite(self.sparsity_threshold) and self.sparsity_threshold >= 0):
-            raise InputError("sparsity_threshold must be >= 0")
+        if self.variant not in VARIANTS:
+            raise InputError(f"unknown variant {self.variant!r}")
+        for name in ("lam", "lam1", "tau", "sparsity_threshold"):
+            val = getattr(self, name)
+            if not (isinstance(val, numbers.Real) and np.isfinite(val) and val >= 0):
+                raise InputError(f"{name} must be a finite number >= 0, got {val!r}")
 
     @property
     def support(self) -> np.ndarray:
@@ -201,11 +207,6 @@ def predict_label(model: FittedModel, test_features: np.ndarray) -> np.ndarray:
     return (model.scores(test_features) >= 0.0).astype(np.int64)
 
 
-def selected_count(model: FittedModel) -> int:
-    """Number of active coefficients."""
-    return int(model.support.size)
-
-
 def save_model(model: FittedModel, path: str) -> None:
     """Write a self-describing JSON model file: d and the rows scoring reads.
 
@@ -232,29 +233,40 @@ def save_model(model: FittedModel, path: str) -> None:
 
 
 def load_model(path: str) -> FittedModel:
-    """Read a model file of schema 1 (every training row) or 2 (nonzero rows)."""
+    """Read a model file of schema 1 (every training row) or 2 (nonzero rows).
+
+    A file that is not JSON or not a well-formed payload raises InputError.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if payload.get("schema") != MODEL_SCHEMA:
+        try:
+            payload = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise InputError(f"model file {path} is not JSON: {exc}") from None
+    if not isinstance(payload, dict) or payload.get("schema") != MODEL_SCHEMA:
         raise InputError(f"not a model file: {path}")
     version = payload.get("schema_version")
     if version not in (1, MODEL_SCHEMA_VERSION):
         raise InputError(f"unsupported model schema version {version}")
-    rows = payload["train_features"]
-    d = payload["d"] if version == MODEL_SCHEMA_VERSION else None
-    if d is not None and not rows:
-        rows = np.zeros((0, d))  # an all-zero alpha stores no row
-    model = FittedModel(
-        alpha=payload["alpha"],
-        train_features=rows,
-        kernel=KernelSpec.from_dict(payload["kernel"]),
-        variant=payload["variant"],
-        lam=payload["lambda"],
-        lam1=payload["lambda1"],
-        tau=payload["tau"],
-        sparsity_threshold=payload["sparsity_threshold"],
-        trace=None,
-    )
+    try:
+        rows = payload["train_features"]
+        d = payload["d"] if version == MODEL_SCHEMA_VERSION else None
+        if d is not None and (type(d) is not int or d < 1):
+            raise InputError(f"d must be a positive integer, got {d!r}")
+        if d is not None and not rows:
+            rows = np.zeros((0, d))  # an all-zero alpha stores no row
+        model = FittedModel(
+            alpha=payload["alpha"],
+            train_features=rows,
+            kernel=KernelSpec.from_dict(payload["kernel"]),
+            variant=payload["variant"],
+            lam=payload["lambda"],
+            lam1=payload["lambda1"],
+            tau=payload["tau"],
+            sparsity_threshold=payload["sparsity_threshold"],
+            trace=None,
+        )
+    except KeyError as exc:
+        raise InputError(f"model file {path} lacks the key {exc}") from None
     if d is not None and model.train_features.shape[1] != d:
         raise InputError(f"train_features rows must have d = {d} values")
     return model

@@ -12,7 +12,8 @@ which splits into a difference of convex functions f = g - h with
     h(alpha) = (lam/2) alpha^T K- alpha
 
 Both g and h are convex; g is strongly convex with modulus lam * tau.
-K+ a is applied as K a + K- a; the loss and its gradient live in loss_terms.
+K+ a is applied as K a + K- a.  The loss and its gradient live in loss_terms,
+g's smooth part and its gradient in g_smooth_terms.
 Setting lam1 = 0 recovers the plain (indefinite) kernel logistic model.
 """
 
@@ -29,11 +30,6 @@ from .spectral import GramDecomposition
 def sigmoid(u: np.ndarray) -> np.ndarray:
     """Logistic function, overflow-safe for any finite input."""
     return 0.5 * (1.0 + np.tanh(0.5 * np.asarray(u, dtype=np.float64)))
-
-
-def softplus(u: np.ndarray) -> np.ndarray:
-    """ln(1 + e^u) without overflow; equals max(u,0) + log1p(e^-|u|)."""
-    return np.logaddexp(0.0, u)
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,8 +110,9 @@ def loss_terms(
     if scores is None:
         scores = gram @ alpha
     margins = obj.y_signed * scores
-    # sum / n is np.mean's own arithmetic, without its per-call overhead.
-    loss = float(softplus(-margins).sum()) / obj.n
+    # ln(1 + e^u) as logaddexp(0, u), without overflow; sum / n is
+    # np.mean's own arithmetic, without its per-call overhead.
+    loss = float(np.logaddexp(0.0, -margins).sum()) / obj.n
     if not with_grad:
         return scores, loss, None
     return scores, loss, -(gram @ (obj.y_signed * sigmoid(-margins))) / obj.n
@@ -139,12 +136,31 @@ def f_value(
     return loss + quad + obj.lam1 * float(np.abs(a).sum())
 
 
+def g_smooth_terms(
+    obj: DcObjective, alpha: np.ndarray, scores: np.ndarray, kminus: np.ndarray,
+    with_value: bool = True, loss_grad: np.ndarray | None = None,
+) -> tuple[float | None, np.ndarray, np.ndarray]:
+    """g's smooth part loss + (lam/2) a^T K+ a, its gradient, and the loss gradient.
+
+    ``scores`` and ``kminus`` are the known K a and K- a; ``loss_grad`` is
+    an optional known loss gradient.  The value is None without ``with_value``.
+    """
+    if loss_grad is None:
+        _, loss, loss_grad = loss_terms(obj, alpha, scores=scores)
+    elif with_value:
+        _, loss, _ = loss_terms(obj, alpha, with_grad=False, scores=scores)
+    kplus = scores + kminus
+    grad = loss_grad + obj.lam * kplus
+    if not with_value:
+        return None, grad, loss_grad
+    return loss + 0.5 * obj.lam * float(alpha @ kplus), grad, loss_grad
+
+
 def g_value(obj: DcObjective, alpha: np.ndarray) -> float:
-    """Convex part: loss + (lam/2) (a^T K a + a^T K- a) + lam1 ||a||_1."""
+    """Convex part: loss + (lam/2) a^T K+ a + lam1 ||a||_1."""
     a = _check_alpha(obj, alpha)
-    scores, loss, _ = loss_terms(obj, a, with_grad=False)
-    quad = 0.5 * obj.lam * float(a @ scores + a @ obj.decomp.kminus_dot(a))
-    return loss + quad + obj.lam1 * float(np.abs(a).sum())
+    smooth = g_smooth_terms(obj, a, obj.decomp.gram @ a, obj.decomp.kminus_dot(a))[0]
+    return smooth + obj.lam1 * float(np.abs(a).sum())
 
 
 def h_value(obj: DcObjective, alpha: np.ndarray) -> float:
@@ -159,8 +175,8 @@ def smooth_grad_g(obj: DcObjective, alpha: np.ndarray) -> np.ndarray:
     Equals -(1/n) K (y * s) + lam K+ a with s_i = sigmoid(-y_i (K a)_i).
     """
     a = _check_alpha(obj, alpha)
-    scores, _, loss_grad = loss_terms(obj, a)
-    return loss_grad + obj.lam * (scores + obj.decomp.kminus_dot(a))
+    kminus = obj.decomp.kminus_dot(a)
+    return g_smooth_terms(obj, a, obj.decomp.gram @ a, kminus, with_value=False)[1]
 
 
 def grad_h(
@@ -171,17 +187,6 @@ def grad_h(
     if kminus is None:
         kminus = obj.decomp.kminus_dot(a)
     return obj.lam * kminus
-
-
-def grad_h_lipschitz(obj: DcObjective) -> float:
-    """Exact Lipschitz constant of grad_h: lam * ||K-||_2.
-
-    The smallest Gram eigenvalue mu_n gives ||K-||_2 = max(tau, tau - mu_n);
-    the max keeps the constant exact when the Gram is PSD (mu_n > 0).
-    """
-    mu_min = float(obj.decomp.eigenvalues[-1])
-    tau = obj.decomp.tau
-    return obj.lam * max(tau, tau - mu_min)
 
 
 def soft_threshold(v: np.ndarray, t: float) -> np.ndarray:

@@ -5,7 +5,9 @@ omega_k = grad_h(alpha_k) and the next iterate solves the strongly convex
 subproblem
 
     min_a  loss(a) + (lam/2) a^T K+ a + lam1 ||a||_1
-           - omega_k^T (a - alpha_k) + (1/(2 gamma_k)) ||a - alpha_k||^2
+           - omega_k^T (a - alpha_k) + (1/(2 gamma)) ||a - alpha_k||^2
+
+with a constant proximal weight gamma, starting from alpha_0 = 0.
 
 The outer loop stops when max(||a_{k+1} - a_k||, |f_k - f_{k+1}|) falls
 below epsilon_outer, or at max_outer.
@@ -34,13 +36,14 @@ K a, one low-rank K- a and, at the first warm start, one dense loss gradient.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .objective import DcObjective, f_value, grad_h, loss_terms, soft_threshold
+from .objective import (DcObjective, f_value, g_smooth_terms, grad_h, loss_terms,
+                        soft_threshold)
 
 CONVERGED = "converged"
 MAX_ITERATIONS = "max_iterations"
@@ -56,22 +59,19 @@ DIVERGENCE_NORM = 1e12
 
 @dataclass
 class SolverConfig:
-    """Tolerances and iteration caps for the outer and inner loops.
+    """Proximal weight, tolerances and iteration caps of the two loops.
 
-    ``gamma`` is the proximal weight: a positive constant or a callable
-    mapping the outer iteration index k to a positive value.
+    ``gamma`` is the constant proximal weight, a positive number.
     """
 
-    gamma: float | Callable[[int], float] = 1.0
+    gamma: float = 1.0
     epsilon_outer: float = 1e-4
     max_outer: int = 500
     epsilon_inner: float = 1e-8
     max_inner: int = 5000
-    alpha0: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if not callable(self.gamma):
-            _check_gamma(float(self.gamma))
+        self.gamma = _check_gamma(self.gamma)
         for name in ("epsilon_outer", "epsilon_inner"):
             val = getattr(self, name)
             if not (np.isfinite(val) and val > 0):
@@ -80,21 +80,13 @@ class SolverConfig:
             val = getattr(self, name)
             if not (isinstance(val, int) and val >= 1):
                 raise InputError(f"{name} must be a positive integer, got {val}")
-        if self.alpha0 is not None:
-            a0 = np.asarray(self.alpha0, dtype=np.float64)
-            if a0.ndim != 1 or not np.all(np.isfinite(a0)):
-                raise InputError("alpha0 must be a finite 1-D vector")
-            self.alpha0 = a0
-
-    def gamma_at(self, k: int) -> float:
-        g = float(self.gamma(k)) if callable(self.gamma) else float(self.gamma)
-        _check_gamma(g)
-        return g
 
 
-def _check_gamma(g: float) -> None:
-    if not (np.isfinite(g) and g > 0):
-        raise InputError(f"gamma must be positive and finite, got {g}")
+def _check_gamma(g: float) -> float:
+    """``g`` as a float; anything but a positive finite number is an InputError."""
+    if not (isinstance(g, numbers.Real) and np.isfinite(g) and g > 0):
+        raise InputError(f"gamma must be a positive finite number, got {g!r}")
+    return float(g)
 
 
 @dataclass(frozen=True)
@@ -157,47 +149,17 @@ def smooth_lipschitz_bound(obj: DcObjective, gamma: float) -> float:
     proximal term 1/gamma.  ||K||_2 is max(|mu_1|, |mu_n|) and
     ||K+||_2 = max(mu_1, 0) + tau, both exact from the stored spectrum.
     """
-    _check_gamma(gamma)
+    gamma = _check_gamma(gamma)
     eig = obj.decomp.eigenvalues
     spec_norm = max(abs(float(eig[0])), abs(float(eig[-1])))
     kplus_norm = max(float(eig[0]), 0.0) + obj.decomp.tau
     return spec_norm**2 / (4.0 * obj.n) + obj.lam * kplus_norm + 1.0 / gamma
 
 
-def _phi_value_grad(
-    obj: DcObjective,
-    alpha: np.ndarray,
-    k_a: np.ndarray,
-    km_a: np.ndarray,
-    omega: np.ndarray,
-    anchor: np.ndarray,
-    gamma: float,
-    with_value: bool = True,
-    loss_grad: np.ndarray | None = None,
-) -> tuple[float | None, np.ndarray, np.ndarray]:
-    """Value and gradient of the subproblem's smooth part phi at alpha.
-
-    ``k_a`` and ``km_a`` are the known products K alpha and K- alpha, and
-    ``loss_grad`` is an optional known loss gradient at alpha.  Returns the
-    value (None when ``with_value`` is False), the gradient and the loss
-    gradient.
-    """
-    if loss_grad is None:
-        _, loss, loss_grad = loss_terms(obj, alpha, scores=k_a)
-    elif with_value:
-        _, loss, _ = loss_terms(obj, alpha, with_grad=False, scores=k_a)
-    kp_a = k_a + km_a
-    diff = alpha - anchor
-    grad = loss_grad + obj.lam * kp_a - omega + diff / gamma
-    if not with_value:
-        return None, grad, loss_grad
-    value = (
-        loss
-        + 0.5 * obj.lam * float(alpha @ kp_a)
-        - float(omega @ diff)
-        + 0.5 / gamma * float(diff @ diff)
-    )
-    return value, grad, loss_grad
+def _prox_residual(a: np.ndarray, grad: np.ndarray, step: float, t: float) -> float:
+    """Proximal fixed-point residual ||a - S_t(a - step grad)||_inf."""
+    moved = soft_threshold(a - step * grad, t)
+    return float(np.max(np.abs(a - moved))) if a.size else 0.0
 
 
 # Overflow in the loop is diagnosed through the non-finite objective check.
@@ -223,28 +185,31 @@ def inner_solve(
     ``loss_grad`` are an optional known K alpha_k, K- alpha_k and loss
     gradient at alpha_k.
     """
-    _check_gamma(gamma)
     anchor = np.asarray(alpha_k, dtype=np.float64)
     omega = np.asarray(omega, dtype=np.float64)
     step = 1.0 / smooth_lipschitz_bound(obj, gamma)
     threshold = step * obj.lam1
     gram, kminus_dot = obj.decomp.gram, obj.decomp.kminus_dot
 
-    def at(a, k_a=None, km_a=None, lg_a=None):
-        """K a, K- a, loss gradient, subproblem objective and gradient of phi."""
+    def at(a, k_a=None, km_a=None, lg_a=None, with_value=True):
+        """K a, K- a, loss gradient, phi + lam1 ||a||_1 and grad phi at a, where
+        phi = g's smooth part - omega^T (a - alpha_k) + ||a - alpha_k||^2 / (2 gamma).
+        """
         if k_a is None:
             k_a = gram @ a
         if km_a is None:
             km_a = kminus_dot(a)
-        phi, grad, lg_a = _phi_value_grad(
-            obj, a, k_a, km_a, omega, anchor, gamma, loss_grad=lg_a
-        )
-        return k_a, km_a, lg_a, phi + obj.lam1 * float(np.abs(a).sum()), grad
+        value, grad, lg_a = g_smooth_terms(obj, a, k_a, km_a, with_value, lg_a)
+        diff = a - anchor
+        grad = grad - omega + diff / gamma
+        if with_value:
+            value = value - float(omega @ diff) + 0.5 / gamma * float(diff @ diff)
+            value += obj.lam1 * float(np.abs(a).sum())
+        return k_a, km_a, lg_a, value, grad
 
     x = anchor.copy()
     kx, kmx, lgx, total_x, grad_x = at(x, scores, kminus, loss_grad)
-    moved = soft_threshold(x - step * grad_x, threshold)
-    residual = float(np.max(np.abs(x - moved))) if x.size else 0.0
+    residual = _prox_residual(x, grad_x, step, threshold)
     if residual <= cfg.epsilon_inner:
         return InnerResult(x, 0, residual, True, kx, kmx, lgx)
 
@@ -261,8 +226,7 @@ def inner_solve(
             cand = soft_threshold(x - step * grad_x, threshold)
             kc, kmc, lgc, total_c, grad_c = at(cand)
             theta = 1.0
-        moved = soft_threshold(cand - step * grad_c, threshold)
-        residual = float(np.max(np.abs(cand - moved)))
+        residual = _prox_residual(cand, grad_c, step, threshold)
         if residual <= cfg.epsilon_inner:
             return InnerResult(cand, it, residual, True, kc, kmc, lgc)
         theta_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * theta * theta))
@@ -275,9 +239,7 @@ def inner_solve(
             y = cand + beta * (cand - x)
             ky = kc + beta * (kc - kx)
             kmy = kmc + beta * (kmc - kmx)
-            _, grad_y, _ = _phi_value_grad(
-                obj, y, ky, kmy, omega, anchor, gamma, with_value=False
-            )
+            grad_y = at(y, ky, kmy, with_value=False)[4]
         x, kx, kmx, lgx = cand, kc, kmc, lgc
         grad_x, total_x, theta = grad_c, total_c, theta_next
 
@@ -303,13 +265,11 @@ def stationarity_residual(
     # grad g - grad h = loss gradient + lam (K+ - K-) a = ... + lam K a.
     if scores is None or loss_grad is None:
         scores, _, loss_grad = loss_terms(obj, a, scores=scores)
-    grad = loss_grad + obj.lam * scores
-    moved = soft_threshold(a - step * grad, step * obj.lam1)
-    return float(np.max(np.abs(a - moved))) if a.size else 0.0
+    return _prox_residual(a, loss_grad + obj.lam * scores, step, step * obj.lam1)
 
 
 def pla_fit(obj: DcObjective, cfg: SolverConfig) -> tuple[np.ndarray, SolveTrace]:
-    """Run the outer proximal linearized iteration to a critical point.
+    """Run the outer proximal linearized iteration from 0 to a critical point.
 
     Returns the final iterate and the full trace.  Hitting ``max_outer``
     yields status ``max_iterations`` rather than an exception; inner-solve
@@ -317,15 +277,7 @@ def pla_fit(obj: DcObjective, cfg: SolverConfig) -> tuple[np.ndarray, SolveTrace
     Runaway iterates (the objective is unbounded below when the Gram is
     strongly indefinite) raise NumericalError.
     """
-    if cfg.alpha0 is not None:
-        if cfg.alpha0.shape != (obj.n,):
-            raise InputError(
-                f"alpha0 must have shape ({obj.n},), got {cfg.alpha0.shape}"
-            )
-        alpha = cfg.alpha0.astype(np.float64).copy()
-    else:
-        alpha = np.zeros(obj.n, dtype=np.float64)
-
+    alpha = np.zeros(obj.n, dtype=np.float64)
     trace = SolveTrace()
     # K alpha, K- alpha and the loss gradient of the current iterate, carried
     # from one inner solve to the next; the first inner solve forms the last.
@@ -337,10 +289,9 @@ def pla_fit(obj: DcObjective, cfg: SolverConfig) -> tuple[np.ndarray, SolveTrace
     trace.iterates.append(alpha.copy())
 
     for k in range(cfg.max_outer):
-        gamma_k = cfg.gamma_at(k)
         omega = grad_h(obj, alpha, kminus=kminus)
         inner = inner_solve(
-            obj, omega, alpha, gamma_k, cfg,
+            obj, omega, alpha, cfg.gamma, cfg,
             scores=scores, kminus=kminus, loss_grad=loss_grad,
         )
         alpha_new, scores = inner.alpha, inner.scores
@@ -362,7 +313,7 @@ def pla_fit(obj: DcObjective, cfg: SolverConfig) -> tuple[np.ndarray, SolveTrace
         trace.step_norms.append(step)
         trace.stationarity_residuals.append(
             stationarity_residual(
-                obj, alpha_new, gamma=gamma_k, scores=scores, loss_grad=loss_grad
+                obj, alpha_new, gamma=cfg.gamma, scores=scores, loss_grad=loss_grad
             )
         )
         trace.inner_iterations.append(inner.iterations)

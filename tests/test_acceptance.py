@@ -293,7 +293,7 @@ def test_criterion_05_descent_and_terminal_residual(record_property):
         assert trace.status == CONVERGED, name
         for k in range(trace.num_iterations):
             drop = trace.f_values[k] - trace.f_values[k + 1]
-            required = trace.step_norms[k] ** 2 / (2.0 * cfg.gamma_at(k))
+            required = trace.step_norms[k] ** 2 / (2.0 * cfg.gamma)
             assert drop >= required - 1e-12, (name, k)
         assert trace.stationarity_residuals[-1] <= 10.0 * cfg.epsilon_outer, name
         names.append(f"{name}({trace.num_iterations})")

@@ -236,6 +236,16 @@ class TestPredictAndEval:
         assert rc == 1
         assert "model" in capsys.readouterr().err
 
+    def test_malformed_model_file_exits_one(self, trained, clusters_csv, capsys):
+        with open(trained) as fh:
+            payload = json.load(fh)
+        payload["kernel"] = 5
+        with open(trained, "w") as fh:
+            json.dump(payload, fh)
+        rc = main(["predict", "--model", trained, "--data", str(clusters_csv)])
+        assert rc == 1
+        assert "error: kernel must be a JSON object" in capsys.readouterr().err
+
     def test_eval_metrics(self, trained, clusters_csv, tmp_path, capsys):
         metrics_path = tmp_path / "metrics.json"
         rc = main(

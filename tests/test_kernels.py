@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from iklogit import Dataset, InputError, KernelSpec, ResourceError, gram_matrix
-from iklogit.kernels import kernel_eval, kernel_rows, normalize_binary_labels
+from iklogit.kernels import kernel_rows, normalize_binary_labels
 
 from conftest import random_dataset
 from reference_solvers import ref_tl1_gram
@@ -16,41 +16,43 @@ INVALID_SPECS = [
     {"kind": "rbf"},
     {"kind": "rbf", "sigma": 0.0},
     {"kind": "rbf", "eta": 1.0, "sigma": 1.0},
+    {"kind": "tl1", "eta": "1.4"},
+    {"kind": "rbf", "sigma": [1.0]},
 ]
 
 
 class TestKernelEval:
     def test_tl1_identical_points_give_eta(self):
         spec = KernelSpec.tl1(2.1)
-        assert kernel_eval(spec, [1.0, -3.0], [1.0, -3.0]) == pytest.approx(2.1)
+        assert kernel_rows(spec, [[1.0, -3.0]], [[1.0, -3.0]])[0, 0] == pytest.approx(2.1)
 
     def test_tl1_truncates_to_zero_beyond_eta(self):
         spec = KernelSpec.tl1(2.1)
         # L1 distance 3 exceeds eta.
-        assert kernel_eval(spec, [0.0, 0.0], [1.5, 1.5]) == 0.0
+        assert kernel_rows(spec, [[1.5, 1.5]], [[0.0, 0.0]])[0, 0] == 0.0
 
     def test_tl1_hand_value(self):
         spec = KernelSpec.tl1(2.1)
-        value = kernel_eval(spec, [0.0, 0.0, 0.0], [0.5, 0.5, 0.0])
+        value = kernel_rows(spec, [[0.5, 0.5, 0.0]], [[0.0, 0.0, 0.0]])[0, 0]
         assert value == pytest.approx(1.1, abs=1e-12)
 
     def test_rbf_identical_points_give_one(self):
         spec = KernelSpec.rbf(2.0)
-        assert kernel_eval(spec, [3.0, 4.0], [3.0, 4.0]) == pytest.approx(1.0)
+        assert kernel_rows(spec, [[3.0, 4.0]], [[3.0, 4.0]])[0, 0] == pytest.approx(1.0)
 
     def test_rbf_hand_value(self):
         spec = KernelSpec.rbf(2.0)
         # squared distance 5, sigma^2 = 4
         expected = np.exp(-5.0 / 4.0)
-        assert kernel_eval(spec, [0.0, 0.0], [1.0, 2.0]) == pytest.approx(expected)
+        assert kernel_rows(spec, [[1.0, 2.0]], [[0.0, 0.0]])[0, 0] == pytest.approx(expected)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(InputError):
-            kernel_eval(KernelSpec.tl1(1.0), [0.0], [0.0, 1.0])
+            kernel_rows(KernelSpec.tl1(1.0), [[0.0, 1.0]], [[0.0]])
 
     def test_non_finite_rejected(self):
         with pytest.raises(InputError):
-            kernel_eval(KernelSpec.tl1(1.0), [np.nan], [0.0])
+            kernel_rows(KernelSpec.tl1(1.0), [[0.0]], [[np.nan]])
 
 
 class TestKernelSpec:
@@ -63,7 +65,7 @@ class TestKernelSpec:
 
     def test_unresolved_eta_rejected_at_eval(self):
         with pytest.raises(InputError, match="unresolved"):
-            kernel_eval(KernelSpec.tl1(), [0.0], [1.0])
+            kernel_rows(KernelSpec.tl1(), [[1.0]], [[0.0]])
 
     @pytest.mark.parametrize("kwargs", INVALID_SPECS)
     def test_invalid_specs_rejected(self, kwargs):

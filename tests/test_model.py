@@ -23,7 +23,7 @@ from iklogit import (
     save_model,
 )
 from iklogit.kernels import kernel_rows
-from iklogit.model import L1_VARIANTS, SPARSITY_THRESHOLD, VARIANTS, selected_count
+from iklogit.model import L1_VARIANTS, SPARSITY_THRESHOLD, VARIANTS
 from iklogit.objective import f_value
 from iklogit.solver import CONVERGED, MAX_ITERATIONS
 
@@ -207,13 +207,12 @@ class TestFit:
         model = fit(spec, data)
         assert np.all(model.alpha == 0.0)
         assert model.support.size == 0
-        assert selected_count(model) == 0
 
     def test_zero_l1_weight_is_dense(self, rng):
         data = random_dataset(rng, n=14, d=3)
         model = fit(ModelSpec(variant="iklr", lam=0.5), data)
         assert model.trace.status == CONVERGED
-        assert selected_count(model) == data.n
+        assert model.support.size == data.n
 
     def test_max_iteration_run_still_returns_model(self, rng):
         data = random_dataset(rng, n=10, d=2)
@@ -387,10 +386,10 @@ class TestSelectedCount:
     def test_frozen_threshold_example(self):
         model = zero_score_model(n=3)
         model.alpha = np.array([1.0, 1e-12, 0.3])
-        assert selected_count(model) == 2
+        assert model.support.size == 2
 
     def test_all_zero_alpha(self):
-        assert selected_count(zero_score_model(n=5)) == 0
+        assert zero_score_model(n=5).support.size == 0
 
     def test_threshold_monotonicity(self, rng):
         alpha = rng.normal(size=20) * 10.0 ** rng.integers(-12, 1, size=20)
@@ -406,7 +405,7 @@ class TestSelectedCount:
                 tau=1e-6,
                 sparsity_threshold=threshold,
             )
-            counts.append(selected_count(model))
+            counts.append(model.support.size)
         assert counts == sorted(counts, reverse=True)
 
     def test_default_threshold_value(self):
@@ -496,7 +495,7 @@ class TestSerialization:
         assert payload["alpha"] == model.alpha[nonzero].tolist()
         assert payload["train_features"] == model.train_features[nonzero].tolist()
         loaded = load_model(str(path))
-        assert selected_count(loaded) == selected_count(model)
+        assert loaded.support.size == model.support.size
         test = rng.normal(size=(40, 3))
         assert np.array_equal(loaded.scores(test), model.scores(test))
         assert np.array_equal(predict_proba(loaded, test), predict_proba(model, test))
@@ -562,6 +561,47 @@ class TestSerialization:
         payload["d"] = 4
         path.write_text(json.dumps(payload))
         with pytest.raises(InputError, match="d = 4"):
+            load_model(str(path))
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            pytest.param("alpha", None, "lacks the key 'alpha'", id="no-alpha"),
+            pytest.param("kernel", None, "lacks the key 'kernel'", id="no-kernel"),
+            pytest.param("d", None, "lacks the key 'd'", id="no-d"),
+            pytest.param("d", "3", "d must be a positive integer", id="string-d"),
+            pytest.param("kernel", 5, "kernel must be a JSON object", id="number-kernel"),
+            pytest.param(
+                "kernel", {"kind": "rbf", "sigma": "1.0"}, "sigma", id="string-sigma"
+            ),
+            pytest.param("lambda", "1.0", "lam must be a finite", id="string-lambda"),
+            pytest.param(
+                "sparsity_threshold", "0", "sparsity_threshold must be",
+                id="string-threshold",
+            ),
+            pytest.param("variant", "svm", "unknown variant", id="unknown-variant"),
+        ],
+    )
+    def test_malformed_payload_raises_input_error(
+        self, tmp_path, key, value, message
+    ):
+        # An all-zero alpha stores no row, so d alone gives the width.
+        path = tmp_path / "m.json"
+        save_model(zero_score_model(n=3, d=2), str(path))
+        payload = json.loads(path.read_text())
+        if value is None:
+            del payload[key]
+        else:
+            payload[key] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(InputError, match=message):
+            load_model(str(path))
+
+    @pytest.mark.parametrize("text", ["[1, 2]\n", '{"schema": \n'], ids=["list", "cut"])
+    def test_rejects_non_object_or_non_json_file(self, tmp_path, text):
+        path = tmp_path / "m.json"
+        path.write_text(text)
+        with pytest.raises(InputError, match="model file|not a model file"):
             load_model(str(path))
 
     def test_rejects_foreign_json(self, tmp_path):

@@ -10,7 +10,6 @@ from iklogit.objective import (
     f_value,
     g_value,
     grad_h,
-    grad_h_lipschitz,
     h_value,
     logistic_loss,
     loss_terms,
@@ -19,7 +18,7 @@ from iklogit.objective import (
 )
 from iklogit.solver import stationarity_residual
 
-from conftest import symmetric_objective, tl1_objective
+from conftest import kminus, symmetric_objective, tl1_objective
 from reference_solvers import central_difference_gradient, ref_full_objective
 
 
@@ -184,7 +183,7 @@ class TestGradients:
     def test_grad_h_closed_form_and_lipschitz(self, rng):
         obj = symmetric_objective(rng)
         assert np.array_equal(grad_h(obj, np.zeros(obj.n)), np.zeros(obj.n))
-        lip = grad_h_lipschitz(obj)
+        lip = obj.lam * np.linalg.norm(kminus(obj.decomp), 2)
         for _ in range(50):
             a, b = rng.normal(size=(2, obj.n))
             lhs = np.linalg.norm(grad_h(obj, a) - grad_h(obj, b))
@@ -195,8 +194,6 @@ class TestGradients:
         obj = DcObjective(decomp, np.array([1.0, 1.0, -1.0]), lam=3.0)
         alpha = rng.normal(size=3)
         assert np.allclose(grad_h(obj, alpha), 3.0 * 0.5 * alpha, atol=1e-12)
-        # PSD case: tau - mu_n would understate the constant here.
-        assert grad_h_lipschitz(obj) == pytest.approx(3.0 * 0.5)
 
 
 class TestSoftThreshold:

@@ -1,5 +1,7 @@
 """Inner solver, outer PLA loop, residuals, and the rate monitor."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from iklogit import (
     pla_fit,
     rate_monitor,
 )
-from iklogit.objective import f_value, grad_h, loss_terms, smooth_grad_g
+from iklogit.objective import grad_h, loss_terms, smooth_grad_g
 from iklogit.solver import (
     CONVERGED,
     MAX_ITERATIONS,
@@ -224,43 +226,6 @@ class TestPlaFit:
         _, trace = pla_fit(obj, cfg)
         assert False in trace.inner_converged
 
-    def test_gamma_schedule_is_consulted_per_iteration(self, rng):
-        obj = tl1_objective(rng, n=12, lam=0.3, lam1=0.02)
-        seen = []
-
-        def schedule(k):
-            seen.append(k)
-            return 1.0 + 0.5 * k
-
-        _, trace = pla_fit(obj, SolverConfig(gamma=schedule))
-        assert trace.status == CONVERGED
-        assert seen == list(range(trace.num_iterations))
-
-    def test_bad_schedule_value_rejected(self, rng):
-        obj = tl1_objective(rng, n=8)
-        with pytest.raises(InputError):
-            pla_fit(obj, SolverConfig(gamma=lambda k: 0.0))
-
-    def test_alpha0_shape_checked(self, rng):
-        obj = tl1_objective(rng, n=8)
-        with pytest.raises(InputError):
-            pla_fit(obj, SolverConfig(alpha0=np.zeros(5)))
-
-    def test_warm_start_at_exact_critical_point_stops_bitwise(self, rng):
-        obj = dominant_lam1_objective(rng)
-        start = np.zeros(obj.n)
-        alpha, trace = pla_fit(obj, SolverConfig(alpha0=start))
-        assert trace.status == CONVERGED
-        assert trace.num_iterations == 1
-        assert np.array_equal(alpha, start)
-
-    def test_warm_start_refines_an_approximate_solution(self, rng):
-        obj = tl1_objective(rng, n=10, lam=0.4, lam1=0.05)
-        alpha, _ = pla_fit(obj, SolverConfig())
-        again, trace = pla_fit(obj, SolverConfig(alpha0=alpha, epsilon_outer=1e-10))
-        assert trace.status == CONVERGED
-        assert f_value(obj, again) <= f_value(obj, alpha) + 1e-12
-
     def test_trace_records_are_structured(self, rng):
         obj = tl1_objective(rng, n=10)
         _, trace = pla_fit(obj, SolverConfig())
@@ -282,12 +247,24 @@ class TestSolverConfigValidation:
             {"epsilon_inner": -1e-9},
             {"max_outer": 0},
             {"max_inner": -3},
-            {"alpha0": np.zeros((2, 2))},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(InputError):
             SolverConfig(**kwargs)
+
+    def test_callable_gamma_rejected(self):
+        # gamma is one constant proximal weight; a schedule is not accepted.
+        for gamma in (lambda k: 1.0, "1.0", None):
+            with pytest.raises(InputError, match="gamma"):
+                SolverConfig(gamma=gamma)
+
+    def test_five_settable_fields_and_float_gamma(self):
+        names = [f.name for f in dataclasses.fields(SolverConfig)]
+        assert names == [
+            "gamma", "epsilon_outer", "max_outer", "epsilon_inner", "max_inner",
+        ]
+        assert type(SolverConfig(gamma=2).gamma) is float
 
 
 class TestStationarityResidual:
