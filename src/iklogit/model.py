@@ -18,12 +18,11 @@ variants require lambda1 = 0).
 from __future__ import annotations
 
 import json
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, check_number
 from .kernels import Dataset, KernelSpec, gram_matrix, kernel_rows
 from .objective import DcObjective, sigmoid
 from .solver import SolveTrace, SolverConfig, pla_fit
@@ -74,17 +73,14 @@ class ModelSpec:
             raise InputError(
                 f"unknown variant {self.variant!r}; expected one of {VARIANTS}"
             )
-        if not (np.isfinite(self.lam) and self.lam > 0):
-            raise InputError(f"lambda must be positive, got {self.lam}")
-        if not (np.isfinite(self.lam1) and self.lam1 >= 0):
-            raise InputError(f"lambda1 must be non-negative, got {self.lam1}")
+        check_number("lambda", self.lam)
+        check_number("lambda1", self.lam1, positive=False)
         if self.lam1 != 0.0 and not self.is_l1:
             raise InputError(
                 f"variant {self.variant!r} does not take an L1 term; "
                 "set lambda1 = 0 or use an l1- variant"
             )
-        if not (np.isfinite(self.tau) and self.tau > 0):
-            raise InputError(f"tau must be positive, got {self.tau}")
+        check_number("tau", self.tau)
 
     @property
     def is_l1(self) -> bool:
@@ -134,9 +130,7 @@ class FittedModel:
         if self.variant not in VARIANTS:
             raise InputError(f"unknown variant {self.variant!r}")
         for name in ("lam", "lam1", "tau", "sparsity_threshold"):
-            val = getattr(self, name)
-            if not (isinstance(val, numbers.Real) and np.isfinite(val) and val >= 0):
-                raise InputError(f"{name} must be a finite number >= 0, got {val!r}")
+            check_number(name, getattr(self, name), positive=False)
 
     @property
     def support(self) -> np.ndarray:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, check_number
 from .spectral import GramDecomposition
 
 
@@ -60,10 +60,8 @@ class DcObjective:
             raise InputError(f"y_signed must have shape ({n},), got {y.shape}")
         if not np.all(np.isin(y, (-1.0, 1.0))):
             raise InputError("y_signed entries must be exactly -1 or +1")
-        if not (np.isfinite(self.lam) and self.lam > 0):
-            raise InputError(f"lam must be positive, got {self.lam}")
-        if not (np.isfinite(self.lam1) and self.lam1 >= 0):
-            raise InputError(f"lam1 must be non-negative, got {self.lam1}")
+        check_number("lam", self.lam)
+        check_number("lam1", self.lam1, positive=False)
         object.__setattr__(self, "y_signed", y)
 
     @classmethod
@@ -99,12 +97,14 @@ def loss_terms(
     alpha: np.ndarray,
     with_grad: bool = True,
     scores: np.ndarray | None = None,
-) -> tuple[np.ndarray, float, np.ndarray | None]:
+    with_value: bool = True,
+) -> tuple[np.ndarray, float | None, np.ndarray | None]:
     """Scores K a, loss (1/n) sum ln(1 + exp(-y_i (K a)_i)), and its gradient.
 
     ``scores``, when given, must be K a already computed; it saves the dense
     product.  The gradient -(1/n) K (y * s), s_i = sigmoid(-y_i (K a)_i),
-    costs a dense product of its own; it is None when ``with_grad`` is False.
+    costs a dense product of its own; it is None when ``with_grad`` is False,
+    and the loss is None when ``with_value`` is False.
     """
     gram = obj.decomp.gram
     if scores is None:
@@ -112,7 +112,7 @@ def loss_terms(
     margins = obj.y_signed * scores
     # ln(1 + e^u) as logaddexp(0, u), without overflow; sum / n is
     # np.mean's own arithmetic, without its per-call overhead.
-    loss = float(np.logaddexp(0.0, -margins).sum()) / obj.n
+    loss = float(np.logaddexp(0.0, -margins).sum()) / obj.n if with_value else None
     if not with_grad:
         return scores, loss, None
     return scores, loss, -(gram @ (obj.y_signed * sigmoid(-margins))) / obj.n
@@ -146,7 +146,7 @@ def g_smooth_terms(
     an optional known loss gradient.  The value is None without ``with_value``.
     """
     if loss_grad is None:
-        _, loss, loss_grad = loss_terms(obj, alpha, scores=scores)
+        _, loss, loss_grad = loss_terms(obj, alpha, scores=scores, with_value=with_value)
     elif with_value:
         _, loss, _ = loss_terms(obj, alpha, with_grad=False, scores=scores)
     kplus = scores + kminus

@@ -12,6 +12,20 @@ with a constant proximal weight gamma, starting from alpha_0 = 0.
 The outer loop stops when max(||a_{k+1} - a_k||, |f_k - f_{k+1}|) falls
 below epsilon_outer, or at max_outer.
 
+Divergence certificate: the first outer step with f <= 0 stops the fit.
+At a critical point, 0 in grad loss + lam K a + lam1 d||a||_1; its inner
+product with a gives lam a^T K a = (1/n) sum m_i s_i - lam1 ||a||_1, with
+margins m_i = y_i (K a)_i and s_i = sigmoid(-m_i), so
+
+    f(a) = (1/n) sum phi(m_i) + (lam1/2) ||a||_1,
+    phi(m) = ln(1 + e^-m) + (m/2) sigmoid(-m) > 0
+
+(for m < 0, ln(1 + e^-m) > -m and m sigmoid(-m) >= m).  Every critical
+point has f > 0.  PLA does not increase f and its accumulation points are
+critical, so once some f_k <= 0 the iterates have no bounded subsequence.
+The iterate-norm cap DIVERGENCE_NORM stays as a backstop for unbounded
+iterates whose f stays above 0, a case the certificate does not cover.
+
 Inner loop: accelerated proximal gradient (momentum restart on objective
 increase) with the fixed step 1/L_phi from :func:`smooth_lipschitz_bound`,
 warm-started at alpha_k.  Convergence is certified by the proximal
@@ -35,26 +49,30 @@ K a, one low-rank K- a and, at the first warm start, one dense loss gradient.
 
 from __future__ import annotations
 
+import logging
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError, NumericalError
+from .errors import InputError, NumericalError, check_number
 from .objective import (DcObjective, f_value, g_smooth_terms, grad_h, loss_terms,
                         soft_threshold)
 
 CONVERGED = "converged"
 MAX_ITERATIONS = "max_iterations"
+DIVERGED = "diverged"
 
 RATE_OK = "ok"
 RATE_INSUFFICIENT = "insufficient_data"
 RATE_DEGENERATE = "degenerate"
 
-# Iterate-norm cap: the objective is unbounded below for strongly
-# indefinite Grams, and runaway iterates signal exactly that.
+# Iterate-norm cap, the backstop to the f <= 0 certificate: the objective
+# is unbounded below for strongly indefinite Grams, and runaway iterates
+# signal exactly that.
 DIVERGENCE_NORM = 1e12
+
+log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -72,20 +90,17 @@ class SolverConfig:
 
     def __post_init__(self) -> None:
         self.gamma = _check_gamma(self.gamma)
-        for name in ("epsilon_outer", "epsilon_inner"):
-            val = getattr(self, name)
-            if not (np.isfinite(val) and val > 0):
-                raise InputError(f"{name} must be positive, got {val}")
+        check_number("epsilon_outer", self.epsilon_outer)
+        check_number("epsilon_inner", self.epsilon_inner)
         for name in ("max_outer", "max_inner"):
             val = getattr(self, name)
-            if not (isinstance(val, int) and val >= 1):
-                raise InputError(f"{name} must be a positive integer, got {val}")
+            if not (isinstance(val, int) and not isinstance(val, bool) and val >= 1):
+                raise InputError(f"{name} must be a positive integer, got {val!r}")
 
 
 def _check_gamma(g: float) -> float:
     """``g`` as a float; anything but a positive finite number is an InputError."""
-    if not (isinstance(g, numbers.Real) and np.isfinite(g) and g > 0):
-        raise InputError(f"gamma must be a positive finite number, got {g!r}")
+    check_number("gamma", g)
     return float(g)
 
 
@@ -264,7 +279,7 @@ def stationarity_residual(
     step = 1.0 / smooth_lipschitz_bound(obj, gamma)
     # grad g - grad h = loss gradient + lam (K+ - K-) a = ... + lam K a.
     if scores is None or loss_grad is None:
-        scores, _, loss_grad = loss_terms(obj, a, scores=scores)
+        scores, _, loss_grad = loss_terms(obj, a, scores=scores, with_value=False)
     return _prox_residual(a, loss_grad + obj.lam * scores, step, step * obj.lam1)
 
 
@@ -274,8 +289,12 @@ def pla_fit(obj: DcObjective, cfg: SolverConfig) -> tuple[np.ndarray, SolveTrace
     Returns the final iterate and the full trace.  Hitting ``max_outer``
     yields status ``max_iterations`` rather than an exception; inner-solve
     iteration caps are recorded per step in ``trace.inner_converged``.
-    Runaway iterates (the objective is unbounded below when the Gram is
-    strongly indefinite) raise NumericalError.
+    A diverging fit raises NumericalError whose ``trace`` is the partial
+    trace with status ``diverged``: at the first outer step with f <= 0
+    (the certificate of the module docstring; the trace includes that
+    step), at an iterate norm above DIVERGENCE_NORM, or at a non-finite f.
+    Every stop is logged at INFO with its status, outer step, f (nan when
+    the norm cap fires, before f is evaluated) and iterate norm.
     """
     alpha = np.zeros(obj.n, dtype=np.float64)
     trace = SolveTrace()
@@ -288,7 +307,7 @@ def pla_fit(obj: DcObjective, cfg: SolverConfig) -> tuple[np.ndarray, SolveTrace
     trace.f_values.append(f_cur)
     trace.iterates.append(alpha.copy())
 
-    for k in range(cfg.max_outer):
+    for k in range(1, cfg.max_outer + 1):
         omega = grad_h(obj, alpha, kminus=kminus)
         inner = inner_solve(
             obj, omega, alpha, cfg.gamma, cfg,
@@ -298,14 +317,15 @@ def pla_fit(obj: DcObjective, cfg: SolverConfig) -> tuple[np.ndarray, SolveTrace
         kminus, loss_grad = inner.kminus, inner.loss_grad
         norm_new = float(np.linalg.norm(alpha_new))
         if norm_new > DIVERGENCE_NORM:
-            raise NumericalError(
-                f"iterates are diverging (norm {norm_new:.3e} at outer step "
-                f"{k}); the objective is likely unbounded below for these "
-                "weights"
+            raise _diverged(
+                trace, k, math.nan, norm_new,
+                f"iterates are diverging (norm {norm_new:.3e} at outer step {k}); "
+                "the objective is likely unbounded below for these weights",
             )
         f_new = f_value(obj, alpha_new, scores=scores)
         if not np.isfinite(f_new):
-            raise NumericalError(f"objective became non-finite at outer step {k}")
+            raise _diverged(trace, k, f_new, norm_new,
+                            f"objective became non-finite at outer step {k}")
 
         step = float(np.linalg.norm(alpha_new - alpha))
         trace.f_values.append(f_new)
@@ -318,6 +338,13 @@ def pla_fit(obj: DcObjective, cfg: SolverConfig) -> tuple[np.ndarray, SolveTrace
         )
         trace.inner_iterations.append(inner.iterations)
         trace.inner_converged.append(inner.converged)
+        if f_new <= 0.0:
+            raise _diverged(
+                trace, k, f_new, norm_new,
+                f"iterates are diverging (f = {f_new:.6g} <= 0 at outer step {k}, "
+                f"norm {norm_new:.3e}); every critical point has f > 0, so the "
+                "objective is unbounded below along this path",
+            )
 
         exact_repeat = bool(np.array_equal(alpha_new, alpha))
         delta_f = abs(f_cur - f_new)
@@ -327,7 +354,22 @@ def pla_fit(obj: DcObjective, cfg: SolverConfig) -> tuple[np.ndarray, SolveTrace
             trace.status = CONVERGED
             break
 
+    _log_stop(trace.status, trace.num_iterations, f_cur, norm_new)
     return alpha, trace
+
+
+def _diverged(
+    trace: SolveTrace, k: int, f: float, norm: float, message: str
+) -> NumericalError:
+    """Mark the trace diverged at outer step k, log the stop, and build the error."""
+    trace.status = DIVERGED
+    _log_stop(DIVERGED, k, f, norm)
+    return NumericalError(message, trace=trace)
+
+
+def _log_stop(status: str, k: int, f: float, norm: float) -> None:
+    log.info("PLA stopped: %s at outer step %d, f = %.10g, ||alpha|| = %.4g",
+             status, k, f, norm)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from .errors import InputError, NumericalError
+from .errors import InputError, NumericalError, check_number
 
 # Asymmetry beyond this (relative to the largest entry) is rejected.
 SYMMETRY_TOL = 1e-12
@@ -103,8 +103,7 @@ def positive_decompose(
     of ``gram`` (as produced by :func:`sym_eigendecompose`); ``tau`` must be
     strictly positive.
     """
-    if not (np.isfinite(tau) and tau > 0):
-        raise InputError(f"tau must be strictly positive, got {tau}")
+    check_number("tau", tau)
     vals = np.asarray(eigenvalues, dtype=np.float64)
     vecs = np.asarray(eigenvectors, dtype=np.float64)
     mat = np.asarray(gram, dtype=np.float64)

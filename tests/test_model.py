@@ -88,6 +88,9 @@ class TestModelSpec:
             dict(variant="l1-rklr", lam=1.0, lam1=-0.1),
             dict(variant="klr", lam=1.0, tau=0.0),
             dict(variant="klr", lam=1.0, tau=-1e-6),
+            dict(variant="klr", lam="1.0"),
+            dict(variant="l1-rklr", lam=1.0, lam1=None),
+            dict(variant="klr", lam=1.0, tau="1e-6"),
         ],
     )
     def test_rejects_bad_parameters(self, kwargs):

@@ -1,6 +1,7 @@
 """Inner solver, outer PLA loop, residuals, and the rate monitor."""
 
 import dataclasses
+import logging
 
 import numpy as np
 import pytest
@@ -8,17 +9,22 @@ import pytest
 import iklogit.solver
 
 from iklogit import (
+    Dataset,
     DcObjective,
     InputError,
+    ModelSpec,
     NumericalError,
     SolverConfig,
     decompose_gram,
+    fit,
     pla_fit,
     rate_monitor,
 )
-from iklogit.objective import grad_h, loss_terms, smooth_grad_g
+from iklogit.objective import grad_h, loss_terms, sigmoid, smooth_grad_g
 from iklogit.solver import (
     CONVERGED,
+    DIVERGED,
+    DIVERGENCE_NORM,
     MAX_ITERATIONS,
     RATE_DEGENERATE,
     RATE_INSUFFICIENT,
@@ -238,6 +244,94 @@ class TestPlaFit:
         assert records[0]["iteration"] == 1
 
 
+def benchmark_data(seed, n, d=5):
+    """The benchmark's synthetic problem: X ~ N(0, I), label x0 + 0.5 noise > 0."""
+    data_rng = np.random.default_rng(seed)
+    x = data_rng.standard_normal((n, d))
+    y = (x[:, 0] + 0.5 * data_rng.standard_normal(n) > 0).astype(np.int64)
+    return Dataset(x, y)
+
+
+def phi(m):
+    """ln(1 + e^-m) + (m/2) sigmoid(-m): the per-row value of f at a critical point."""
+    return np.logaddexp(0.0, -m) + 0.5 * m * sigmoid(-m)
+
+
+class TestDivergenceCertificate:
+    def test_phi_is_positive(self):
+        m = np.linspace(-50.0, 50.0, 200_001)
+        assert np.all(phi(m) > 0)
+
+    def test_converged_f_matches_critical_point_value(self, rng):
+        # At a critical point f = (1/n) sum phi(m_i) + (lam1/2) ||a||_1 > 0.
+        for n in (40, 60):
+            obj = tl1_objective(rng, n=n, d=3, lam=0.1, lam1=0.01)
+            assert np.any(obj.decomp.eigenvalues < 0)
+            alpha, trace = pla_fit(obj, SolverConfig())
+            assert trace.status == CONVERGED
+            margins = obj.y_signed * (obj.decomp.gram @ alpha)
+            value = phi(margins).mean() + 0.5 * obj.lam1 * np.abs(alpha).sum()
+            assert trace.f_values[-1] == pytest.approx(value, abs=1e-4)
+
+    def test_raises_at_first_nonpositive_f(self):
+        # The benchmark's diverging fold setting, lam = 1 and lam1 = 1e-4:
+        # the norm cap fired only at outer step 72.
+        with pytest.raises(NumericalError, match="diverging") as info:
+            fit(ModelSpec("l1-riklr", lam=1.0, lam1=1e-4), benchmark_data(0, 120))
+        trace = info.value.trace
+        assert trace.status == DIVERGED
+        assert all(f > 0 for f in trace.f_values[:-1])
+        assert trace.f_values[-1] <= 0
+        assert len(trace.iterates) == len(trace.f_values) == trace.num_iterations + 1
+        assert np.linalg.norm(trace.iterates[-1]) < DIVERGENCE_NORM
+        assert f"outer step {trace.num_iterations}," in str(info.value)
+
+    def test_negative_f_at_max_outer_now_raises(self):
+        # This fit used to run all 500 outer steps and end with f = -1.58,
+        # scored as a model; f first fell to 0 or below at step 411.
+        with pytest.raises(NumericalError, match="diverging") as info:
+            fit(ModelSpec("l1-riklr", lam=0.01, lam1=1e-4), benchmark_data(1, 120))
+        trace = info.value.trace
+        assert trace.status == DIVERGED
+        assert trace.num_iterations < SolverConfig().max_outer
+        assert all(f > 0 for f in trace.f_values[:-1]) and trace.f_values[-1] <= 0
+
+
+class TestStopLog:
+    @staticmethod
+    def stop_lines(caplog):
+        return [r.getMessage() for r in caplog.records
+                if r.name == "iklogit.solver" and r.levelno == logging.INFO]
+
+    def test_converged(self, rng, caplog):
+        caplog.set_level(logging.INFO, logger="iklogit.solver")
+        pla_fit(dominant_lam1_objective(rng), SolverConfig())
+        assert self.stop_lines(caplog) == [
+            "PLA stopped: converged at outer step 1, f = 0.6931471806, ||alpha|| = 0"
+        ]
+
+    def test_max_iterations(self, rng, caplog):
+        caplog.set_level(logging.INFO, logger="iklogit.solver")
+        obj = tl1_objective(rng, n=20, lam=0.1, lam1=0.0)
+        alpha, trace = pla_fit(obj, SolverConfig(max_outer=2, epsilon_outer=1e-14))
+        assert self.stop_lines(caplog) == [
+            f"PLA stopped: max_iterations at outer step 2, f = {trace.f_values[-1]:.10g}, "
+            f"||alpha|| = {np.linalg.norm(alpha):.4g}"
+        ]
+
+    def test_diverged(self, rng, caplog):
+        caplog.set_level(logging.INFO, logger="iklogit.solver")
+        obj = symmetric_objective(rng, n=10, lam=5.0, lam1=0.0, scale=2.0)
+        with pytest.raises(NumericalError) as info:
+            pla_fit(obj, SolverConfig())
+        trace = info.value.trace
+        assert self.stop_lines(caplog) == [
+            f"PLA stopped: diverged at outer step {trace.num_iterations}, "
+            f"f = {trace.f_values[-1]:.10g}, "
+            f"||alpha|| = {np.linalg.norm(trace.iterates[-1]):.4g}"
+        ]
+
+
 class TestSolverConfigValidation:
     @pytest.mark.parametrize(
         "kwargs",
@@ -247,6 +341,11 @@ class TestSolverConfigValidation:
             {"epsilon_inner": -1e-9},
             {"max_outer": 0},
             {"max_inner": -3},
+            {"epsilon_outer": "1e-4"},
+            {"epsilon_inner": None},
+            {"max_outer": True},
+            {"max_inner": False},
+            {"max_outer": 5.0},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
