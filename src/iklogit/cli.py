@@ -155,25 +155,29 @@ def _write_json(path: str, payload) -> None:
         fh.write("\n")
 
 
+def _write_trace(path: str, trace) -> None:
+    _write_json(path, {"status": trace.status, "records": trace.to_records()})
+
+
 def cmd_train(cfg: dict) -> int:
     solver = _solver_config(cfg.get("solver", {}))
     spec = _model_spec(cfg.get("model", {}), solver)
     data = ingest_csv(_data_path(cfg.get("data", {})), _csv_options(cfg.get("data", {})))
     log.info("training %s on %d rows", spec.variant, data.n)
-    model = fit(spec, data)
+    out = cfg.get("output", {})
+    try:
+        model = fit(spec, data)
+    except NumericalError as exc:
+        # A diverged fit is no model, but its partial trace says where it went.
+        if out.get("trace") and exc.trace is not None:
+            _write_trace(out["trace"], exc.trace)
+        raise
     trace = model.trace
 
-    out = cfg.get("output", {})
     model_path = out.get("model", "model.json")
     save_model(model, model_path)
     if out.get("trace"):
-        _write_json(
-            out["trace"],
-            {
-                "status": trace.status,
-                "records": trace.to_records(),
-            },
-        )
+        _write_trace(out["trace"], trace)
 
     print(f"status: {trace.status}")
     print(f"outer_iterations: {trace.num_iterations}")

@@ -57,6 +57,14 @@ def random_dataset(rng: np.random.Generator, n: int, d: int) -> Dataset:
     return Dataset(features, labels)
 
 
+def benchmark_data(seed: int, n: int, d: int = 5) -> Dataset:
+    """The benchmark's synthetic problem: X ~ N(0, I), label x0 + 0.5 noise > 0."""
+    data_rng = np.random.default_rng(seed)
+    x = data_rng.standard_normal((n, d))
+    y = (x[:, 0] + 0.5 * data_rng.standard_normal(n) > 0).astype(np.int64)
+    return Dataset(x, y)
+
+
 def separated_dataset(
     rng: np.random.Generator, n: int = 20, d: int = 2, gap: float = 4.0
 ) -> Dataset:

@@ -8,7 +8,7 @@ import pytest
 from iklogit import load_model
 from iklogit.cli import main
 
-from conftest import separated_dataset, write_csv
+from conftest import benchmark_data, separated_dataset, write_csv
 
 
 @pytest.fixture
@@ -51,6 +51,24 @@ class TestTrain:
         trace = json.loads(trace_path.read_text())
         assert trace["status"] == "converged"
         assert trace["records"][0]["iteration"] == 1
+
+    def test_diverged_fit_writes_trace_but_no_model(self, tmp_path, capsys):
+        # The benchmark's diverging fold setting: f <= 0 at an early outer step.
+        data = benchmark_data(0, 120)
+        csv = write_csv(tmp_path / "diverging.csv", data.features, data.labels)
+        trace_path = tmp_path / "trace.json"
+        cfg = train_config(tmp_path, csv, **{"lambda": 1.0, "lambda1": 1e-4})
+        rc = main(["train", "--config", cfg, "--trace", str(trace_path)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "numerical error:" in captured.err and "diverging" in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "model.json").exists()
+        trace = json.loads(trace_path.read_text())
+        assert trace["status"] == "diverged"
+        records = trace["records"]
+        assert [r["iteration"] for r in records] == list(range(1, len(records) + 1))
+        assert records[-1]["objective"] <= 0 < records[-2]["objective"]
 
     def test_missing_data_path_exits_one(self, tmp_path, capsys):
         cfg = write_config(

@@ -9,7 +9,6 @@ import pytest
 import iklogit.solver
 
 from iklogit import (
-    Dataset,
     DcObjective,
     InputError,
     ModelSpec,
@@ -36,7 +35,7 @@ from iklogit.solver import (
 )
 from iklogit.spectral import GramDecomposition, sym_eigendecompose
 
-from conftest import kplus, symmetric_objective, tl1_objective
+from conftest import benchmark_data, kplus, symmetric_objective, tl1_objective
 from reference_solvers import ref_inner_objective, ref_inner_prox_gradient
 
 
@@ -242,14 +241,6 @@ class TestPlaFit:
             "stationarity_residual", "inner_iterations", "inner_converged",
         }
         assert records[0]["iteration"] == 1
-
-
-def benchmark_data(seed, n, d=5):
-    """The benchmark's synthetic problem: X ~ N(0, I), label x0 + 0.5 noise > 0."""
-    data_rng = np.random.default_rng(seed)
-    x = data_rng.standard_normal((n, d))
-    y = (x[:, 0] + 0.5 * data_rng.standard_normal(n) > 0).astype(np.int64)
-    return Dataset(x, y)
 
 
 def phi(m):

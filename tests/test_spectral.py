@@ -1,6 +1,7 @@
 """Eigendecomposition and the shifted positive split."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -48,6 +49,21 @@ class TestSymEigendecompose:
     def test_non_finite_rejected(self):
         with pytest.raises(InputError):
             sym_eigendecompose(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+    def test_empty_matrix_rejected(self):
+        for vectors_if_negative in (False, True):
+            with pytest.raises(InputError, match="empty"):
+                sym_eigendecompose(np.zeros((0, 0)), vectors_if_negative=vectors_if_negative)
+        with pytest.raises(InputError, match="empty"):
+            decompose_gram(np.zeros((0, 0)), 1e-6)
+
+    def test_vectors_only_for_a_negative_spectrum(self):
+        vals, vecs = sym_eigendecompose(np.diag([3.0, 1.0]), vectors_if_negative=True)
+        assert vecs is None
+        assert np.array_equal(vals, [3.0, 1.0])
+        vals, vecs = sym_eigendecompose(np.diag([3.0, -1.0]), vectors_if_negative=True)
+        assert vecs.shape == (2, 2)
+        assert np.allclose(vals, [3.0, -1.0], atol=1e-14)
 
 
 class TestPositiveDecompose:
@@ -121,3 +137,65 @@ class TestPositiveDecompose:
         gram = np.eye(3)
         with pytest.raises(InputError):
             positive_decompose(gram, np.ones(2), np.eye(3), tau=0.1)
+
+
+def full_eigh_split(gram):
+    """Eigenvalues and W from a full eigh: the reference for indefinite Grams."""
+    vals, vecs = np.linalg.eigh(gram)
+    vals, vecs = vals[::-1].copy(), vecs[:, ::-1].copy()
+    neg = vals < 0.0
+    return vals, vecs[:, neg] * np.sqrt(-vals[neg])
+
+
+class TestEigenvaluesOnly:
+    """Eigenvectors are computed only when the Gram has a negative eigenvalue."""
+
+    def test_psd_gram_runs_no_eigh(self, rng, monkeypatch):
+        gram = gram_matrix(KernelSpec.rbf(1.0), random_dataset(rng, 40, 3))
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(1) or eigh(a))
+        tau = 0.25
+        dec = decompose_gram(gram, tau)
+        assert calls == []
+        assert dec.lowrank.shape == (40, 0)
+        assert np.array_equal(dec.eigenvalues, np.linalg.eigvalsh(gram)[::-1])
+        alpha = rng.normal(size=40)
+        assert np.array_equal(dec.kminus_dot(alpha), tau * alpha)
+
+    def test_indefinite_gram_matches_full_eigh_bitwise(self, rng):
+        for n in (40, 120):
+            data = random_dataset(rng, n, 3)
+            gram = gram_matrix(KernelSpec.tl1().resolve(3), data)
+            vals, factor = full_eigh_split(gram)
+            assert np.any(vals < 0.0)
+            dec = decompose_gram(gram, 1e-6)
+            assert np.array_equal(dec.eigenvalues, vals)
+            assert np.array_equal(dec.lowrank, factor)
+
+    def test_missing_eigenvectors_rejected_for_negative_spectrum(self):
+        gram = np.diag([2.0, -1.0])
+        with pytest.raises(InputError, match="eigenvectors"):
+            positive_decompose(gram, np.array([2.0, -1.0]), None, tau=0.1)
+        dec = positive_decompose(np.diag([2.0, 0.0]), np.array([2.0, 0.0]), None, tau=0.1)
+        assert dec.lowrank.shape == (2, 0)
+
+    @pytest.mark.parametrize(
+        "kernel, bound",
+        [(KernelSpec.rbf(1.0), 1.25), (KernelSpec.tl1().resolve(3), 1.6)],
+        ids=["rbf", "tl1"],
+    )
+    def test_peak_traced_memory(self, rng, kernel, bound):
+        # Allocations of decompose_gram beyond its input, in units of one
+        # n x n matrix of doubles: eigenvectors for every Gram take about 2.
+        n = 300
+        gram = gram_matrix(kernel, random_dataset(rng, n, 3))
+        decompose_gram(gram, 1e-6)  # first-call allocations stay out
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            decompose_gram(gram, 1e-6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * 8 * n * n
