@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import numbers
 import sys
 from pathlib import Path
 
@@ -80,12 +81,30 @@ def _as_is(value):
     return value
 
 
+def _number(value, kind: type, name: str):
+    """``value`` as ``kind`` (float or int), else a ConfigError.
+
+    Bools and strings are no numbers, and an int must be integral; an
+    integral float such as 1e3 counts as an int.  Range checks are the
+    spec's own.
+    """
+    if kind is int and isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or (
+        kind is int and not isinstance(value, int)
+    ):
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{name} must be {what}, got {value!r}")
+    return kind(value)
+
+
 def _cast(section: dict, table: dict, where: str, required: tuple = ()) -> dict:
     """Keyword arguments from the keys present in ``section``, cast by ``table``.
 
     ``table`` maps each allowed key to its cast; a None cast marks a key
-    the command reads itself.  Absent keys are left out, so the spec
-    dataclass supplies the default.
+    the command reads itself.  The casts ``float`` and ``int`` go through
+    :func:`_number`.  Absent keys are left out, so the spec dataclass
+    supplies the default.
     """
     unknown = set(section) - set(table)
     if unknown:
@@ -94,7 +113,10 @@ def _cast(section: dict, table: dict, where: str, required: tuple = ()) -> dict:
         if key not in section:
             raise ConfigError(f"{where}.{key} is required")
     return {
-        _FIELDS.get(key, key): cast(section[key])
+        _FIELDS.get(key, key): (
+            _number(section[key], cast, f"{where} key {key!r}")
+            if cast in (float, int) else cast(section[key])
+        )
         for key, cast in table.items()
         if cast is not None and key in section
     }
@@ -133,7 +155,7 @@ _DATA = {
 }
 _SOLVER = {
     "gamma": float, "epsilon_outer": float, "max_outer": int,
-    "epsilon_inner": float, "max_inner": int,
+    "epsilon_inner": float, "max_inner": int, "inner_rtol": float,
 }
 _KERNEL = {"kind": _as_is, "eta": _as_is, "sigma": _as_is}
 _MODEL = {
@@ -181,6 +203,7 @@ def cmd_train(cfg: dict) -> int:
 
     print(f"status: {trace.status}")
     print(f"outer_iterations: {trace.num_iterations}")
+    print(f"inner_iterations: {sum(trace.inner_iterations)}")
     print(f"final_objective: {trace.f_values[-1]!r}")
     print(f"selected_count: {model.support.size}")
     print(f"stationarity_residual: {trace.stationarity_residuals[-1]!r}")

@@ -118,11 +118,6 @@ def loss_terms(
     return scores, loss, -(gram @ (obj.y_signed * sigmoid(-margins))) / obj.n
 
 
-def logistic_loss(obj: DcObjective, alpha: np.ndarray) -> float:
-    """Mean logistic loss (1/n) sum ln(1 + exp(-y_i (K alpha)_i))."""
-    return loss_terms(obj, _check_alpha(obj, alpha), with_grad=False)[1]
-
-
 def f_value(
     obj: DcObjective, alpha: np.ndarray, scores: np.ndarray | None = None
 ) -> float:
@@ -154,29 +149,6 @@ def g_smooth_terms(
     if not with_value:
         return None, grad, loss_grad
     return loss + 0.5 * obj.lam * float(alpha @ kplus), grad, loss_grad
-
-
-def g_value(obj: DcObjective, alpha: np.ndarray) -> float:
-    """Convex part: loss + (lam/2) a^T K+ a + lam1 ||a||_1."""
-    a = _check_alpha(obj, alpha)
-    smooth = g_smooth_terms(obj, a, obj.decomp.gram @ a, obj.decomp.kminus_dot(a))[0]
-    return smooth + obj.lam1 * float(np.abs(a).sum())
-
-
-def h_value(obj: DcObjective, alpha: np.ndarray) -> float:
-    """Concave-side part: (lam/2) a^T K- a."""
-    a = _check_alpha(obj, alpha)
-    return 0.5 * obj.lam * float(a @ obj.decomp.kminus_dot(a))
-
-
-def smooth_grad_g(obj: DcObjective, alpha: np.ndarray) -> np.ndarray:
-    """Gradient of the smooth part of g (everything except the L1 term).
-
-    Equals -(1/n) K (y * s) + lam K+ a with s_i = sigmoid(-y_i (K a)_i).
-    """
-    a = _check_alpha(obj, alpha)
-    kminus = obj.decomp.kminus_dot(a)
-    return g_smooth_terms(obj, a, obj.decomp.gram @ a, kminus, with_value=False)[1]
 
 
 def grad_h(

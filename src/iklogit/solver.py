@@ -9,8 +9,24 @@ subproblem
 
 with a constant proximal weight gamma, starting from alpha_0 = 0.
 
+Inexact inner solves: step k's subproblem is solved to the fixed-point
+tolerance max(epsilon_inner, inner_rtol * ||alpha_k - alpha_{k-1}||), so it
+is solved loosely while the iterates still move far and tightly near a
+critical point, where the steps shrink (inexact descent with a relative
+error bound, Attouch, Bolte & Svaiter, Math. Program. 2013).  The first
+step, with no previous one, uses epsilon_inner; inner_rtol = 0 solves every
+subproblem to epsilon_inner, the fixed tolerance of the paper's PLA.
+
 The outer loop stops when max(||a_{k+1} - a_k||, |f_k - f_{k+1}|) falls
-below epsilon_outer, or at max_outer.
+below epsilon_outer and the stationarity residual is at most
+10 epsilon_outer, or at max_outer.  A step that repeats its iterate
+exactly stops when the residual is at most max(10 epsilon_outer,
+epsilon_inner).  The residual guard keeps a short inexact step, or a loose
+solve that returns its warm start after 0 iterations, from passing for a
+critical point.  After a zero step the next solve runs at epsilon_inner, so
+a repeat that still returns its warm start has a residual of at most
+epsilon_inner: the repeat's looser bound stops it there instead of at
+max_outer when epsilon_inner > 10 epsilon_outer.
 
 Divergence certificate: the first outer step with f <= 0 stops the fit.
 At a critical point, 0 in grad loss + lam K a + lam1 d||a||_1; its inner
@@ -80,6 +96,9 @@ class SolverConfig:
     """Proximal weight, tolerances and iteration caps of the two loops.
 
     ``gamma`` is the constant proximal weight, a positive number.
+    ``inner_rtol`` (>= 0) ties each inner tolerance to the last outer step:
+    max(epsilon_inner, inner_rtol * ||alpha_k - alpha_{k-1}||); 0 gives
+    the fixed tolerance epsilon_inner.
     """
 
     gamma: float = 1.0
@@ -87,11 +106,13 @@ class SolverConfig:
     max_outer: int = 500
     epsilon_inner: float = 1e-8
     max_inner: int = 5000
+    inner_rtol: float = 1e-3
 
     def __post_init__(self) -> None:
         self.gamma = _check_gamma(self.gamma)
         check_number("epsilon_outer", self.epsilon_outer)
         check_number("epsilon_inner", self.epsilon_inner)
+        check_number("inner_rtol", self.inner_rtol, positive=False)
         for name in ("max_outer", "max_inner"):
             val = getattr(self, name)
             if not (isinstance(val, int) and not isinstance(val, bool) and val >= 1):
@@ -126,13 +147,15 @@ class SolveTrace:
     """Per-outer-iteration diagnostics of a pla_fit run.
 
     ``f_values`` and ``iterates`` carry the initial point, so they are one
-    longer than the per-step lists.
+    longer than the per-step lists.  ``inner_tolerances`` holds the
+    tolerance each step's inner solve ran to.
     """
 
     f_values: list[float] = field(default_factory=list)
     step_norms: list[float] = field(default_factory=list)
     stationarity_residuals: list[float] = field(default_factory=list)
     inner_iterations: list[int] = field(default_factory=list)
+    inner_tolerances: list[float] = field(default_factory=list)
     inner_converged: list[bool] = field(default_factory=list)
     iterates: list[np.ndarray] = field(default_factory=list)
     status: str = MAX_ITERATIONS
@@ -150,6 +173,7 @@ class SolveTrace:
                 "step_norm": self.step_norms[k],
                 "stationarity_residual": self.stationarity_residuals[k],
                 "inner_iterations": self.inner_iterations[k],
+                "inner_tolerance": self.inner_tolerances[k],
                 "inner_converged": self.inner_converged[k],
             }
             for k in range(self.num_iterations)
@@ -188,18 +212,21 @@ def inner_solve(
     scores: np.ndarray | None = None,
     kminus: np.ndarray | None = None,
     loss_grad: np.ndarray | None = None,
+    tol: float | None = None,
 ) -> InnerResult:
-    """Solve one linearized subproblem to the fixed-point tolerance.
+    """Solve one linearized subproblem to the fixed-point tolerance ``tol``.
 
     Accelerated proximal gradient from the warm start alpha_k.  When the
     momentum step raises the subproblem objective, momentum is discarded
     and a plain proximal-gradient step (guaranteed descent at step 1/L)
     is taken instead.  Returns the first iterate whose residual passes
-    ``cfg.epsilon_inner``, or the last iterate with ``converged=False``
-    after ``cfg.max_inner`` steps.  ``scores``, ``kminus`` and
-    ``loss_grad`` are an optional known K alpha_k, K- alpha_k and loss
-    gradient at alpha_k.
+    ``tol`` (``cfg.epsilon_inner`` when None), or the last iterate with
+    ``converged=False`` after ``cfg.max_inner`` steps.  ``scores``,
+    ``kminus`` and ``loss_grad`` are an optional known K alpha_k, K- alpha_k
+    and loss gradient at alpha_k.
     """
+    if tol is None:
+        tol = cfg.epsilon_inner
     anchor = np.asarray(alpha_k, dtype=np.float64)
     omega = np.asarray(omega, dtype=np.float64)
     step = 1.0 / smooth_lipschitz_bound(obj, gamma)
@@ -225,7 +252,7 @@ def inner_solve(
     x = anchor.copy()
     kx, kmx, lgx, total_x, grad_x = at(x, scores, kminus, loss_grad)
     residual = _prox_residual(x, grad_x, step, threshold)
-    if residual <= cfg.epsilon_inner:
+    if residual <= tol:
         return InnerResult(x, 0, residual, True, kx, kmx, lgx)
 
     grad_y = grad_x
@@ -242,7 +269,7 @@ def inner_solve(
             kc, kmc, lgc, total_c, grad_c = at(cand)
             theta = 1.0
         residual = _prox_residual(cand, grad_c, step, threshold)
-        if residual <= cfg.epsilon_inner:
+        if residual <= tol:
             return InnerResult(cand, it, residual, True, kc, kmc, lgc)
         theta_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * theta * theta))
         beta = (theta - 1.0) / theta_next
@@ -293,8 +320,10 @@ def pla_fit(obj: DcObjective, cfg: SolverConfig) -> tuple[np.ndarray, SolveTrace
     trace with status ``diverged``: at the first outer step with f <= 0
     (the certificate of the module docstring; the trace includes that
     step), at an iterate norm above DIVERGENCE_NORM, or at a non-finite f.
-    Every stop is logged at INFO with its status, outer step, f (nan when
-    the norm cap fires, before f is evaluated) and iterate norm.
+    Every stop is logged at INFO with its status, outer step, total inner
+    iterations, f (nan when the norm cap fires, before f is evaluated) and
+    iterate norm.  Step k's inner tolerance and the stop rule are those of
+    the module docstring.
     """
     alpha = np.zeros(obj.n, dtype=np.float64)
     trace = SolveTrace()
@@ -306,41 +335,45 @@ def pla_fit(obj: DcObjective, cfg: SolverConfig) -> tuple[np.ndarray, SolveTrace
     f_cur = f_value(obj, alpha, scores=scores)
     trace.f_values.append(f_cur)
     trace.iterates.append(alpha.copy())
+    step = 0.0  # the first solve has no previous step and runs to epsilon_inner
+    inner_total = 0
 
     for k in range(1, cfg.max_outer + 1):
         omega = grad_h(obj, alpha, kminus=kminus)
+        tol = max(cfg.epsilon_inner, cfg.inner_rtol * step)
         inner = inner_solve(
             obj, omega, alpha, cfg.gamma, cfg,
-            scores=scores, kminus=kminus, loss_grad=loss_grad,
+            scores=scores, kminus=kminus, loss_grad=loss_grad, tol=tol,
         )
         alpha_new, scores = inner.alpha, inner.scores
         kminus, loss_grad = inner.kminus, inner.loss_grad
+        inner_total += inner.iterations
         norm_new = float(np.linalg.norm(alpha_new))
         if norm_new > DIVERGENCE_NORM:
             raise _diverged(
-                trace, k, math.nan, norm_new,
+                trace, k, math.nan, norm_new, inner_total,
                 f"iterates are diverging (norm {norm_new:.3e} at outer step {k}); "
                 "the objective is likely unbounded below for these weights",
             )
         f_new = f_value(obj, alpha_new, scores=scores)
         if not np.isfinite(f_new):
-            raise _diverged(trace, k, f_new, norm_new,
+            raise _diverged(trace, k, f_new, norm_new, inner_total,
                             f"objective became non-finite at outer step {k}")
 
         step = float(np.linalg.norm(alpha_new - alpha))
         trace.f_values.append(f_new)
         trace.iterates.append(alpha_new.copy())
         trace.step_norms.append(step)
-        trace.stationarity_residuals.append(
-            stationarity_residual(
-                obj, alpha_new, gamma=cfg.gamma, scores=scores, loss_grad=loss_grad
-            )
+        residual = stationarity_residual(
+            obj, alpha_new, gamma=cfg.gamma, scores=scores, loss_grad=loss_grad
         )
+        trace.stationarity_residuals.append(residual)
         trace.inner_iterations.append(inner.iterations)
+        trace.inner_tolerances.append(tol)
         trace.inner_converged.append(inner.converged)
         if f_new <= 0.0:
             raise _diverged(
-                trace, k, f_new, norm_new,
+                trace, k, f_new, norm_new, inner_total,
                 f"iterates are diverging (f = {f_new:.6g} <= 0 at outer step {k}, "
                 f"norm {norm_new:.3e}); every critical point has f > 0, so the "
                 "objective is unbounded below along this path",
@@ -349,27 +382,30 @@ def pla_fit(obj: DcObjective, cfg: SolverConfig) -> tuple[np.ndarray, SolveTrace
         exact_repeat = bool(np.array_equal(alpha_new, alpha))
         delta_f = abs(f_cur - f_new)
         alpha, f_cur = alpha_new, f_new
-        # Exact repetition is a critical point; otherwise the combined rule.
-        if exact_repeat or max(step, delta_f) < cfg.epsilon_outer:
+        # An exact repeat or the combined rule, each only at a small residual.
+        bound = 10.0 * cfg.epsilon_outer
+        if exact_repeat:
+            bound = max(bound, cfg.epsilon_inner)
+        if (exact_repeat or max(step, delta_f) < cfg.epsilon_outer) and residual <= bound:
             trace.status = CONVERGED
             break
 
-    _log_stop(trace.status, trace.num_iterations, f_cur, norm_new)
+    _log_stop(trace.status, trace.num_iterations, inner_total, f_cur, norm_new)
     return alpha, trace
 
 
 def _diverged(
-    trace: SolveTrace, k: int, f: float, norm: float, message: str
+    trace: SolveTrace, k: int, f: float, norm: float, inner_total: int, message: str
 ) -> NumericalError:
     """Mark the trace diverged at outer step k, log the stop, and build the error."""
     trace.status = DIVERGED
-    _log_stop(DIVERGED, k, f, norm)
+    _log_stop(DIVERGED, k, inner_total, f, norm)
     return NumericalError(message, trace=trace)
 
 
-def _log_stop(status: str, k: int, f: float, norm: float) -> None:
-    log.info("PLA stopped: %s at outer step %d, f = %.10g, ||alpha|| = %.4g",
-             status, k, f, norm)
+def _log_stop(status: str, k: int, inner_total: int, f: float, norm: float) -> None:
+    log.info("PLA stopped: %s at outer step %d (%d inner iterations), "
+             "f = %.10g, ||alpha|| = %.4g", status, k, inner_total, f, norm)
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ from iklogit import (
     decompose_gram,
     gram_matrix,
 )
+from iklogit.objective import _check_alpha, g_smooth_terms, loss_terms
 from iklogit.spectral import sym_eigendecompose
 
 # User-supplied benchmark files live here (see scripts/fetch_uci.py).
@@ -134,6 +135,36 @@ def bfactor(decomp) -> np.ndarray:
     _, vecs = sym_eigendecompose(decomp.gram)
     shift = np.maximum(decomp.eigenvalues, 0.0) + decomp.tau
     return np.sqrt(shift)[:, None] * vecs.T
+
+
+# Evaluators of the objective's pieces, for checks only.  The fit runs
+# loss_terms and g_smooth_terms, and these are built on the same two.
+def logistic_loss(obj: DcObjective, alpha: np.ndarray) -> float:
+    """Mean logistic loss (1/n) sum ln(1 + exp(-y_i (K alpha)_i))."""
+    return loss_terms(obj, _check_alpha(obj, alpha), with_grad=False)[1]
+
+
+def g_value(obj: DcObjective, alpha: np.ndarray) -> float:
+    """Convex part: loss + (lam/2) a^T K+ a + lam1 ||a||_1."""
+    a = _check_alpha(obj, alpha)
+    smooth = g_smooth_terms(obj, a, obj.decomp.gram @ a, obj.decomp.kminus_dot(a))[0]
+    return smooth + obj.lam1 * float(np.abs(a).sum())
+
+
+def h_value(obj: DcObjective, alpha: np.ndarray) -> float:
+    """Concave-side part: (lam/2) a^T K- a."""
+    a = _check_alpha(obj, alpha)
+    return 0.5 * obj.lam * float(a @ obj.decomp.kminus_dot(a))
+
+
+def smooth_grad_g(obj: DcObjective, alpha: np.ndarray) -> np.ndarray:
+    """Gradient of the smooth part of g (everything except the L1 term).
+
+    Equals -(1/n) K (y * s) + lam K+ a with s_i = sigmoid(-y_i (K a)_i).
+    """
+    a = _check_alpha(obj, alpha)
+    kminus = obj.decomp.kminus_dot(a)
+    return g_smooth_terms(obj, a, obj.decomp.gram @ a, kminus, with_value=False)[1]
 
 
 def num_nonneg(decomp) -> int:

@@ -33,14 +33,7 @@ from iklogit.experiment import (
     ingest_csv,
     run_experiment,
 )
-from iklogit.objective import (
-    f_value,
-    g_value,
-    grad_h,
-    h_value,
-    logistic_loss,
-    smooth_grad_g,
-)
+from iklogit.objective import f_value, grad_h
 from iklogit.solver import CONVERGED, RATE_OK, inner_solve
 from iklogit.spectral import sym_eigendecompose
 
@@ -48,10 +41,14 @@ from conftest import (
     UCI_FILES,
     bfactor,
     dataset_path,
+    g_value,
+    h_value,
     kminus,
     kplus,
+    logistic_loss,
     random_dataset,
     separated_dataset,
+    smooth_grad_g,
     write_csv,
 )
 from reference_solvers import (

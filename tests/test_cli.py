@@ -44,6 +44,7 @@ class TestTrain:
         out = capsys.readouterr().out
         assert rc == 0
         assert "status: converged" in out
+        assert "inner_iterations:" in out
         assert "selected_count:" in out
         assert "final_objective:" in out
         model = load_model(str(tmp_path / "model.json"))
@@ -51,6 +52,8 @@ class TestTrain:
         trace = json.loads(trace_path.read_text())
         assert trace["status"] == "converged"
         assert trace["records"][0]["iteration"] == 1
+        inner = sum(r["inner_iterations"] for r in trace["records"])
+        assert f"inner_iterations: {inner}\n" in out
 
     def test_diverged_fit_writes_trace_but_no_model(self, tmp_path, capsys):
         # The benchmark's diverging fold setting: f <= 0 at an early outer step.
@@ -328,3 +331,54 @@ class TestBench:
         rc = main(["bench", "--config", cfg])
         assert rc == 1
         assert "unknown bench config keys" in capsys.readouterr().err
+
+
+class TestNumberKeys:
+    """Number keys take JSON numbers only; the spec then checks the range."""
+
+    @pytest.mark.parametrize(
+        "override",
+        [
+            'solver.gamma="3"',
+            "solver.epsilon_outer=true",
+            'solver.inner_rtol="1e-3"',
+            "solver.inner_rtol=false",
+            "solver.max_outer=2.7",
+            "solver.max_inner=true",
+            'solver.max_inner="100"',
+            "model.lambda=true",
+            'model.lambda1="0.05"',
+            "model.tau=[1e-06]",
+        ],
+    )
+    def test_train_rejects_non_numbers(self, clusters_csv, tmp_path, capsys, override):
+        key = override.partition("=")[0].rpartition(".")[2]
+        cfg = train_config(tmp_path, clusters_csv)
+        rc = main(["train", "--config", cfg, "--set", override])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"key {key!r} must be" in err
+        assert not (tmp_path / "model.json").exists()
+
+    def test_integral_float_is_an_integer(self, clusters_csv, tmp_path, capsys):
+        cfg = train_config(tmp_path, clusters_csv)
+        overrides = ["--set", "solver.max_outer=1e3", "--set", "solver.inner_rtol=0"]
+        assert main(["train", "--config", cfg, *overrides]) == 0
+        assert "status: converged" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "override",
+        ["repeats=1.5", "cv_folds=true", 'base_seed="0"', "tau=true",
+         "solver.max_outer=2.7", 'solver.inner_rtol="0"'],
+    )
+    def test_bench_rejects_non_numbers(self, clusters_csv, tmp_path, capsys, override):
+        key = override.partition("=")[0].rpartition(".")[2]
+        cfg = write_config(
+            tmp_path,
+            {"data": {"path": str(clusters_csv)}, "variants": ["klr"], "grid": [0.1],
+             "repeats": 1, "cv_folds": 2, "output": {"directory": str(tmp_path)}},
+        )
+        rc = main(["bench", "--config", cfg, "--set", override])
+        assert rc == 1
+        assert f"key {key!r} must be" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()

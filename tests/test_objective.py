@@ -6,19 +6,18 @@ import numpy as np
 import pytest
 
 from iklogit import DcObjective, InputError, decompose_gram
-from iklogit.objective import (
-    f_value,
-    g_value,
-    grad_h,
-    h_value,
-    logistic_loss,
-    loss_terms,
-    smooth_grad_g,
-    soft_threshold,
-)
+from iklogit.objective import f_value, grad_h, loss_terms, soft_threshold
 from iklogit.solver import stationarity_residual
 
-from conftest import kminus, symmetric_objective, tl1_objective
+from conftest import (
+    g_value,
+    h_value,
+    kminus,
+    logistic_loss,
+    smooth_grad_g,
+    symmetric_objective,
+    tl1_objective,
+)
 from reference_solvers import central_difference_gradient, ref_full_objective
 
 

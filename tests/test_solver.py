@@ -19,7 +19,7 @@ from iklogit import (
     pla_fit,
     rate_monitor,
 )
-from iklogit.objective import grad_h, loss_terms, sigmoid, smooth_grad_g
+from iklogit.objective import grad_h, loss_terms, sigmoid
 from iklogit.solver import (
     CONVERGED,
     DIVERGED,
@@ -35,7 +35,13 @@ from iklogit.solver import (
 )
 from iklogit.spectral import GramDecomposition, sym_eigendecompose
 
-from conftest import benchmark_data, kplus, symmetric_objective, tl1_objective
+from conftest import (
+    benchmark_data,
+    kplus,
+    smooth_grad_g,
+    symmetric_objective,
+    tl1_objective,
+)
 from reference_solvers import ref_inner_objective, ref_inner_prox_gradient
 
 
@@ -238,9 +244,53 @@ class TestPlaFit:
         assert len(records) == trace.num_iterations
         assert set(records[0]) == {
             "iteration", "objective", "step_norm",
-            "stationarity_residual", "inner_iterations", "inner_converged",
+            "stationarity_residual", "inner_iterations", "inner_tolerance",
+            "inner_converged",
         }
         assert records[0]["iteration"] == 1
+
+
+class TestInexactInner:
+    @staticmethod
+    def benchmark_fit(**solver):
+        """The benchmark's TL1 problem at n=120 (lam=0.1, lam1=0.01)."""
+        spec = ModelSpec("l1-riklr", lam=0.1, lam1=0.01, solver=SolverConfig(**solver))
+        return fit(spec, benchmark_data(0, 120)).trace
+
+    def test_tolerance_follows_the_last_step(self):
+        cfg = SolverConfig()
+        trace = self.benchmark_fit()
+        assert trace.status == CONVERGED
+        tols, steps = trace.inner_tolerances, trace.step_norms
+        assert len(tols) == trace.num_iterations
+        assert tols[0] == cfg.epsilon_inner
+        for k in range(1, len(tols)):
+            assert tols[k] == max(cfg.epsilon_inner, cfg.inner_rtol * steps[k - 1])
+        assert max(tols) > cfg.epsilon_inner
+
+    def test_zero_rtol_is_the_fixed_tolerance(self):
+        trace = self.benchmark_fit(inner_rtol=0.0)
+        assert trace.status == CONVERGED
+        assert set(trace.inner_tolerances) == {SolverConfig().epsilon_inner}
+
+    def test_short_inexact_step_does_not_stop_the_fit(self):
+        # Without the residual guard this fit stops at outer step 2, on an
+        # exact repeat of a loose solve, with residual 6e-3 and support 98.
+        cfg = SolverConfig(inner_rtol=0.1)
+        trace = self.benchmark_fit(inner_rtol=0.1)
+        assert trace.status == CONVERGED
+        assert trace.stationarity_residuals[-1] <= 10 * cfg.epsilon_outer
+
+    def test_loose_epsilon_inner_stops_on_exact_repeat(self):
+        # epsilon_inner above 10 epsilon_outer: a solve returns its warm
+        # start, and the repeat stops at residual <= epsilon_inner instead
+        # of crawling to max_outer.
+        cfg = SolverConfig(epsilon_inner=1e-2)
+        trace = self.benchmark_fit(epsilon_inner=1e-2)
+        assert trace.status == CONVERGED
+        assert trace.step_norms[-1] == 0.0
+        assert 10 * cfg.epsilon_outer < trace.stationarity_residuals[-1]
+        assert trace.stationarity_residuals[-1] <= cfg.epsilon_inner
 
 
 def phi(m):
@@ -298,7 +348,8 @@ class TestStopLog:
         caplog.set_level(logging.INFO, logger="iklogit.solver")
         pla_fit(dominant_lam1_objective(rng), SolverConfig())
         assert self.stop_lines(caplog) == [
-            "PLA stopped: converged at outer step 1, f = 0.6931471806, ||alpha|| = 0"
+            "PLA stopped: converged at outer step 1 (0 inner iterations), "
+            "f = 0.6931471806, ||alpha|| = 0"
         ]
 
     def test_max_iterations(self, rng, caplog):
@@ -306,8 +357,9 @@ class TestStopLog:
         obj = tl1_objective(rng, n=20, lam=0.1, lam1=0.0)
         alpha, trace = pla_fit(obj, SolverConfig(max_outer=2, epsilon_outer=1e-14))
         assert self.stop_lines(caplog) == [
-            f"PLA stopped: max_iterations at outer step 2, f = {trace.f_values[-1]:.10g}, "
-            f"||alpha|| = {np.linalg.norm(alpha):.4g}"
+            f"PLA stopped: max_iterations at outer step 2 "
+            f"({sum(trace.inner_iterations)} inner iterations), "
+            f"f = {trace.f_values[-1]:.10g}, ||alpha|| = {np.linalg.norm(alpha):.4g}"
         ]
 
     def test_diverged(self, rng, caplog):
@@ -317,7 +369,8 @@ class TestStopLog:
             pla_fit(obj, SolverConfig())
         trace = info.value.trace
         assert self.stop_lines(caplog) == [
-            f"PLA stopped: diverged at outer step {trace.num_iterations}, "
+            f"PLA stopped: diverged at outer step {trace.num_iterations} "
+            f"({sum(trace.inner_iterations)} inner iterations), "
             f"f = {trace.f_values[-1]:.10g}, "
             f"||alpha|| = {np.linalg.norm(trace.iterates[-1]):.4g}"
         ]
@@ -337,6 +390,9 @@ class TestSolverConfigValidation:
             {"max_outer": True},
             {"max_inner": False},
             {"max_outer": 5.0},
+            {"inner_rtol": -1e-3},
+            {"inner_rtol": "1e-3"},
+            {"inner_rtol": float("nan")},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
@@ -349,10 +405,11 @@ class TestSolverConfigValidation:
             with pytest.raises(InputError, match="gamma"):
                 SolverConfig(gamma=gamma)
 
-    def test_five_settable_fields_and_float_gamma(self):
+    def test_settable_fields_and_float_gamma(self):
         names = [f.name for f in dataclasses.fields(SolverConfig)]
         assert names == [
             "gamma", "epsilon_outer", "max_outer", "epsilon_inner", "max_inner",
+            "inner_rtol",
         ]
         assert type(SolverConfig(gamma=2).gamma) is float
 
@@ -406,11 +463,23 @@ class TestProductBudget:
         # and one low-rank product per inner iteration, plus restarts and a
         # few per fit.  Recomputing K y at the momentum point, or the
         # gradient at y when beta = 0, costs at least 4 dense and 2 low-rank.
+        # Fixed inner tolerance: long inner solves, few outer steps.
+        obj, dense, lowrank = self.counted_objective(rng, monkeypatch)
+        _, trace = pla_fit(obj, SolverConfig(inner_rtol=0.0))
+        assert trace.status == CONVERGED
+        inner, outer = sum(trace.inner_iterations), trace.num_iterations
+        assert inner > 10 * outer
+        assert len(dense) <= 3.3 * inner
+        assert len(lowrank) <= 1.3 * inner + 1 * outer + 2
+
+    def test_products_per_inner_iteration_default(self, rng, monkeypatch):
+        # The same budget at the default step-relative tolerance, whose
+        # inner solves are shorter.
         obj, dense, lowrank = self.counted_objective(rng, monkeypatch)
         _, trace = pla_fit(obj, SolverConfig())
         assert trace.status == CONVERGED
         inner, outer = sum(trace.inner_iterations), trace.num_iterations
-        assert inner > 10 * outer
+        assert inner > 5 * outer
         assert len(dense) <= 3.3 * inner
         assert len(lowrank) <= 1.3 * inner + 1 * outer + 2
 
