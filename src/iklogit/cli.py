@@ -155,7 +155,7 @@ _DATA = {
 }
 _SOLVER = {
     "gamma": float, "epsilon_outer": float, "max_outer": int,
-    "epsilon_inner": float, "max_inner": int, "inner_rtol": float,
+    "epsilon_inner": float, "max_inner": int,
 }
 _KERNEL = {"kind": _as_is, "eta": _as_is, "sigma": _as_is}
 _MODEL = {

@@ -10,12 +10,13 @@ subproblem
 with a constant proximal weight gamma, starting from alpha_0 = 0.
 
 Inexact inner solves: step k's subproblem is solved to the fixed-point
-tolerance max(epsilon_inner, inner_rtol * ||alpha_k - alpha_{k-1}||), so it
+tolerance max(epsilon_inner, INNER_RTOL * ||alpha_k - alpha_{k-1}||), so it
 is solved loosely while the iterates still move far and tightly near a
 critical point, where the steps shrink (inexact descent with a relative
 error bound, Attouch, Bolte & Svaiter, Math. Program. 2013).  The first
-step, with no previous one, uses epsilon_inner; inner_rtol = 0 solves every
-subproblem to epsilon_inner, the fixed tolerance of the paper's PLA.
+step, with no previous one, uses epsilon_inner.  With INNER_RTOL = 0 every
+subproblem is solved to epsilon_inner, the paper's fixed inner tolerance,
+under the guarded outer stop below.
 
 The outer loop stops when max(||a_{k+1} - a_k||, |f_k - f_{k+1}|) falls
 below epsilon_outer and the stationarity residual is at most
@@ -88,6 +89,10 @@ RATE_DEGENERATE = "degenerate"
 # signal exactly that.
 DIVERGENCE_NORM = 1e12
 
+# Step k's inner tolerance is max(epsilon_inner, INNER_RTOL * ||alpha_k -
+# alpha_{k-1}||); 0 gives the fixed tolerance epsilon_inner.
+INNER_RTOL = 1e-3
+
 log = logging.getLogger(__name__)
 
 
@@ -96,9 +101,7 @@ class SolverConfig:
     """Proximal weight, tolerances and iteration caps of the two loops.
 
     ``gamma`` is the constant proximal weight, a positive number.
-    ``inner_rtol`` (>= 0) ties each inner tolerance to the last outer step:
-    max(epsilon_inner, inner_rtol * ||alpha_k - alpha_{k-1}||); 0 gives
-    the fixed tolerance epsilon_inner.
+    ``epsilon_inner`` is the floor of each inner tolerance (see INNER_RTOL).
     """
 
     gamma: float = 1.0
@@ -106,13 +109,11 @@ class SolverConfig:
     max_outer: int = 500
     epsilon_inner: float = 1e-8
     max_inner: int = 5000
-    inner_rtol: float = 1e-3
 
     def __post_init__(self) -> None:
         self.gamma = _check_gamma(self.gamma)
         check_number("epsilon_outer", self.epsilon_outer)
         check_number("epsilon_inner", self.epsilon_inner)
-        check_number("inner_rtol", self.inner_rtol, positive=False)
         for name in ("max_outer", "max_inner"):
             val = getattr(self, name)
             if not (isinstance(val, int) and not isinstance(val, bool) and val >= 1):
@@ -147,15 +148,13 @@ class SolveTrace:
     """Per-outer-iteration diagnostics of a pla_fit run.
 
     ``f_values`` and ``iterates`` carry the initial point, so they are one
-    longer than the per-step lists.  ``inner_tolerances`` holds the
-    tolerance each step's inner solve ran to.
+    longer than the per-step lists.
     """
 
     f_values: list[float] = field(default_factory=list)
     step_norms: list[float] = field(default_factory=list)
     stationarity_residuals: list[float] = field(default_factory=list)
     inner_iterations: list[int] = field(default_factory=list)
-    inner_tolerances: list[float] = field(default_factory=list)
     inner_converged: list[bool] = field(default_factory=list)
     iterates: list[np.ndarray] = field(default_factory=list)
     status: str = MAX_ITERATIONS
@@ -173,7 +172,6 @@ class SolveTrace:
                 "step_norm": self.step_norms[k],
                 "stationarity_residual": self.stationarity_residuals[k],
                 "inner_iterations": self.inner_iterations[k],
-                "inner_tolerance": self.inner_tolerances[k],
                 "inner_converged": self.inner_converged[k],
             }
             for k in range(self.num_iterations)
@@ -340,7 +338,7 @@ def pla_fit(obj: DcObjective, cfg: SolverConfig) -> tuple[np.ndarray, SolveTrace
 
     for k in range(1, cfg.max_outer + 1):
         omega = grad_h(obj, alpha, kminus=kminus)
-        tol = max(cfg.epsilon_inner, cfg.inner_rtol * step)
+        tol = max(cfg.epsilon_inner, INNER_RTOL * step)
         inner = inner_solve(
             obj, omega, alpha, cfg.gamma, cfg,
             scores=scores, kminus=kminus, loss_grad=loss_grad, tol=tol,
@@ -369,7 +367,6 @@ def pla_fit(obj: DcObjective, cfg: SolverConfig) -> tuple[np.ndarray, SolveTrace
         )
         trace.stationarity_residuals.append(residual)
         trace.inner_iterations.append(inner.iterations)
-        trace.inner_tolerances.append(tol)
         trace.inner_converged.append(inner.converged)
         if f_new <= 0.0:
             raise _diverged(

@@ -341,8 +341,6 @@ class TestNumberKeys:
         [
             'solver.gamma="3"',
             "solver.epsilon_outer=true",
-            'solver.inner_rtol="1e-3"',
-            "solver.inner_rtol=false",
             "solver.max_outer=2.7",
             "solver.max_inner=true",
             'solver.max_inner="100"',
@@ -362,14 +360,13 @@ class TestNumberKeys:
 
     def test_integral_float_is_an_integer(self, clusters_csv, tmp_path, capsys):
         cfg = train_config(tmp_path, clusters_csv)
-        overrides = ["--set", "solver.max_outer=1e3", "--set", "solver.inner_rtol=0"]
-        assert main(["train", "--config", cfg, *overrides]) == 0
+        assert main(["train", "--config", cfg, "--set", "solver.max_outer=1e3"]) == 0
         assert "status: converged" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
         "override",
         ["repeats=1.5", "cv_folds=true", 'base_seed="0"', "tau=true",
-         "solver.max_outer=2.7", 'solver.inner_rtol="0"'],
+         "solver.max_outer=2.7", 'solver.epsilon_inner="0"'],
     )
     def test_bench_rejects_non_numbers(self, clusters_csv, tmp_path, capsys, override):
         key = override.partition("=")[0].rpartition(".")[2]

@@ -244,8 +244,7 @@ class TestPlaFit:
         assert len(records) == trace.num_iterations
         assert set(records[0]) == {
             "iteration", "objective", "step_norm",
-            "stationarity_residual", "inner_iterations", "inner_tolerance",
-            "inner_converged",
+            "stationarity_residual", "inner_iterations", "inner_converged",
         }
         assert records[0]["iteration"] == 1
 
@@ -257,29 +256,42 @@ class TestInexactInner:
         spec = ModelSpec("l1-riklr", lam=0.1, lam1=0.01, solver=SolverConfig(**solver))
         return fit(spec, benchmark_data(0, 120)).trace
 
-    def test_tolerance_follows_the_last_step(self):
-        cfg = SolverConfig()
+    @staticmethod
+    def record_tolerances(monkeypatch):
+        """The ``tol`` each inner_solve call of a fit receives, in order."""
+        tols = []
+
+        def recording_inner_solve(*args, tol, **kwargs):
+            tols.append(tol)
+            return inner_solve(*args, tol=tol, **kwargs)
+
+        monkeypatch.setattr(iklogit.solver, "inner_solve", recording_inner_solve)
+        return tols
+
+    def test_tolerance_follows_the_last_step(self, monkeypatch):
+        eps, rtol = SolverConfig().epsilon_inner, iklogit.solver.INNER_RTOL
+        tols = self.record_tolerances(monkeypatch)
         trace = self.benchmark_fit()
         assert trace.status == CONVERGED
-        tols, steps = trace.inner_tolerances, trace.step_norms
-        assert len(tols) == trace.num_iterations
-        assert tols[0] == cfg.epsilon_inner
-        for k in range(1, len(tols)):
-            assert tols[k] == max(cfg.epsilon_inner, cfg.inner_rtol * steps[k - 1])
-        assert max(tols) > cfg.epsilon_inner
+        steps = trace.step_norms
+        assert tols == [eps] + [max(eps, rtol * s) for s in steps[:-1]]
+        assert max(tols) > eps
 
-    def test_zero_rtol_is_the_fixed_tolerance(self):
-        trace = self.benchmark_fit(inner_rtol=0.0)
+    def test_zero_rtol_is_the_fixed_tolerance(self, monkeypatch):
+        monkeypatch.setattr(iklogit.solver, "INNER_RTOL", 0.0)
+        tols = self.record_tolerances(monkeypatch)
+        trace = self.benchmark_fit()
         assert trace.status == CONVERGED
-        assert set(trace.inner_tolerances) == {SolverConfig().epsilon_inner}
+        assert len(tols) == trace.num_iterations
+        assert set(tols) == {SolverConfig().epsilon_inner}
 
-    def test_short_inexact_step_does_not_stop_the_fit(self):
+    def test_short_inexact_step_does_not_stop_the_fit(self, monkeypatch):
         # Without the residual guard this fit stops at outer step 2, on an
         # exact repeat of a loose solve, with residual 6e-3 and support 98.
-        cfg = SolverConfig(inner_rtol=0.1)
-        trace = self.benchmark_fit(inner_rtol=0.1)
+        monkeypatch.setattr(iklogit.solver, "INNER_RTOL", 0.1)
+        trace = self.benchmark_fit()
         assert trace.status == CONVERGED
-        assert trace.stationarity_residuals[-1] <= 10 * cfg.epsilon_outer
+        assert trace.stationarity_residuals[-1] <= 10 * SolverConfig().epsilon_outer
 
     def test_loose_epsilon_inner_stops_on_exact_repeat(self):
         # epsilon_inner above 10 epsilon_outer: a solve returns its warm
@@ -390,9 +402,6 @@ class TestSolverConfigValidation:
             {"max_outer": True},
             {"max_inner": False},
             {"max_outer": 5.0},
-            {"inner_rtol": -1e-3},
-            {"inner_rtol": "1e-3"},
-            {"inner_rtol": float("nan")},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
@@ -405,11 +414,10 @@ class TestSolverConfigValidation:
             with pytest.raises(InputError, match="gamma"):
                 SolverConfig(gamma=gamma)
 
-    def test_settable_fields_and_float_gamma(self):
+    def test_five_settable_fields_and_float_gamma(self):
         names = [f.name for f in dataclasses.fields(SolverConfig)]
         assert names == [
             "gamma", "epsilon_outer", "max_outer", "epsilon_inner", "max_inner",
-            "inner_rtol",
         ]
         assert type(SolverConfig(gamma=2).gamma) is float
 
@@ -464,8 +472,9 @@ class TestProductBudget:
         # few per fit.  Recomputing K y at the momentum point, or the
         # gradient at y when beta = 0, costs at least 4 dense and 2 low-rank.
         # Fixed inner tolerance: long inner solves, few outer steps.
+        monkeypatch.setattr(iklogit.solver, "INNER_RTOL", 0.0)
         obj, dense, lowrank = self.counted_objective(rng, monkeypatch)
-        _, trace = pla_fit(obj, SolverConfig(inner_rtol=0.0))
+        _, trace = pla_fit(obj, SolverConfig())
         assert trace.status == CONVERGED
         inner, outer = sum(trace.inner_iterations), trace.num_iterations
         assert inner > 10 * outer
