@@ -98,14 +98,30 @@ def _number(value, kind: type, name: str):
     return kind(value)
 
 
+def _grid(values) -> tuple:
+    """A JSON list of numbers as a tuple of floats, else a ConfigError."""
+    if not isinstance(values, list):
+        raise ConfigError(f"grid must be a list of numbers, got {values!r}")
+    return tuple(_number(v, float, "grid value") for v in values)
+
+
+def _check_sections(cfg: dict) -> None:
+    """A ConfigError unless each config section present is a JSON object."""
+    for name in ("data", "model", "kernel", "solver", "output"):
+        if not isinstance(cfg.get(name, {}), dict):
+            raise ConfigError(f"{name} must be a JSON object")
+
+
 def _cast(section: dict, table: dict, where: str, required: tuple = ()) -> dict:
     """Keyword arguments from the keys present in ``section``, cast by ``table``.
 
     ``table`` maps each allowed key to its cast; a None cast marks a key
     the command reads itself.  The casts ``float`` and ``int`` go through
-    :func:`_number`.  Absent keys are left out, so the spec dataclass
-    supplies the default.
+    :func:`_number`, and the cast ``bool`` takes a JSON boolean only.
+    Absent keys are left out, so the spec dataclass supplies the default.
     """
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where} must be a JSON object")
     unknown = set(section) - set(table)
     if unknown:
         raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
@@ -113,13 +129,18 @@ def _cast(section: dict, table: dict, where: str, required: tuple = ()) -> dict:
         if key not in section:
             raise ConfigError(f"{where}.{key} is required")
     return {
-        _FIELDS.get(key, key): (
-            _number(section[key], cast, f"{where} key {key!r}")
-            if cast in (float, int) else cast(section[key])
-        )
+        _FIELDS.get(key, key): _value(section[key], cast, f"{where} key {key!r}")
         for key, cast in table.items()
         if cast is not None and key in section
     }
+
+
+def _value(value, cast, name: str):
+    if cast in (float, int):
+        return _number(value, cast, name)
+    if cast is bool and not isinstance(value, bool):
+        raise ConfigError(f"{name} must be true or false, got {value!r}")
+    return cast(value)
 
 
 def _data_path(section: dict) -> str:
@@ -163,7 +184,7 @@ _MODEL = {
     "tau": float, "kernel": _kernel_spec,
 }
 _BENCH = {
-    "data": None, "name": _as_is, "variants": tuple, "grid": tuple,
+    "data": None, "name": _as_is, "variants": tuple, "grid": _grid,
     "repeats": int, "cv_folds": int, "base_seed": int, "tau": float,
     "solver": _solver_config, "output": None,
 }
@@ -380,6 +401,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _load_config(args.config)
         cfg = _apply_overrides(cfg, args.set)
+        _check_sections(cfg)
         cfg = _merge_flags(cfg, args)
         return _COMMANDS[args.command](cfg)
     except NumericalError as exc:

@@ -12,8 +12,8 @@ which splits into a difference of convex functions f = g - h with
     h(alpha) = (lam/2) alpha^T K- alpha
 
 Both g and h are convex; g is strongly convex with modulus lam * tau.
-K+ a is applied as K a + K- a.  The loss and its gradient live in loss_terms,
-g's smooth part and its gradient in g_smooth_terms.
+K+ a is applied as K a + K- a.  Every function here takes the products it
+needs (K a, K- a) as arguments; the solver computes each once per point.
 Setting lam1 = 0 recovers the plain (indefinite) kernel logistic model.
 """
 
@@ -92,72 +92,32 @@ def _check_alpha(obj: DcObjective, alpha: np.ndarray) -> np.ndarray:
     return a
 
 
-def loss_terms(
-    obj: DcObjective,
-    alpha: np.ndarray,
-    with_grad: bool = True,
-    scores: np.ndarray | None = None,
-    with_value: bool = True,
-) -> tuple[np.ndarray, float | None, np.ndarray | None]:
-    """Scores K a, loss (1/n) sum ln(1 + exp(-y_i (K a)_i)), and its gradient.
-
-    ``scores``, when given, must be K a already computed; it saves the dense
-    product.  The gradient -(1/n) K (y * s), s_i = sigmoid(-y_i (K a)_i),
-    costs a dense product of its own; it is None when ``with_grad`` is False,
-    and the loss is None when ``with_value`` is False.
-    """
-    gram = obj.decomp.gram
-    if scores is None:
-        scores = gram @ alpha
-    margins = obj.y_signed * scores
+def loss_value(obj: DcObjective, scores: np.ndarray) -> float:
+    """Loss (1/n) sum ln(1 + exp(-y_i s_i)) at the scores s = K a."""
     # ln(1 + e^u) as logaddexp(0, u), without overflow; sum / n is
     # np.mean's own arithmetic, without its per-call overhead.
-    loss = float(np.logaddexp(0.0, -margins).sum()) / obj.n if with_value else None
-    if not with_grad:
-        return scores, loss, None
-    return scores, loss, -(gram @ (obj.y_signed * sigmoid(-margins))) / obj.n
+    return float(np.logaddexp(0.0, -(obj.y_signed * scores)).sum()) / obj.n
 
 
-def f_value(
-    obj: DcObjective, alpha: np.ndarray, scores: np.ndarray | None = None
-) -> float:
-    """Full objective: loss + (lam/2) a^T K a + lam1 ||a||_1.
+def loss_grad(obj: DcObjective, scores: np.ndarray) -> np.ndarray:
+    """Loss gradient -(1/n) K (y * sigmoid(-y * s)) at the scores s = K a.
 
-    ``scores`` is an optional known K a (see :func:`loss_terms`).
+    It costs one dense product.
     """
+    margins = obj.y_signed * scores
+    return -(obj.decomp.gram @ (obj.y_signed * sigmoid(-margins))) / obj.n
+
+
+def f_value(obj: DcObjective, alpha: np.ndarray, scores: np.ndarray) -> float:
+    """Full objective loss + (lam/2) a^T K a + lam1 ||a||_1, given scores = K a."""
     a = _check_alpha(obj, alpha)
-    scores, loss, _ = loss_terms(obj, a, with_grad=False, scores=scores)
     quad = 0.5 * obj.lam * float(a @ scores)
-    return loss + quad + obj.lam1 * float(np.abs(a).sum())
+    return loss_value(obj, scores) + quad + obj.lam1 * float(np.abs(a).sum())
 
 
-def g_smooth_terms(
-    obj: DcObjective, alpha: np.ndarray, scores: np.ndarray, kminus: np.ndarray,
-    with_value: bool = True, loss_grad: np.ndarray | None = None,
-) -> tuple[float | None, np.ndarray, np.ndarray]:
-    """g's smooth part loss + (lam/2) a^T K+ a, its gradient, and the loss gradient.
-
-    ``scores`` and ``kminus`` are the known K a and K- a; ``loss_grad`` is
-    an optional known loss gradient.  The value is None without ``with_value``.
-    """
-    if loss_grad is None:
-        _, loss, loss_grad = loss_terms(obj, alpha, scores=scores, with_value=with_value)
-    elif with_value:
-        _, loss, _ = loss_terms(obj, alpha, with_grad=False, scores=scores)
-    kplus = scores + kminus
-    grad = loss_grad + obj.lam * kplus
-    if not with_value:
-        return None, grad, loss_grad
-    return loss + 0.5 * obj.lam * float(alpha @ kplus), grad, loss_grad
-
-
-def grad_h(
-    obj: DcObjective, alpha: np.ndarray, kminus: np.ndarray | None = None
-) -> np.ndarray:
-    """Gradient of h: lam K- a.  ``kminus`` is an optional known K- a."""
-    a = _check_alpha(obj, alpha)
-    if kminus is None:
-        kminus = obj.decomp.kminus_dot(a)
+def grad_h(obj: DcObjective, alpha: np.ndarray, kminus: np.ndarray) -> np.ndarray:
+    """Gradient of h: lam K- a, given kminus = K- a."""
+    _check_alpha(obj, alpha)
     return obj.lam * kminus
 
 

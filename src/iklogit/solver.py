@@ -45,9 +45,10 @@ iterates whose f stays above 0, a case the certificate does not cover.
 
 Inner loop: accelerated proximal gradient (momentum restart on objective
 increase) with the fixed step 1/L_phi from :func:`smooth_lipschitz_bound`,
-warm-started at alpha_k.  Convergence is certified by the proximal
-fixed-point residual ||a - S_{t*lam1}(a - t grad_phi(a))||_inf, evaluated
-at the point actually returned.
+which pla_fit computes once per fit, warm-started at alpha_k.  Convergence
+is certified by the proximal fixed-point residual
+||a - S_{t*lam1}(a - t grad_phi(a))||_inf, evaluated at the point actually
+returned.
 
 Product budget: every product with K and K- is computed once per point and
 carried next to the iterate.  An inner iteration does three dense n x n
@@ -60,8 +61,10 @@ its gradient is reused, one dense product fewer.  A momentum restart costs
 two dense products and one low-rank product more.  The outer loop adds no
 product of its own: K a, K- a and the loss gradient of the new iterate come
 back from the inner solve and serve f_value, grad_h, the stationarity
-residual and the next warm start.  Only the starting point costs one dense
-K a, one low-rank K- a and, at the first warm start, one dense loss gradient.
+residual and the next warm start.  Only the starting point costs two dense
+products (K a and the loss gradient) and one low-rank K- a.  No function
+computes a product it is not given: each takes the products it needs as
+arguments.
 """
 
 from __future__ import annotations
@@ -73,8 +76,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError, NumericalError, check_number
-from .objective import (DcObjective, f_value, g_smooth_terms, grad_h, loss_terms,
-                        soft_threshold)
+from .objective import DcObjective, f_value, grad_h, loss_value, soft_threshold
+from .objective import loss_grad as loss_gradient
 
 CONVERGED = "converged"
 MAX_ITERATIONS = "max_iterations"
@@ -111,7 +114,8 @@ class SolverConfig:
     max_inner: int = 5000
 
     def __post_init__(self) -> None:
-        self.gamma = _check_gamma(self.gamma)
+        check_number("gamma", self.gamma)
+        self.gamma = float(self.gamma)
         check_number("epsilon_outer", self.epsilon_outer)
         check_number("epsilon_inner", self.epsilon_inner)
         for name in ("max_outer", "max_inner"):
@@ -120,18 +124,12 @@ class SolverConfig:
                 raise InputError(f"{name} must be a positive integer, got {val!r}")
 
 
-def _check_gamma(g: float) -> float:
-    """``g`` as a float; anything but a positive finite number is an InputError."""
-    check_number("gamma", g)
-    return float(g)
-
-
 @dataclass(frozen=True)
 class InnerResult:
     """Outcome of one subproblem solve.
 
     ``scores`` is K alpha, ``kminus`` is K- alpha and ``loss_grad`` is the
-    loss gradient at alpha (see :func:`loss_terms`).
+    loss gradient at alpha (see :func:`.objective.loss_grad`).
     """
 
     alpha: np.ndarray
@@ -186,7 +184,6 @@ def smooth_lipschitz_bound(obj: DcObjective, gamma: float) -> float:
     proximal term 1/gamma.  ||K||_2 is max(|mu_1|, |mu_n|) and
     ||K+||_2 = max(mu_1, 0) + tau, both exact from the stored spectrum.
     """
-    gamma = _check_gamma(gamma)
     eig = obj.decomp.eigenvalues
     spec_norm = max(abs(float(eig[0])), abs(float(eig[-1])))
     kplus_norm = max(float(eig[0]), 0.0) + obj.decomp.tau
@@ -205,50 +202,50 @@ def inner_solve(
     obj: DcObjective,
     omega: np.ndarray,
     alpha_k: np.ndarray,
-    gamma: float,
     cfg: SolverConfig,
-    scores: np.ndarray | None = None,
-    kminus: np.ndarray | None = None,
-    loss_grad: np.ndarray | None = None,
-    tol: float | None = None,
+    step: float,
+    tol: float,
+    scores: np.ndarray,
+    kminus: np.ndarray,
+    loss_grad: np.ndarray,
 ) -> InnerResult:
     """Solve one linearized subproblem to the fixed-point tolerance ``tol``.
 
-    Accelerated proximal gradient from the warm start alpha_k.  When the
-    momentum step raises the subproblem objective, momentum is discarded
-    and a plain proximal-gradient step (guaranteed descent at step 1/L)
-    is taken instead.  Returns the first iterate whose residual passes
-    ``tol`` (``cfg.epsilon_inner`` when None), or the last iterate with
-    ``converged=False`` after ``cfg.max_inner`` steps.  ``scores``,
-    ``kminus`` and ``loss_grad`` are an optional known K alpha_k, K- alpha_k
-    and loss gradient at alpha_k.
+    Accelerated proximal gradient with step ``step`` = 1/L_phi (see
+    :func:`smooth_lipschitz_bound`) from the warm start alpha_k, whose
+    K alpha_k, K- alpha_k and loss gradient are ``scores``, ``kminus`` and
+    ``loss_grad``.  When the momentum step raises the subproblem objective,
+    momentum is discarded and a plain proximal-gradient step (guaranteed
+    descent at step 1/L) is taken instead.  Returns the first iterate whose
+    residual passes ``tol``, or the last iterate with ``converged=False``
+    after ``cfg.max_inner`` steps.
     """
-    if tol is None:
-        tol = cfg.epsilon_inner
     anchor = np.asarray(alpha_k, dtype=np.float64)
     omega = np.asarray(omega, dtype=np.float64)
-    step = 1.0 / smooth_lipschitz_bound(obj, gamma)
-    threshold = step * obj.lam1
+    gamma, threshold = cfg.gamma, step * obj.lam1
     gram, kminus_dot = obj.decomp.gram, obj.decomp.kminus_dot
 
-    def at(a, k_a=None, km_a=None, lg_a=None, with_value=True):
-        """K a, K- a, loss gradient, phi + lam1 ||a||_1 and grad phi at a, where
+    def grad_phi(a, k_a, km_a, lg_a):
+        """grad phi at a from K a, K- a and the loss gradient, where
         phi = g's smooth part - omega^T (a - alpha_k) + ||a - alpha_k||^2 / (2 gamma).
         """
-        if k_a is None:
-            k_a = gram @ a
-        if km_a is None:
-            km_a = kminus_dot(a)
-        value, grad, lg_a = g_smooth_terms(obj, a, k_a, km_a, with_value, lg_a)
-        diff = a - anchor
-        grad = grad - omega + diff / gamma
-        if with_value:
-            value = value - float(omega @ diff) + 0.5 / gamma * float(diff @ diff)
-            value += obj.lam1 * float(np.abs(a).sum())
-        return k_a, km_a, lg_a, value, grad
+        return lg_a + obj.lam * (k_a + km_a) - omega + (a - anchor) / gamma
 
-    x = anchor.copy()
-    kx, kmx, lgx, total_x, grad_x = at(x, scores, kminus, loss_grad)
+    def total(a, k_a, km_a):
+        """phi + lam1 ||a||_1 at a from K a and K- a."""
+        diff = a - anchor
+        value = loss_value(obj, k_a) + 0.5 * obj.lam * float(a @ (k_a + km_a))
+        value = value - float(omega @ diff) + 0.5 / gamma * float(diff @ diff)
+        return value + obj.lam1 * float(np.abs(a).sum())
+
+    def at(a):
+        """K a, K- a, the loss gradient, phi + lam1 ||a||_1 and grad phi at a."""
+        k_a, km_a = gram @ a, kminus_dot(a)
+        lg_a = loss_gradient(obj, k_a)
+        return k_a, km_a, lg_a, total(a, k_a, km_a), grad_phi(a, k_a, km_a, lg_a)
+
+    x, kx, kmx, lgx = anchor.copy(), scores, kminus, loss_grad
+    total_x, grad_x = total(x, kx, kmx), grad_phi(x, kx, kmx, lgx)
     residual = _prox_residual(x, grad_x, step, threshold)
     if residual <= tol:
         return InnerResult(x, 0, residual, True, kx, kmx, lgx)
@@ -279,7 +276,7 @@ def inner_solve(
             y = cand + beta * (cand - x)
             ky = kc + beta * (kc - kx)
             kmy = kmc + beta * (kmc - kmx)
-            grad_y = at(y, ky, kmy, with_value=False)[4]
+            grad_y = grad_phi(y, ky, kmy, loss_gradient(obj, ky))
         x, kx, kmx, lgx = cand, kc, kmc, lgc
         grad_x, total_x, theta = grad_c, total_c, theta_next
 
@@ -289,22 +286,19 @@ def inner_solve(
 def stationarity_residual(
     obj: DcObjective,
     alpha: np.ndarray,
-    gamma: float = 1.0,
-    scores: np.ndarray | None = None,
-    loss_grad: np.ndarray | None = None,
+    step: float,
+    scores: np.ndarray,
+    loss_grad: np.ndarray,
 ) -> float:
     """Proximal fixed-point residual of the full DC objective at alpha.
 
     Zero exactly at critical points (grad_h(a) in the subdifferential of g).
-    Uses the step t = 1/L_phi so the scale matches the inner certificate.
-    ``scores`` and ``loss_grad`` are an optional known K alpha and loss
-    gradient at alpha; ``loss_grad`` is used only together with ``scores``.
+    ``step`` is the inner step 1/L_phi, so the scale matches the inner
+    certificate; ``scores`` and ``loss_grad`` are K alpha and the loss
+    gradient at alpha.
     """
     a = np.asarray(alpha, dtype=np.float64)
-    step = 1.0 / smooth_lipschitz_bound(obj, gamma)
     # grad g - grad h = loss gradient + lam (K+ - K-) a = ... + lam K a.
-    if scores is None or loss_grad is None:
-        scores, _, loss_grad = loss_terms(obj, a, scores=scores, with_value=False)
     return _prox_residual(a, loss_grad + obj.lam * scores, step, step * obj.lam1)
 
 
@@ -325,24 +319,22 @@ def pla_fit(obj: DcObjective, cfg: SolverConfig) -> tuple[np.ndarray, SolveTrace
     """
     alpha = np.zeros(obj.n, dtype=np.float64)
     trace = SolveTrace()
+    step = 1.0 / smooth_lipschitz_bound(obj, cfg.gamma)
     # K alpha, K- alpha and the loss gradient of the current iterate, carried
-    # from one inner solve to the next; the first inner solve forms the last.
+    # from one inner solve to the next.
     scores = obj.decomp.gram @ alpha
     kminus = obj.decomp.kminus_dot(alpha)
-    loss_grad = None
-    f_cur = f_value(obj, alpha, scores=scores)
+    loss_grad = loss_gradient(obj, scores)
+    f_cur = f_value(obj, alpha, scores)
     trace.f_values.append(f_cur)
     trace.iterates.append(alpha.copy())
-    step = 0.0  # the first solve has no previous step and runs to epsilon_inner
+    moved = 0.0  # the first solve has no previous step and runs to epsilon_inner
     inner_total = 0
 
     for k in range(1, cfg.max_outer + 1):
-        omega = grad_h(obj, alpha, kminus=kminus)
-        tol = max(cfg.epsilon_inner, INNER_RTOL * step)
-        inner = inner_solve(
-            obj, omega, alpha, cfg.gamma, cfg,
-            scores=scores, kminus=kminus, loss_grad=loss_grad, tol=tol,
-        )
+        omega = grad_h(obj, alpha, kminus)
+        tol = max(cfg.epsilon_inner, INNER_RTOL * moved)
+        inner = inner_solve(obj, omega, alpha, cfg, step, tol, scores, kminus, loss_grad)
         alpha_new, scores = inner.alpha, inner.scores
         kminus, loss_grad = inner.kminus, inner.loss_grad
         inner_total += inner.iterations
@@ -353,18 +345,16 @@ def pla_fit(obj: DcObjective, cfg: SolverConfig) -> tuple[np.ndarray, SolveTrace
                 f"iterates are diverging (norm {norm_new:.3e} at outer step {k}); "
                 "the objective is likely unbounded below for these weights",
             )
-        f_new = f_value(obj, alpha_new, scores=scores)
+        f_new = f_value(obj, alpha_new, scores)
         if not np.isfinite(f_new):
             raise _diverged(trace, k, f_new, norm_new, inner_total,
                             f"objective became non-finite at outer step {k}")
 
-        step = float(np.linalg.norm(alpha_new - alpha))
+        moved = float(np.linalg.norm(alpha_new - alpha))
         trace.f_values.append(f_new)
         trace.iterates.append(alpha_new.copy())
-        trace.step_norms.append(step)
-        residual = stationarity_residual(
-            obj, alpha_new, gamma=cfg.gamma, scores=scores, loss_grad=loss_grad
-        )
+        trace.step_norms.append(moved)
+        residual = stationarity_residual(obj, alpha_new, step, scores, loss_grad)
         trace.stationarity_residuals.append(residual)
         trace.inner_iterations.append(inner.iterations)
         trace.inner_converged.append(inner.converged)
@@ -383,7 +373,7 @@ def pla_fit(obj: DcObjective, cfg: SolverConfig) -> tuple[np.ndarray, SolveTrace
         bound = 10.0 * cfg.epsilon_outer
         if exact_repeat:
             bound = max(bound, cfg.epsilon_inner)
-        if (exact_repeat or max(step, delta_f) < cfg.epsilon_outer) and residual <= bound:
+        if (exact_repeat or max(moved, delta_f) < cfg.epsilon_outer) and residual <= bound:
             trace.status = CONVERGED
             break
 

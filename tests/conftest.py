@@ -13,10 +13,12 @@ from iklogit import (
     Dataset,
     DcObjective,
     KernelSpec,
+    SolverConfig,
     decompose_gram,
     gram_matrix,
 )
-from iklogit.objective import _check_alpha, g_smooth_terms, loss_terms
+from iklogit.objective import _check_alpha, f_value, grad_h, loss_grad, loss_value
+from iklogit.solver import inner_solve, smooth_lipschitz_bound, stationarity_residual
 from iklogit.spectral import sym_eigendecompose
 
 # User-supplied benchmark files live here (see scripts/fetch_uci.py).
@@ -138,16 +140,18 @@ def bfactor(decomp) -> np.ndarray:
 
 
 # Evaluators of the objective's pieces, for checks only.  The fit runs
-# loss_terms and g_smooth_terms, and these are built on the same two.
+# loss_value and loss_grad, and these are built on the same two.
 def logistic_loss(obj: DcObjective, alpha: np.ndarray) -> float:
     """Mean logistic loss (1/n) sum ln(1 + exp(-y_i (K alpha)_i))."""
-    return loss_terms(obj, _check_alpha(obj, alpha), with_grad=False)[1]
+    return loss_value(obj, obj.decomp.gram @ _check_alpha(obj, alpha))
 
 
 def g_value(obj: DcObjective, alpha: np.ndarray) -> float:
     """Convex part: loss + (lam/2) a^T K+ a + lam1 ||a||_1."""
     a = _check_alpha(obj, alpha)
-    smooth = g_smooth_terms(obj, a, obj.decomp.gram @ a, obj.decomp.kminus_dot(a))[0]
+    scores = obj.decomp.gram @ a
+    kplus_a = scores + obj.decomp.kminus_dot(a)
+    smooth = loss_value(obj, scores) + 0.5 * obj.lam * float(a @ kplus_a)
     return smooth + obj.lam1 * float(np.abs(a).sum())
 
 
@@ -163,8 +167,38 @@ def smooth_grad_g(obj: DcObjective, alpha: np.ndarray) -> np.ndarray:
     Equals -(1/n) K (y * s) + lam K+ a with s_i = sigmoid(-y_i (K a)_i).
     """
     a = _check_alpha(obj, alpha)
-    kminus = obj.decomp.kminus_dot(a)
-    return g_smooth_terms(obj, a, obj.decomp.gram @ a, kminus, with_value=False)[1]
+    scores = obj.decomp.gram @ a
+    return loss_grad(obj, scores) + obj.lam * (scores + obj.decomp.kminus_dot(a))
+
+
+def f_at(obj: DcObjective, alpha: np.ndarray) -> float:
+    """f_value at alpha with its K alpha."""
+    return f_value(obj, alpha, obj.decomp.gram @ np.asarray(alpha, dtype=np.float64))
+
+
+def grad_h_at(obj: DcObjective, alpha: np.ndarray) -> np.ndarray:
+    """grad_h at alpha with its K- alpha."""
+    return grad_h(obj, alpha, obj.decomp.kminus_dot(np.asarray(alpha, dtype=np.float64)))
+
+
+def solve_subproblem(obj: DcObjective, omega, anchor, cfg):
+    """inner_solve from ``anchor`` to ``cfg.epsilon_inner``, with the step and
+    warm-start products that pla_fit would pass."""
+    a = np.asarray(anchor, dtype=np.float64)
+    step = 1.0 / smooth_lipschitz_bound(obj, cfg.gamma)
+    scores = obj.decomp.gram @ a
+    return inner_solve(
+        obj, omega, a, cfg, step, cfg.epsilon_inner,
+        scores, obj.decomp.kminus_dot(a), loss_grad(obj, scores),
+    )
+
+
+def residual_at(obj: DcObjective, alpha: np.ndarray) -> float:
+    """stationarity_residual at alpha, with the step of the default gamma."""
+    a = np.asarray(alpha, dtype=np.float64)
+    scores = obj.decomp.gram @ a
+    step = 1.0 / smooth_lipschitz_bound(obj, SolverConfig().gamma)
+    return stationarity_residual(obj, a, step, scores, loss_grad(obj, scores))
 
 
 def num_nonneg(decomp) -> int:

@@ -33,15 +33,16 @@ from iklogit.experiment import (
     ingest_csv,
     run_experiment,
 )
-from iklogit.objective import f_value, grad_h
-from iklogit.solver import CONVERGED, RATE_OK, inner_solve
+from iklogit.solver import CONVERGED, RATE_OK
 from iklogit.spectral import sym_eigendecompose
 
 from conftest import (
     UCI_FILES,
     bfactor,
     dataset_path,
+    f_at,
     g_value,
+    grad_h_at,
     h_value,
     kminus,
     kplus,
@@ -49,6 +50,7 @@ from conftest import (
     random_dataset,
     separated_dataset,
     smooth_grad_g,
+    solve_subproblem,
     write_csv,
 )
 from reference_solvers import (
@@ -170,7 +172,7 @@ def test_criterion_02_dc_identity(record_property):
     for obj in instances:
         for _ in range(100):
             alpha = r.normal(size=obj.n) * float(r.uniform(0.1, 3.0))
-            f = f_value(obj, alpha)
+            f = f_at(obj, alpha)
             gap = abs(f - (g_value(obj, alpha) - h_value(obj, alpha)))
             worst = max(worst, gap / (1.0 + abs(f)))
             assert gap <= 1e-10 * (1.0 + abs(f))
@@ -201,7 +203,7 @@ def test_criterion_03_gradient_checks(record_property):
             point = r.normal(size=obj.n) * 0.5
             for fn, grad in [
                 (smooth_part, smooth_grad_g(obj, point)),
-                (concave_part, grad_h(obj, point)),
+                (concave_part, grad_h_at(obj, point)),
             ]:
                 fd = central_difference_gradient(fn, point, step=1e-6)
                 rel = np.linalg.norm(fd - grad) / max(1.0, np.linalg.norm(grad))
@@ -239,7 +241,7 @@ def test_criterion_04_inner_solver_oracle(record_property):
         anchor = r.normal(size=n) * 0.5
         cfg = SolverConfig(gamma=gamma, epsilon_inner=1e-8, max_inner=100_000)
 
-        result = inner_solve(obj, omega, anchor, gamma, cfg)
+        result = solve_subproblem(obj, omega, anchor, cfg)
         assert result.converged
         assert result.residual <= 1e-8
         reference = ref_inner_prox_gradient(
@@ -359,7 +361,7 @@ def test_criterion_07_psd_reduction(record_property):
         obj_smooth = DcObjective.from_labels(decomp, data.labels, lam, 0.0)
         alpha_smooth, trace_smooth = pla_fit(obj_smooth, cfg)
         _, ref_smooth = ref_klr_solve(gram, y_signed, lam)
-        rel_smooth = abs(f_value(obj_smooth, alpha_smooth) - ref_smooth) / (
+        rel_smooth = abs(f_at(obj_smooth, alpha_smooth) - ref_smooth) / (
             1.0 + abs(ref_smooth)
         )
         assert rel_smooth <= 1e-4
@@ -367,7 +369,7 @@ def test_criterion_07_psd_reduction(record_property):
         obj_l1 = DcObjective.from_labels(decomp, data.labels, lam, lam1)
         alpha_l1, trace_l1 = pla_fit(obj_l1, cfg)
         _, ref_l1 = ref_l1_klr_solve(gram, y_signed, lam, lam1)
-        rel_l1 = abs(f_value(obj_l1, alpha_l1) - ref_l1) / (1.0 + abs(ref_l1))
+        rel_l1 = abs(f_at(obj_l1, alpha_l1) - ref_l1) / (1.0 + abs(ref_l1))
         assert rel_l1 <= 1e-4
 
         worst = max(worst, rel_smooth, rel_l1)

@@ -379,3 +379,62 @@ class TestNumberKeys:
         assert rc == 1
         assert f"key {key!r} must be" in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
+
+
+class TestConfigTypes:
+    """Flag keys take JSON booleans, grids JSON numbers, sections JSON objects."""
+
+    @pytest.mark.parametrize(
+        "override", ['data.has_header="false"', "data.has_header=0", "data.standardize=1"]
+    )
+    def test_flag_keys_reject_non_booleans(self, tmp_path, capsys, override):
+        path = tmp_path / "four.csv"
+        path.write_text("0,0,0\n1,0,1\n0,1,0\n1,1,1\n")
+        rc = main(["kernel-stats", "--data", str(path), "--set", override])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: data key ") and "must be true or false" in err
+
+    @pytest.mark.parametrize("has_header, rows", [("true", 3), ("false", 4)])
+    def test_boolean_header_flag(self, tmp_path, capsys, has_header, rows):
+        path = tmp_path / "four.csv"
+        path.write_text("0,0,0\n1,0,1\n0,1,0\n1,1,1\n")
+        override = f"data.has_header={has_header}"
+        assert main(["kernel-stats", "--data", str(path), "--set", override]) == 0
+        assert json.loads(capsys.readouterr().out)["n"] == rows
+
+    @pytest.mark.parametrize("grid", ["[true]", '[0.01, "1"]', "0.5"])
+    def test_bench_grid_rejects_non_numbers(self, clusters_csv, tmp_path, capsys, grid):
+        cfg = write_config(
+            tmp_path,
+            {"data": {"path": str(clusters_csv)}, "variants": ["klr"],
+             "repeats": 1, "cv_folds": 2, "output": {"directory": str(tmp_path)}},
+        )
+        rc = main(["bench", "--config", cfg, "--set", f"grid={grid}"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: grid ")
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize(
+        "override, section",
+        [("output=3", "output"), ("data=3", "data"), ("model=3", "model"),
+         ("solver=[]", "solver"), ("model.kernel=3", "kernel")],
+    )
+    def test_train_rejects_non_object_sections(
+        self, clusters_csv, tmp_path, capsys, override, section
+    ):
+        cfg = train_config(tmp_path, clusters_csv)
+        rc = main(["train", "--config", cfg, "--set", override])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {section} must be a JSON object\n"
+        assert not (tmp_path / "model.json").exists()
+
+    @pytest.mark.parametrize("override", ["data=t.csv", "kernel=3", "output=3"])
+    def test_kernel_stats_rejects_non_object_sections(
+        self, clusters_csv, tmp_path, capsys, override
+    ):
+        cfg = write_config(tmp_path, {"data": {"path": str(clusters_csv)}})
+        rc = main(["kernel-stats", "--config", cfg, "--set", override])
+        assert rc == 1
+        section = override.partition("=")[0]
+        assert capsys.readouterr().err == f"error: {section} must be a JSON object\n"

@@ -24,10 +24,9 @@ from iklogit import (
 )
 from iklogit.kernels import kernel_rows
 from iklogit.model import L1_VARIANTS, SPARSITY_THRESHOLD, VARIANTS
-from iklogit.objective import f_value
 from iklogit.solver import CONVERGED, MAX_ITERATIONS
 
-from conftest import random_dataset
+from conftest import f_at, random_dataset
 from reference_solvers import ref_klr_solve, ref_l1_klr_solve
 
 
@@ -433,7 +432,7 @@ class TestConvexReduction:
         y_signed = 2.0 * data.labels - 1.0
         _, ref_value = ref_klr_solve(gram, y_signed, 0.5)
         obj = DcObjective.from_labels(decompose_gram(gram, spec.tau), data.labels, 0.5, 0.0)
-        ours = f_value(obj, model.alpha)
+        ours = f_at(obj, model.alpha)
         assert abs(ours - ref_value) <= 1e-4 * (1.0 + abs(ref_value))
 
     def test_matches_direct_convex_solve_with_l1(self, rng):
@@ -453,7 +452,7 @@ class TestConvexReduction:
         obj = DcObjective.from_labels(
             decompose_gram(gram, spec.tau), data.labels, 0.3, 0.02
         )
-        ours = f_value(obj, model.alpha)
+        ours = f_at(obj, model.alpha)
         assert abs(ours - ref_value) <= 1e-4 * (1.0 + abs(ref_value))
 
 

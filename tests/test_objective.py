@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from iklogit import DcObjective, InputError, decompose_gram
-from iklogit.objective import f_value, grad_h, loss_terms, soft_threshold
-from iklogit.solver import stationarity_residual
+from iklogit.objective import soft_threshold
 
 from conftest import (
+    f_at,
     g_value,
+    grad_h_at,
     h_value,
     kminus,
     logistic_loss,
@@ -56,7 +57,7 @@ class TestDcSplit:
     def test_values_at_zero(self, rng):
         obj = tl1_objective(rng)
         zero = np.zeros(obj.n)
-        assert f_value(obj, zero) == pytest.approx(math.log(2.0), abs=1e-12)
+        assert f_at(obj, zero) == pytest.approx(math.log(2.0), abs=1e-12)
         assert g_value(obj, zero) == pytest.approx(math.log(2.0), abs=1e-12)
         assert h_value(obj, zero) == 0.0
 
@@ -65,7 +66,7 @@ class TestDcSplit:
             obj = builder(rng)
             for _ in range(100):
                 alpha = rng.normal(scale=3.0, size=obj.n)
-                f = f_value(obj, alpha)
+                f = f_at(obj, alpha)
                 assert abs(f - (g_value(obj, alpha) - h_value(obj, alpha))) <= 1e-10 * (
                     1.0 + abs(f)
                 )
@@ -77,7 +78,7 @@ class TestDcSplit:
             expected = ref_full_objective(
                 obj.decomp.gram, obj.y_signed, obj.lam, obj.lam1, alpha
             )
-            assert f_value(obj, alpha) == pytest.approx(expected, rel=1e-12)
+            assert f_at(obj, alpha) == pytest.approx(expected, rel=1e-12)
 
     def test_h_on_psd_matrix_is_scaled_norm(self, rng):
         # PSD input forces kminus = tau * I.
@@ -113,39 +114,6 @@ class TestDcSplit:
             assert reduced(mid) <= theta * reduced(a) + (1 - theta) * reduced(b) + 1e-10
 
 
-def bits(value) -> bytes:
-    return np.asarray(value, dtype=np.float64).tobytes()
-
-
-class TestKnownScores:
-    def test_passing_k_alpha_is_bitwise_neutral(self, rng):
-        # The solver hands each iterate's K alpha, K- alpha and loss gradient
-        # to these functions, which must then give exactly what they compute
-        # on their own.
-        obj = tl1_objective(rng, n=25)
-        for _ in range(5):
-            alpha = rng.normal(size=obj.n) * (rng.random(obj.n) < 0.5)
-            scores = obj.decomp.gram @ alpha
-            for with_grad in (True, False):
-                given = loss_terms(obj, alpha, with_grad=with_grad, scores=scores)
-                own = loss_terms(obj, alpha, with_grad=with_grad)
-                assert list(map(bits, given)) == list(map(bits, own))
-            assert bits(f_value(obj, alpha, scores=scores)) == bits(f_value(obj, alpha))
-            _, _, loss_grad = loss_terms(obj, alpha)
-            for gamma in (1.0, 0.3):
-                own = bits(stationarity_residual(obj, alpha, gamma))
-                given = stationarity_residual(obj, alpha, gamma, scores=scores)
-                assert bits(given) == own
-                given = stationarity_residual(
-                    obj, alpha, gamma, scores=scores, loss_grad=loss_grad
-                )
-                assert bits(given) == own
-                given = stationarity_residual(obj, alpha, gamma, loss_grad=loss_grad)
-                assert bits(given) == own
-            kminus = obj.decomp.kminus_dot(alpha)
-            assert bits(grad_h(obj, alpha, kminus=kminus)) == bits(grad_h(obj, alpha))
-
-
 class TestGradients:
     def test_smooth_grad_at_zero_closed_form(self, rng):
         obj = tl1_objective(rng)
@@ -175,24 +143,24 @@ class TestGradients:
         for _ in range(20):
             alpha = rng.normal(size=9)
             numeric = central_difference_gradient(lambda a: h_value(obj, a), alpha)
-            analytic = grad_h(obj, alpha)
+            analytic = grad_h_at(obj, alpha)
             rel = np.linalg.norm(numeric - analytic) / max(np.linalg.norm(analytic), 1e-8)
             assert rel <= 1e-5
 
     def test_grad_h_closed_form_and_lipschitz(self, rng):
         obj = symmetric_objective(rng)
-        assert np.array_equal(grad_h(obj, np.zeros(obj.n)), np.zeros(obj.n))
+        assert np.array_equal(grad_h_at(obj, np.zeros(obj.n)), np.zeros(obj.n))
         lip = obj.lam * np.linalg.norm(kminus(obj.decomp), 2)
         for _ in range(50):
             a, b = rng.normal(size=(2, obj.n))
-            lhs = np.linalg.norm(grad_h(obj, a) - grad_h(obj, b))
+            lhs = np.linalg.norm(grad_h_at(obj, a) - grad_h_at(obj, b))
             assert lhs <= lip * np.linalg.norm(a - b) * (1 + 1e-12)
 
     def test_grad_h_on_psd_matrix_is_tau_scaling(self, rng):
         decomp = decompose_gram(np.eye(3) * 2.0, 0.5)
         obj = DcObjective(decomp, np.array([1.0, 1.0, -1.0]), lam=3.0)
         alpha = rng.normal(size=3)
-        assert np.allclose(grad_h(obj, alpha), 3.0 * 0.5 * alpha, atol=1e-12)
+        assert np.allclose(grad_h_at(obj, alpha), 3.0 * 0.5 * alpha, atol=1e-12)
 
 
 class TestSoftThreshold:

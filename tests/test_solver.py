@@ -19,7 +19,7 @@ from iklogit import (
     pla_fit,
     rate_monitor,
 )
-from iklogit.objective import grad_h, loss_terms, sigmoid
+from iklogit.objective import sigmoid
 from iklogit.solver import (
     CONVERGED,
     DIVERGED,
@@ -31,14 +31,16 @@ from iklogit.solver import (
     SolveTrace,
     inner_solve,
     smooth_lipschitz_bound,
-    stationarity_residual,
 )
 from iklogit.spectral import GramDecomposition, sym_eigendecompose
 
 from conftest import (
     benchmark_data,
+    grad_h_at,
     kplus,
+    residual_at,
     smooth_grad_g,
+    solve_subproblem,
     symmetric_objective,
     tl1_objective,
 )
@@ -74,7 +76,7 @@ class TestLipschitzBound:
         obj = symmetric_objective(rng)
         gamma = 0.7
         anchor = rng.normal(size=obj.n)
-        omega = grad_h(obj, anchor)
+        omega = grad_h_at(obj, anchor)
         bound = smooth_lipschitz_bound(obj, gamma)
 
         def phi_grad(alpha):
@@ -85,17 +87,25 @@ class TestLipschitzBound:
             num = np.linalg.norm(phi_grad(a) - phi_grad(b))
             assert num <= bound * np.linalg.norm(a - b) * (1 + 1e-10)
 
-    def test_invalid_gamma_rejected(self, rng):
-        obj = symmetric_objective(rng)
-        with pytest.raises(InputError):
-            smooth_lipschitz_bound(obj, 0.0)
+    def test_computed_once_per_fit(self, rng, monkeypatch):
+        calls = []
+
+        def counting_bound(obj, gamma):
+            calls.append(gamma)
+            return smooth_lipschitz_bound(obj, gamma)
+
+        monkeypatch.setattr(iklogit.solver, "smooth_lipschitz_bound", counting_bound)
+        obj = tl1_objective(rng, n=20, lam=0.3, lam1=0.02)
+        _, trace = pla_fit(obj, SolverConfig(gamma=0.5))
+        assert trace.num_iterations > 1
+        assert calls == [0.5]
 
 
 class TestInnerSolve:
     def test_l1_dominated_origin_is_returned_immediately(self, rng):
         obj = dominant_lam1_objective(rng)
         zero = np.zeros(obj.n)
-        result = inner_solve(obj, zero, zero, 1.0, SolverConfig())
+        result = solve_subproblem(obj, zero, zero, SolverConfig())
         assert np.array_equal(result.alpha, zero)
         assert result.iterations == 0
         assert result.converged
@@ -110,7 +120,7 @@ class TestInnerSolve:
             tau=1.0,
         )
         obj = DcObjective(decomp, np.array([1.0]), lam=1.0, lam1=0.0)
-        result = inner_solve(obj, np.zeros(1), np.zeros(1), 1.0, SolverConfig())
+        result = solve_subproblem(obj, np.zeros(1), np.zeros(1), SolverConfig())
         assert np.array_equal(result.alpha, np.zeros(1))
         assert result.converged
 
@@ -123,8 +133,8 @@ class TestInnerSolve:
                 lam1=float(rng.choice([0.0, 0.05, 0.3])),
             )
             anchor = rng.normal(size=n)
-            omega = grad_h(obj, anchor)
-            result = inner_solve(obj, omega, anchor, 1.0, cfg)
+            omega = grad_h_at(obj, anchor)
+            result = solve_subproblem(obj, omega, anchor, cfg)
             ref = ref_inner_prox_gradient(
                 obj.decomp.gram, kplus(obj.decomp), obj.y_signed,
                 obj.lam, obj.lam1, omega, anchor, 1.0,
@@ -145,27 +155,26 @@ class TestInnerSolve:
         obj = symmetric_objective(rng, lam1=0.0)
         cfg = SolverConfig(max_inner=1, epsilon_inner=1e-15)
         anchor = rng.normal(size=obj.n) * 5.0
-        result = inner_solve(obj, np.zeros(obj.n), anchor, 1.0, cfg)
+        result = solve_subproblem(obj, np.zeros(obj.n), anchor, cfg)
         assert not result.converged
         assert result.iterations == 1
         assert np.all(np.isfinite(result.alpha))
 
     def test_returned_scores_are_k_alpha(self, rng):
         obj = tl1_objective(rng, n=30)
-        omega = grad_h(obj, np.zeros(obj.n))
+        omega = grad_h_at(obj, np.zeros(obj.n))
         for cfg in (SolverConfig(), SolverConfig(max_inner=3, epsilon_inner=1e-15)):
-            result = inner_solve(obj, omega, np.zeros(obj.n), 1.0, cfg)
+            result = solve_subproblem(obj, omega, np.zeros(obj.n), cfg)
             assert result.iterations > 0
             assert np.array_equal(result.scores, obj.decomp.gram @ result.alpha)
-        known = obj.decomp.gram @ result.alpha
-        again = inner_solve(obj, omega, result.alpha, 1.0, SolverConfig(), scores=known)
+        again = solve_subproblem(obj, omega, result.alpha, SolverConfig())
         assert np.array_equal(again.scores, obj.decomp.gram @ again.alpha)
 
     def test_non_finite_blowup_raises(self, rng):
         obj = symmetric_objective(rng, lam1=0.0)
         huge = np.full(obj.n, 1e300)
         with pytest.raises(NumericalError):
-            inner_solve(obj, huge, np.zeros(obj.n), 1.0, SolverConfig())
+            solve_subproblem(obj, huge, np.zeros(obj.n), SolverConfig())
 
 
 class TestPlaFit:
@@ -261,9 +270,9 @@ class TestInexactInner:
         """The ``tol`` each inner_solve call of a fit receives, in order."""
         tols = []
 
-        def recording_inner_solve(*args, tol, **kwargs):
+        def recording_inner_solve(obj, omega, alpha_k, cfg, step, tol, *products):
             tols.append(tol)
-            return inner_solve(*args, tol=tol, **kwargs)
+            return inner_solve(obj, omega, alpha_k, cfg, step, tol, *products)
 
         monkeypatch.setattr(iklogit.solver, "inner_solve", recording_inner_solve)
         return tols
@@ -408,6 +417,10 @@ class TestSolverConfigValidation:
         with pytest.raises(InputError):
             SolverConfig(**kwargs)
 
+    def test_invalid_gamma_rejected(self):
+        with pytest.raises(InputError, match="gamma"):
+            SolverConfig(gamma=0.0)
+
     def test_callable_gamma_rejected(self):
         # gamma is one constant proximal weight; a schedule is not accepted.
         for gamma in (lambda k: 1.0, "1.0", None):
@@ -425,16 +438,16 @@ class TestSolverConfigValidation:
 class TestStationarityResidual:
     def test_zero_at_critical_point(self, rng):
         obj = dominant_lam1_objective(rng)
-        assert stationarity_residual(obj, np.zeros(obj.n)) == 0.0
+        assert residual_at(obj, np.zeros(obj.n)) == 0.0
 
     def test_positive_away_from_critical_points(self, rng):
         obj = tl1_objective(rng)
-        assert stationarity_residual(obj, rng.normal(size=obj.n) * 3) > 0
+        assert residual_at(obj, rng.normal(size=obj.n) * 3) > 0
 
     def test_decreases_along_solver_path(self, rng):
         obj = tl1_objective(rng, n=20, lam=0.3, lam1=0.02)
         alpha, trace = pla_fit(obj, SolverConfig())
-        first = stationarity_residual(obj, trace.iterates[0])
+        first = residual_at(obj, trace.iterates[0])
         assert trace.stationarity_residuals[-1] < first
 
 
@@ -494,8 +507,8 @@ class TestProductBudget:
 
     def test_outer_loop_adds_no_products(self, rng, monkeypatch):
         # K a, K- a and the loss gradient of each new iterate come back from
-        # the inner solve; outside it, only the starting point's K a and
-        # K- a are computed.
+        # the inner solve; outside it, only the starting point's K a, loss
+        # gradient and K- a are computed.
         obj, dense, lowrank = self.counted_objective(rng, monkeypatch)
         inside = {"dense": 0, "lowrank": 0, "solves": 0}
 
@@ -511,30 +524,8 @@ class TestProductBudget:
         _, trace = pla_fit(obj, SolverConfig())
         assert trace.status == CONVERGED
         assert inside["solves"] == trace.num_iterations > 10
-        assert len(dense) - inside["dense"] == 1
+        assert len(dense) - inside["dense"] == 2
         assert len(lowrank) - inside["lowrank"] == 1
-
-    def test_known_warm_start_products_are_reused(self, rng, monkeypatch):
-        obj, dense, lowrank = self.counted_objective(rng, monkeypatch)
-        alpha = rng.normal(size=obj.n) * (rng.random(obj.n) < 0.3)
-        gram = obj.decomp.gram.view(np.ndarray)
-        scores = gram @ alpha
-        kminus = obj.decomp.kminus_dot(alpha)
-        _, _, loss_grad = loss_terms(obj, alpha, scores=scores)
-        del dense[:], lowrank[:]
-        # A tolerance the warm start already meets: the solve returns it.
-        cfg = SolverConfig(epsilon_inner=1e6)
-        omega = grad_h(obj, alpha, kminus=kminus)
-        known = inner_solve(
-            obj, omega, alpha, 1.0, cfg,
-            scores=scores, kminus=kminus, loss_grad=loss_grad,
-        )
-        assert known.iterations == 0
-        assert (len(dense), len(lowrank)) == (0, 0)
-        own = inner_solve(obj, omega, alpha, 1.0, cfg)
-        for field in ("alpha", "scores", "kminus", "loss_grad"):
-            assert np.array_equal(getattr(known, field), getattr(own, field))
-        assert own.residual == known.residual
 
 
 class TestRateMonitor:
