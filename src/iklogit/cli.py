@@ -98,6 +98,27 @@ def _number(value, kind: type, name: str):
     return kind(value)
 
 
+def _string(value, name: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{name} must be a string, got {value!r}")
+    return value
+
+
+def _column(value, name: str) -> int | None:
+    """A column index (an integer, which may be negative) or null."""
+    if value is None:
+        return None
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{name} must be an integer or null, got {value!r}")
+    return value
+
+
+def _strings(value, name: str) -> tuple:
+    if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
+        raise ConfigError(f"{name} must be a list of strings, got {value!r}")
+    return tuple(value)
+
+
 def _grid(values) -> tuple:
     """A JSON list of numbers as a tuple of floats, else a ConfigError."""
     if not isinstance(values, list):
@@ -118,7 +139,9 @@ def _cast(section: dict, table: dict, where: str, required: tuple = ()) -> dict:
     ``table`` maps each allowed key to its cast; a None cast marks a key
     the command reads itself.  The casts ``float`` and ``int`` go through
     :func:`_number`, and the cast ``bool`` takes a JSON boolean only.
-    Absent keys are left out, so the spec dataclass supplies the default.
+    The casts ``_string``, ``_column`` and ``_strings`` name the key in
+    their errors.  Absent keys are left out, so the spec dataclass
+    supplies the default.
     """
     if not isinstance(section, dict):
         raise ConfigError(f"{where} must be a JSON object")
@@ -140,6 +163,8 @@ def _value(value, cast, name: str):
         return _number(value, cast, name)
     if cast is bool and not isinstance(value, bool):
         raise ConfigError(f"{name} must be true or false, got {value!r}")
+    if cast in (_string, _column, _strings):
+        return cast(value, name)
     return cast(value)
 
 
@@ -171,8 +196,8 @@ def _model_spec(section: dict, solver: SolverConfig) -> ModelSpec:
 
 # One table per config section: key -> cast.
 _DATA = {
-    "path": None, "delimiter": _as_is, "has_header": bool,
-    "label_column": _as_is, "standardize": bool,
+    "path": None, "delimiter": _string, "has_header": bool,
+    "label_column": _column, "standardize": bool,
 }
 _SOLVER = {
     "gamma": float, "epsilon_outer": float, "max_outer": int,
@@ -184,7 +209,7 @@ _MODEL = {
     "tau": float, "kernel": _kernel_spec,
 }
 _BENCH = {
-    "data": None, "name": _as_is, "variants": tuple, "grid": _grid,
+    "data": None, "name": _string, "variants": _strings, "grid": _grid,
     "repeats": int, "cv_folds": int, "base_seed": int, "tau": float,
     "solver": _solver_config, "output": None,
 }

@@ -122,8 +122,11 @@ def grad_h(obj: DcObjective, alpha: np.ndarray, kminus: np.ndarray) -> np.ndarra
 
 
 def soft_threshold(v: np.ndarray, t: float) -> np.ndarray:
-    """Proximal map of t * ||.||_1: sign(v) * max(|v| - t, 0) componentwise."""
-    if not (np.isfinite(t) and t >= 0):
-        raise InputError(f"threshold must be >= 0, got {t}")
+    """Proximal map of t * ||.||_1: sign(v) * max(|v| - t, 0) componentwise.
+
+    Computed as v - clip(v, -t, t), which gives the same values (a zero may
+    carry the other sign).  ``t`` must be a finite number >= 0; the solver
+    checks it once per solve, not once per call.
+    """
     arr = np.asarray(v, dtype=np.float64)
-    return np.sign(arr) * np.maximum(np.abs(arr) - t, 0.0)
+    return arr - np.minimum(np.maximum(arr, -t), t)

@@ -51,20 +51,25 @@ is certified by the proximal fixed-point residual
 returned.
 
 Product budget: every product with K and K- is computed once per point and
-carried next to the iterate.  An inner iteration does three dense n x n
-products (the loss gradient K (y * s) at the momentum point y, then K a and
-the loss gradient at the candidate) and one low-rank K- a at the candidate.
-K y and K- y are combinations of the carried products, since the momentum
-point y = c + beta (c - x) is linear in the iterates.  When beta = 0 (the
-first iteration and the one after a restart) y is the candidate itself and
-its gradient is reused, one dense product fewer.  A momentum restart costs
-two dense products and one low-rank product more.  The outer loop adds no
-product of its own: K a, K- a and the loss gradient of the new iterate come
-back from the inner solve and serve f_value, grad_h, the stationarity
-residual and the next warm start.  Only the starting point costs two dense
-products (K a and the loss gradient) and one low-rank K- a.  No function
-computes a product it is not given: each takes the products it needs as
-arguments.
+carried next to the iterate.  An inner iteration makes one full n x n
+product: the loss gradient K (y * s) at the momentum point y.  K y and K+ y
+are combinations of the carried products, since y = c + beta (c - x) is
+linear in the iterates.  The candidate c = S(y - t grad phi(y)) comes out
+of the L1 prox, so it is mostly sparse: while fewer than half of its
+coefficients are nonzero, K c and W^T c are sums of the support rows of K
+and W (full products otherwise), and K- c = tau c + W (W^T c) adds one
+low-rank expansion.  The candidate's loss gradient, a second full product,
+is taken in two cases only.  A momentum restart needs it at the last
+candidate x, for the plain step from x.  The stop test needs it once the
+momentum point's residual ||y - c||_inf, which costs nothing, is at most
+INNER_CHECK_FACTOR times the tolerance; when beta = 0 (the first iteration
+and the one after a restart) y is x, that residual is x's exact one, and x
+is returned with the products it carries.  The outer loop adds no product
+of its own: K a, K- a and the loss gradient of the new iterate come back
+from the inner solve and serve f_value, grad_h, the stationarity residual
+and the next warm start.  Only the starting point costs two dense products
+(K a and the loss gradient) and one low-rank K- a.  No function computes a
+product it is not given: each takes the products it needs as arguments.
 """
 
 from __future__ import annotations
@@ -78,6 +83,7 @@ import numpy as np
 from .errors import InputError, NumericalError, check_number
 from .objective import DcObjective, f_value, grad_h, loss_value, soft_threshold
 from .objective import loss_grad as loss_gradient
+from .spectral import GramDecomposition
 
 CONVERGED = "converged"
 MAX_ITERATIONS = "max_iterations"
@@ -95,6 +101,15 @@ DIVERGENCE_NORM = 1e12
 # Step k's inner tolerance is max(epsilon_inner, INNER_RTOL * ||alpha_k -
 # alpha_{k-1}||); 0 gives the fixed tolerance epsilon_inner.
 INNER_RTOL = 1e-3
+
+# An inner iteration's candidate c pays a full product (its loss gradient)
+# for its exact residual only when the momentum point's free residual
+# ||y - c||_inf is at most INNER_CHECK_FACTOR * tol: a smaller factor checks
+# less often but can stop later.  One unit of the benchmark workloads at
+# factors 1, 3, 10 and infinity (check every candidate): bench-protocol
+# takes 53,366, 49,693, 46,698 and 46,146 inner iterations, and fit-tl1
+# 14,662, 14,491, 16,935 and 24,788 full products.
+INNER_CHECK_FACTOR = 3.0
 
 log = logging.getLogger(__name__)
 
@@ -128,8 +143,10 @@ class SolverConfig:
 class InnerResult:
     """Outcome of one subproblem solve.
 
-    ``scores`` is K alpha, ``kminus`` is K- alpha and ``loss_grad`` is the
-    loss gradient at alpha (see :func:`.objective.loss_grad`).
+    ``iterations`` is the index of the returned iterate (0 for the warm
+    start).  ``scores`` is K alpha, ``kminus`` is K- alpha and
+    ``loss_grad`` is the loss gradient at alpha (see
+    :func:`.objective.loss_grad`).
     """
 
     alpha: np.ndarray
@@ -190,10 +207,31 @@ def smooth_lipschitz_bound(obj: DcObjective, gamma: float) -> float:
     return spec_norm**2 / (4.0 * obj.n) + obj.lam * kplus_norm + 1.0 / gamma
 
 
+def _max_abs(v: np.ndarray) -> float:
+    return float(np.abs(v).max()) if v.size else 0.0
+
+
 def _prox_residual(a: np.ndarray, grad: np.ndarray, step: float, t: float) -> float:
     """Proximal fixed-point residual ||a - S_t(a - step grad)||_inf."""
-    moved = soft_threshold(a - step * grad, t)
-    return float(np.max(np.abs(a - moved))) if a.size else 0.0
+    return _max_abs(a - soft_threshold(a - step * grad, t))
+
+
+def _products(decomp: GramDecomposition, a: np.ndarray):
+    """K a, K+ a and the support of a.
+
+    When fewer than half of a's coefficients are nonzero, K a and W^T a are
+    sums of the support rows of K (which is symmetric) and W; they differ
+    from the full products only in rounding.
+    """
+    nz = a.nonzero()[0]
+    if 2 * nz.size < a.size:
+        coef = a[nz]
+        k_a = coef @ decomp.gram[nz]
+        kminus_a = decomp.tau * a + decomp.lowrank @ (coef @ decomp.lowrank[nz])
+    else:
+        k_a = decomp.gram @ a
+        kminus_a = decomp.kminus_dot(a)
+    return k_a, k_a + kminus_a, nz
 
 
 # Overflow in the loop is diagnosed through the non-finite objective check.
@@ -216,71 +254,86 @@ def inner_solve(
     K alpha_k, K- alpha_k and loss gradient are ``scores``, ``kminus`` and
     ``loss_grad``.  When the momentum step raises the subproblem objective,
     momentum is discarded and a plain proximal-gradient step (guaranteed
-    descent at step 1/L) is taken instead.  Returns the first iterate whose
-    residual passes ``tol``, or the last iterate with ``converged=False``
+    descent at step 1/L) is taken instead.  Each iteration takes the loss
+    gradient at the momentum point only, and the candidate's K c and K- c
+    from the rows of its support; the candidate's loss gradient is taken
+    only for a restart or for the stop test, which runs once the momentum
+    point's free residual is within INNER_CHECK_FACTOR of ``tol``.  Returns
+    the first candidate whose exact residual passes ``tol``, with
+    ``iterations`` its index, or the last candidate with ``converged=False``
     after ``cfg.max_inner`` steps.
     """
     anchor = np.asarray(alpha_k, dtype=np.float64)
-    omega = np.asarray(omega, dtype=np.float64)
-    gamma, threshold = cfg.gamma, step * obj.lam1
-    gram, kminus_dot = obj.decomp.gram, obj.decomp.kminus_dot
+    threshold = step * obj.lam1
+    check_number("threshold", threshold, positive=False)
+    lam, inv_gamma, decomp = obj.lam, 1.0 / cfg.gamma, obj.decomp
+    # grad phi(a) = loss gradient + lam K+ a + a / gamma - shift, where
+    # phi = g's smooth part - omega^T (a - alpha_k) + ||a - alpha_k||^2 / (2 gamma).
+    shift = np.asarray(omega, dtype=np.float64) + inv_gamma * anchor
 
-    def grad_phi(a, k_a, km_a, lg_a):
-        """grad phi at a from K a, K- a and the loss gradient, where
-        phi = g's smooth part - omega^T (a - alpha_k) + ||a - alpha_k||^2 / (2 gamma).
-        """
-        return lg_a + obj.lam * (k_a + km_a) - omega + (a - anchor) / gamma
+    def total(a, k_a, kp_a, nz):
+        """phi + lam1 ||a||_1 at a, less the constant of the solve; the
+        coefficient terms are sums over the support nz."""
+        s = a[nz]
+        coef_terms = s @ (0.5 * lam * kp_a[nz] + 0.5 * inv_gamma * s - shift[nz])
+        l1_term = obj.lam1 * float(np.abs(s).sum())
+        return loss_value(obj, k_a) + float(coef_terms) + l1_term
 
-    def total(a, k_a, km_a):
-        """phi + lam1 ||a||_1 at a from K a and K- a."""
-        diff = a - anchor
-        value = loss_value(obj, k_a) + 0.5 * obj.lam * float(a @ (k_a + km_a))
-        value = value - float(omega @ diff) + 0.5 / gamma * float(diff @ diff)
-        return value + obj.lam1 * float(np.abs(a).sum())
+    def grad_phi(a, kp_a, lg_a):
+        """grad phi at a from K+ a and the loss gradient."""
+        return lg_a + lam * kp_a + inv_gamma * a - shift
 
-    def at(a):
-        """K a, K- a, the loss gradient, phi + lam1 ||a||_1 and grad phi at a."""
-        k_a, km_a = gram @ a, kminus_dot(a)
-        lg_a = loss_gradient(obj, k_a)
-        return k_a, km_a, lg_a, total(a, k_a, km_a), grad_phi(a, k_a, km_a, lg_a)
-
-    x, kx, kmx, lgx = anchor.copy(), scores, kminus, loss_grad
-    total_x, grad_x = total(x, kx, kmx), grad_phi(x, kx, kmx, lgx)
-    residual = _prox_residual(x, grad_x, step, threshold)
-    if residual <= tol:
-        return InnerResult(x, 0, residual, True, kx, kmx, lgx)
-
-    grad_y = grad_x
-    y = x
-    theta = 1.0
+    # x is the last candidate; its loss gradient lgx is None until needed.
+    x, kx, kpx, lgx = anchor, scores, scores + kminus, loss_grad
+    total_x = total(x, kx, kpx, x.nonzero()[0])
+    y, kpy, lgy = x, kpx, lgx
+    theta, beta = 1.0, 0.0
     for it in range(1, cfg.max_inner + 1):
-        cand = soft_threshold(y - step * grad_y, threshold)
-        kc, kmc, lgc, total_c, grad_c = at(cand)
-        if not np.isfinite(total_c):
+        cand = soft_threshold(y - step * grad_phi(y, kpy, lgy), threshold)
+        gap = _max_abs(y - cand)
+        if beta == 0.0 and gap <= tol:
+            # y is x, so gap is x's exact residual.
+            return InnerResult(x, it - 1, gap, True, kx, kpx - kx, lgx)
+        kc, kpc, nzc = _products(decomp, cand)
+        total_c = total(cand, kc, kpc, nzc)
+        if not math.isfinite(total_c):
             raise NumericalError("inner solve produced a non-finite objective")
         if total_c > total_x:
-            # Momentum overshot; fall back to a plain step from x.
-            cand = soft_threshold(x - step * grad_x, threshold)
-            kc, kmc, lgc, total_c, grad_c = at(cand)
             theta = 1.0
-        residual = _prox_residual(cand, grad_c, step, threshold)
-        if residual <= tol:
-            return InnerResult(cand, it, residual, True, kc, kmc, lgc)
+            if beta != 0.0:
+                # Momentum overshot; fall back to a plain step from x.
+                if lgx is None:
+                    lgx = loss_gradient(obj, kx)
+                cand = soft_threshold(x - step * grad_phi(x, kpx, lgx), threshold)
+                gap, beta = _max_abs(x - cand), 0.0
+                if gap <= tol:
+                    return InnerResult(x, it - 1, gap, True, kx, kpx - kx, lgx)
+                kc, kpc, nzc = _products(decomp, cand)
+                total_c = total(cand, kc, kpc, nzc)
+        lgc = None
+        if gap <= INNER_CHECK_FACTOR * tol:
+            lgc = loss_gradient(obj, kc)
+            residual = _prox_residual(cand, grad_phi(cand, kpc, lgc), step, threshold)
+            if residual <= tol:
+                return InnerResult(cand, it, residual, True, kc, kpc - kc, lgc)
         theta_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * theta * theta))
         beta = (theta - 1.0) / theta_next
         if beta == 0.0:
             # First step and the one after a restart: y is the candidate.
-            y, grad_y = cand, grad_c
+            if lgc is None:
+                lgc = loss_gradient(obj, kc)
+            y, kpy, lgy = cand, kpc, lgc
         else:
-            # y is linear in the iterates, and so are K y and K- y.
+            # y is linear in the iterates, and so are K y and K+ y.
             y = cand + beta * (cand - x)
-            ky = kc + beta * (kc - kx)
-            kmy = kmc + beta * (kmc - kmx)
-            grad_y = grad_phi(y, ky, kmy, loss_gradient(obj, ky))
-        x, kx, kmx, lgx = cand, kc, kmc, lgc
-        grad_x, total_x, theta = grad_c, total_c, theta_next
+            kpy = kpc + beta * (kpc - kpx)
+            lgy = loss_gradient(obj, kc + beta * (kc - kx))
+        x, kx, kpx, lgx, total_x, theta = cand, kc, kpc, lgc, total_c, theta_next
 
-    return InnerResult(x, cfg.max_inner, residual, False, kx, kmx, lgx)
+    if lgx is None:
+        lgx = loss_gradient(obj, kx)
+    residual = _prox_residual(x, grad_phi(x, kpx, lgx), step, threshold)
+    return InnerResult(x, cfg.max_inner, residual, False, kx, kpx - kx, lgx)
 
 
 def stationarity_residual(
@@ -298,6 +351,7 @@ def stationarity_residual(
     gradient at alpha.
     """
     a = np.asarray(alpha, dtype=np.float64)
+    check_number("threshold", step * obj.lam1, positive=False)
     # grad g - grad h = loss gradient + lam (K+ - K-) a = ... + lam K a.
     return _prox_residual(a, loss_grad + obj.lam * scores, step, step * obj.lam1)
 

@@ -416,6 +416,28 @@ class TestConfigTypes:
         assert not (tmp_path / "report.json").exists()
 
     @pytest.mark.parametrize(
+        "override, message",
+        [('variants="klr"', "bench config key 'variants' must be a list of strings"),
+         ('variants=["klr", 1]', "bench config key 'variants' must be a list of strings"),
+         ("name=3", "bench config key 'name' must be a string"),
+         ('data.label_column="x"', "data key 'label_column' must be an integer or null"),
+         ("data.label_column=true", "data key 'label_column' must be an integer or null"),
+         ("data.delimiter=5", "data key 'delimiter' must be a string")],
+    )
+    def test_bench_pass_through_keys_are_typed(
+        self, clusters_csv, tmp_path, capsys, override, message
+    ):
+        cfg = write_config(
+            tmp_path,
+            {"data": {"path": str(clusters_csv)}, "variants": ["klr"], "grid": [0.1],
+             "repeats": 1, "cv_folds": 2, "output": {"directory": str(tmp_path)}},
+        )
+        rc = main(["bench", "--config", cfg, "--set", override])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}, got ")
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize(
         "override, section",
         [("output=3", "output"), ("data=3", "data"), ("model=3", "model"),
          ("solver=[]", "solver"), ("model.kernel=3", "kernel")],

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from iklogit import DcObjective, InputError, decompose_gram
+from iklogit import DcObjective, InputError, SolverConfig, decompose_gram
 from iklogit.objective import soft_threshold
+from iklogit.solver import inner_solve, stationarity_residual
 
 from conftest import (
     f_at,
@@ -171,9 +172,25 @@ class TestSoftThreshold:
             soft_threshold(np.array([2.0, -2.0, 0.0]), 0.5), [1.5, -1.5, 0.0]
         )
 
-    def test_negative_threshold_rejected(self):
-        with pytest.raises(InputError):
-            soft_threshold(np.ones(2), -0.1)
+    def test_negative_threshold_rejected(self, rng):
+        # soft_threshold itself does not check t: the solver checks its
+        # threshold step * lam1 once per solve.
+        obj = tl1_objective(rng)
+        zero = np.zeros(obj.n)
+        for step in (-0.1, math.nan):
+            with pytest.raises(InputError):
+                stationarity_residual(obj, zero, step, zero, zero)
+            with pytest.raises(InputError):
+                inner_solve(
+                    obj, zero, zero, SolverConfig(), step, 1e-8, zero, zero, zero
+                )
+
+    def test_clip_form_equals_sign_form(self, rng):
+        v = rng.normal(size=1_000_000)
+        v[::7] = 0.0
+        for t in (0.0, 0.3, 1.0):
+            sign_form = np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
+            assert np.array_equal(soft_threshold(v, t), sign_form)
 
     def test_nonexpansive(self, rng):
         for _ in range(50):

@@ -19,7 +19,7 @@ from iklogit import (
     pla_fit,
     rate_monitor,
 )
-from iklogit.objective import sigmoid
+from iklogit.objective import loss_grad, sigmoid
 from iklogit.solver import (
     CONVERGED,
     DIVERGED,
@@ -31,6 +31,7 @@ from iklogit.solver import (
     SolveTrace,
     inner_solve,
     smooth_lipschitz_bound,
+    stationarity_residual,
 )
 from iklogit.spectral import GramDecomposition, sym_eigendecompose
 
@@ -169,6 +170,51 @@ class TestInnerSolve:
             assert np.array_equal(result.scores, obj.decomp.gram @ result.alpha)
         again = solve_subproblem(obj, omega, result.alpha, SolverConfig())
         assert np.array_equal(again.scores, obj.decomp.gram @ again.alpha)
+
+    def test_support_row_products_match_full(self, rng):
+        # Below half of n nonzeros, K a and W^T a are sums over the support
+        # rows: equal to the full products up to rounding.
+        decomp = tl1_objective(rng, n=80).decomp
+        assert decomp.lowrank.shape[1] > 0
+        for count in (0, 1, 5, 39, 40, 80):
+            a = np.zeros(80)
+            a[rng.choice(80, count, replace=False)] = rng.normal(size=count)
+            k_a, kplus_a, nz = iklogit.solver._products(decomp, a)
+            full = decomp.gram @ a
+            assert np.array_equal(nz, np.flatnonzero(a))
+            assert np.allclose(k_a, full, rtol=1e-13, atol=1e-15)
+            kplus_full = full + decomp.kminus_dot(a)
+            assert np.allclose(kplus_a, kplus_full, rtol=1e-13, atol=1e-15)
+
+    def test_stop_on_free_residual_returns_exact_products(self, rng):
+        # A strong proximal term (small gamma) makes plain steps contract
+        # fast.  With tol a quarter of the start's residual, the first
+        # candidate is not checked; the second iteration's momentum point
+        # is that candidate (beta = 0), its free residual passes, and the
+        # solve returns it with the products it carries.
+        obj = tl1_objective(rng, n=40)
+        cfg = SolverConfig(gamma=0.01)
+        anchor = np.zeros(obj.n)
+        omega = grad_h_at(obj, anchor)
+        step = 1.0 / smooth_lipschitz_bound(obj, cfg.gamma)
+        scores = obj.decomp.gram @ anchor
+        lg = loss_grad(obj, scores)
+        start = stationarity_residual(obj, anchor, step, scores, lg)
+        tol = start / 4
+        kminus = obj.decomp.kminus_dot(anchor)
+        result = inner_solve(obj, omega, anchor, cfg, step, tol, scores, kminus, lg)
+        assert result.converged
+        assert result.iterations == 1
+        assert result.residual <= tol
+        alpha = result.alpha
+        k_alpha = obj.decomp.gram @ alpha
+        assert np.allclose(result.scores, k_alpha, rtol=1e-13, atol=1e-15)
+        exact = {
+            "kminus": obj.decomp.kminus_dot(alpha),
+            "loss_grad": loss_grad(obj, k_alpha),
+        }
+        for name, value in exact.items():
+            assert np.allclose(getattr(result, name), value, rtol=1e-12, atol=1e-15)
 
     def test_non_finite_blowup_raises(self, rng):
         obj = symmetric_objective(rng, lam1=0.0)
@@ -453,70 +499,82 @@ class TestStationarityResidual:
 
 class TestProductBudget:
     @staticmethod
-    def counted_objective(rng, monkeypatch):
-        """An indefinite TL1 objective whose K and K- products are counted."""
-        dense, lowrank = [], []
+    def counted_objective(rng):
+        """An indefinite TL1 objective whose K and K- products are counted.
+
+        ``dense`` gets one entry per full product with K, ``rows`` the row
+        count of each product with support rows of K (``c[nz] @ K[nz]``),
+        and ``lowrank`` one entry per expansion W v of a K- product.
+        """
+        dense, rows, lowrank = [], [], []
 
         class CountingGram(np.ndarray):
             def __matmul__(self, other):
                 dense.append(1)
                 return np.matmul(self.view(np.ndarray), other)
 
-        obj = tl1_objective(rng, n=60, d=3, lam=0.1, lam1=0.01)
+            def __rmatmul__(self, other):
+                rows.append(self.shape[0])
+                return np.matmul(other, self.view(np.ndarray))
+
+        class CountingFactor(np.ndarray):
+            def __matmul__(self, other):
+                if self.shape[0] == n:  # W v, not W^T a
+                    lowrank.append(1)
+                return np.matmul(self.view(np.ndarray), other)
+
+        obj = tl1_objective(rng, n=100, d=3, lam=0.1, lam1=0.01)
+        n = obj.n
         assert np.any(obj.decomp.eigenvalues < 0)
         # The split keeps no eigenvectors, so W is rebuilt from a fresh eigh.
         vals, vecs = sym_eigendecompose(obj.decomp.gram)
         counted = GramDecomposition(
             obj.decomp.gram.view(CountingGram), vals, vecs, obj.decomp.tau
         )
+        object.__setattr__(counted, "lowrank", counted.lowrank.view(CountingFactor))
         obj = DcObjective(counted, obj.y_signed, lam=obj.lam, lam1=obj.lam1)
-        kminus_dot = GramDecomposition.kminus_dot
+        return obj, dense, rows, lowrank
 
-        def counting_kminus_dot(self, alpha):
-            lowrank.append(1)
-            return kminus_dot(self, alpha)
-
-        monkeypatch.setattr(GramDecomposition, "kminus_dot", counting_kminus_dot)
-        return obj, dense, lowrank
-
-    def test_products_per_inner_iteration(self, rng, monkeypatch):
-        # Every product with K and K- is computed once per point: three dense
-        # and one low-rank product per inner iteration, plus restarts and a
-        # few per fit.  Recomputing K y at the momentum point, or the
-        # gradient at y when beta = 0, costs at least 4 dense and 2 low-rank.
-        # Fixed inner tolerance: long inner solves, few outer steps.
-        monkeypatch.setattr(iklogit.solver, "INNER_RTOL", 0.0)
-        obj, dense, lowrank = self.counted_objective(rng, monkeypatch)
+    def check_budget(self, rng, min_ratio):
+        obj, dense, rows, lowrank = self.counted_objective(rng)
         _, trace = pla_fit(obj, SolverConfig())
         assert trace.status == CONVERGED
         inner, outer = sum(trace.inner_iterations), trace.num_iterations
-        assert inner > 10 * outer
-        assert len(dense) <= 3.3 * inner
+        assert inner > min_ratio * outer
+        # One full product per inner iteration (the loss gradient at the
+        # momentum point), plus stop tests, restarts and a few per fit.
+        # Taking the candidate's loss gradient every iteration, or its K c
+        # as a full product, costs about 2 or 3 per inner iteration.
+        assert len(dense) <= 1.5 * inner + 2 * outer + 2
+        # While under half of a candidate's coefficients are nonzero, its
+        # K c comes from its support rows; K- c costs one expansion W v.
+        assert 0 < len(rows) <= 1.3 * inner + outer
+        assert max(rows) < obj.n / 2
         assert len(lowrank) <= 1.3 * inner + 1 * outer + 2
+
+    def test_products_per_inner_iteration(self, rng, monkeypatch):
+        # Fixed inner tolerance: long inner solves, few outer steps.
+        monkeypatch.setattr(iklogit.solver, "INNER_RTOL", 0.0)
+        self.check_budget(rng, min_ratio=10)
 
     def test_products_per_inner_iteration_default(self, rng, monkeypatch):
         # The same budget at the default step-relative tolerance, whose
         # inner solves are shorter.
-        obj, dense, lowrank = self.counted_objective(rng, monkeypatch)
-        _, trace = pla_fit(obj, SolverConfig())
-        assert trace.status == CONVERGED
-        inner, outer = sum(trace.inner_iterations), trace.num_iterations
-        assert inner > 5 * outer
-        assert len(dense) <= 3.3 * inner
-        assert len(lowrank) <= 1.3 * inner + 1 * outer + 2
+        self.check_budget(rng, min_ratio=5)
 
     def test_outer_loop_adds_no_products(self, rng, monkeypatch):
         # K a, K- a and the loss gradient of each new iterate come back from
         # the inner solve; outside it, only the starting point's K a, loss
         # gradient and K- a are computed.
-        obj, dense, lowrank = self.counted_objective(rng, monkeypatch)
-        inside = {"dense": 0, "lowrank": 0, "solves": 0}
+        obj, dense, rows, lowrank = self.counted_objective(rng)
+        inside = {"dense": 0, "rows": 0, "lowrank": 0, "solves": 0}
 
         def counting_inner_solve(*args, **kwargs):
-            before = len(dense), len(lowrank)
+            before = len(dense), len(rows), len(lowrank)
             result = inner_solve(*args, **kwargs)
             inside["dense"] += len(dense) - before[0]
-            inside["lowrank"] += len(lowrank) - before[1]
+            inside["rows"] += len(rows) - before[1]
+            inside["lowrank"] += len(lowrank) - before[2]
             inside["solves"] += 1
             return result
 
@@ -525,6 +583,7 @@ class TestProductBudget:
         assert trace.status == CONVERGED
         assert inside["solves"] == trace.num_iterations > 10
         assert len(dense) - inside["dense"] == 2
+        assert len(rows) == inside["rows"]
         assert len(lowrank) - inside["lowrank"] == 1
 
 
