@@ -203,7 +203,7 @@ _SOLVER = {
     "gamma": float, "epsilon_outer": float, "max_outer": int,
     "epsilon_inner": float, "max_inner": int,
 }
-_KERNEL = {"kind": _as_is, "eta": _as_is, "sigma": _as_is}
+_KERNEL = {"kind": _string, "eta": float, "sigma": float}
 _MODEL = {
     "variant": _as_is, "lambda": float, "lambda1": float,
     "tau": float, "kernel": _kernel_spec,

@@ -32,10 +32,11 @@ class NumericalError(RuntimeError):
 
 
 def check_number(name: str, value, positive: bool = True) -> None:
-    """Raise InputError unless ``value`` is a finite real number that is
-    > 0 (``positive``) or >= 0."""
+    """Raise InputError unless ``value`` is a finite real number, not a
+    bool, that is > 0 (``positive``) or >= 0."""
     if not (
         isinstance(value, numbers.Real)
+        and not isinstance(value, bool)
         and math.isfinite(value)
         and (value > 0 if positive else value >= 0)
     ):

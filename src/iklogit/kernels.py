@@ -92,8 +92,13 @@ class Dataset:
 
 
 def _positive(value) -> bool:
-    """True for a positive finite number, False for anything else."""
-    return isinstance(value, numbers.Real) and bool(np.isfinite(value)) and value > 0
+    """True for a positive finite number, False for anything else (a bool too)."""
+    return (
+        isinstance(value, numbers.Real)
+        and not isinstance(value, bool)
+        and bool(np.isfinite(value))
+        and value > 0
+    )
 
 
 @dataclass(frozen=True)

@@ -165,6 +165,9 @@ def _float_array(value, name: str) -> np.ndarray:
 def fit(spec: ModelSpec, train: Dataset) -> FittedModel:
     """Train one model: Gram, positive decomposition, then the PLA solver.
 
+    An RBF Gram is declared positive semidefinite, so its split runs no
+    eigensolver (see :func:`decompose_gram`).
+
     Raises InputError when the training labels are single-class.  A run
     that hits max_outer still returns a model; the trace carries the
     ``max_iterations`` status.
@@ -173,7 +176,7 @@ def fit(spec: ModelSpec, train: Dataset) -> FittedModel:
         raise InputError("training data must contain both classes")
     kernel = spec.effective_kernel(train.d)
     gram = gram_matrix(kernel, train)
-    decomp = decompose_gram(gram, spec.tau)
+    decomp = decompose_gram(gram, spec.tau, psd=kernel.kind == "rbf")
     obj = DcObjective.from_labels(decomp, train.labels, spec.lam, spec.lam1)
     alpha, trace = pla_fit(obj, spec.solver)
     return FittedModel(

@@ -198,13 +198,13 @@ def smooth_lipschitz_bound(obj: DcObjective, gamma: float) -> float:
 
     Sum of the three smooth pieces' curvature bounds: the logistic loss
     contributes ||K||_2^2 / (4n), the quadratic lam * ||K+||_2, and the
-    proximal term 1/gamma.  ||K||_2 is max(|mu_1|, |mu_n|) and
-    ||K+||_2 = max(mu_1, 0) + tau, both exact from the stored spectrum.
+    proximal term 1/gamma.  ||K||_2 and ||K+||_2 = max(mu_1, 0) + tau come
+    from the decomposition's stored norms: exact from the spectrum, or the
+    power iteration's upper bound for a Gram declared PSD.
     """
-    eig = obj.decomp.eigenvalues
-    spec_norm = max(abs(float(eig[0])), abs(float(eig[-1])))
-    kplus_norm = max(float(eig[0]), 0.0) + obj.decomp.tau
-    return spec_norm**2 / (4.0 * obj.n) + obj.lam * kplus_norm + 1.0 / gamma
+    decomp = obj.decomp
+    kplus_norm = decomp.top_eigenvalue + decomp.tau
+    return decomp.spectral_norm**2 / (4.0 * obj.n) + obj.lam * kplus_norm + 1.0 / gamma
 
 
 def _max_abs(v: np.ndarray) -> float:

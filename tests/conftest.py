@@ -114,12 +114,12 @@ def symmetric_objective(
 
 
 # Dense forms of a GramDecomposition, for checks only: the package applies
-# K+ and K- as products and keeps no eigenvectors, so these redo the
-# eigendecomposition of the stored K.
+# K+ and K- as products and keeps neither eigenvalues nor eigenvectors, so
+# these redo the eigendecomposition of the stored K.
 def _dense(decomp, sign: float) -> np.ndarray:
     """V diag(max(sign * mu, 0) + tau) V^T: K+ for sign 1, K- for sign -1."""
-    _, vecs = sym_eigendecompose(decomp.gram)
-    mat = (vecs * (np.maximum(sign * decomp.eigenvalues, 0.0) + decomp.tau)) @ vecs.T
+    vals, vecs = sym_eigendecompose(decomp.gram)
+    mat = (vecs * (np.maximum(sign * vals, 0.0) + decomp.tau)) @ vecs.T
     # Re-symmetrize to kill rounding skew before downstream eigen checks.
     return 0.5 * (mat + mat.T)
 
@@ -134,8 +134,8 @@ def kminus(decomp) -> np.ndarray:
 
 def bfactor(decomp) -> np.ndarray:
     """Matrix B with B^T B = K+."""
-    _, vecs = sym_eigendecompose(decomp.gram)
-    shift = np.maximum(decomp.eigenvalues, 0.0) + decomp.tau
+    vals, vecs = sym_eigendecompose(decomp.gram)
+    shift = np.maximum(vals, 0.0) + decomp.tau
     return np.sqrt(shift)[:, None] * vecs.T
 
 
@@ -201,9 +201,14 @@ def residual_at(obj: DcObjective, alpha: np.ndarray) -> float:
     return stationarity_residual(obj, a, step, scores, loss_grad(obj, scores))
 
 
+def eigenvalues(decomp) -> np.ndarray:
+    """Eigenvalues of the stored K, descending, from a fresh eigendecomposition."""
+    return sym_eigendecompose(decomp.gram)[0]
+
+
 def num_nonneg(decomp) -> int:
     """Count of eigenvalues >= 0."""
-    return int(np.count_nonzero(decomp.eigenvalues >= 0.0))
+    return int(np.count_nonzero(eigenvalues(decomp) >= 0.0))
 
 
 def write_csv(path: Path, features: np.ndarray, labels: np.ndarray) -> Path:

@@ -276,7 +276,7 @@ def descent_battery():
         decomp = decompose_gram(gram, TAU)
         # Keep lambda * |mu_min| well under 1 so the run stays in the
         # basin a nonzero critical point lives in.
-        mu_min = float(decomp.eigenvalues[-1])
+        mu_min = float(sym_eigendecompose(gram)[0][-1])
         lam = min(0.1, 0.1 / max(abs(mu_min), 1e-9))
         runs.append(
             (name, DcObjective.from_labels(decomp, data.labels, lam, 0.01))

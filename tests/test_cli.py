@@ -358,6 +358,26 @@ class TestNumberKeys:
         assert err.startswith("error: ") and f"key {key!r} must be" in err
         assert not (tmp_path / "model.json").exists()
 
+    @pytest.mark.parametrize(
+        "kernel, key",
+        [
+            ('{"kind": "rbf", "sigma": true}', "sigma"),
+            ('{"kind": "tl1", "eta": false}', "eta"),
+            ('{"kind": "rbf", "sigma": "1"}', "sigma"),
+            ('{"kind": ["rbf"], "sigma": 1}', "kind"),
+        ],
+    )
+    def test_kernel_keys_are_typed(self, clusters_csv, tmp_path, capsys, kernel, key):
+        cfg = train_config(tmp_path, clusters_csv)
+        rc = main(["train", "--config", cfg, "--set", f"model.kernel={kernel}"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: kernel key {key!r} must be")
+        assert not (tmp_path / "model.json").exists()
+        rc = main(["kernel-stats", "--data", str(clusters_csv), "--set", f"kernel={kernel}"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: kernel key {key!r} must be")
+
     def test_integral_float_is_an_integer(self, clusters_csv, tmp_path, capsys):
         cfg = train_config(tmp_path, clusters_csv)
         assert main(["train", "--config", cfg, "--set", "solver.max_outer=1e3"]) == 0

@@ -18,6 +18,8 @@ INVALID_SPECS = [
     {"kind": "rbf", "eta": 1.0, "sigma": 1.0},
     {"kind": "tl1", "eta": "1.4"},
     {"kind": "rbf", "sigma": [1.0]},
+    {"kind": "rbf", "sigma": True},
+    {"kind": "tl1", "eta": True},
 ]
 
 

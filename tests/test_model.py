@@ -18,6 +18,7 @@ from iklogit import (
     fit,
     gram_matrix,
     load_model,
+    pla_fit,
     predict_label,
     predict_proba,
     save_model,
@@ -26,7 +27,7 @@ from iklogit.kernels import kernel_rows
 from iklogit.model import L1_VARIANTS, SPARSITY_THRESHOLD, VARIANTS
 from iklogit.solver import CONVERGED, MAX_ITERATIONS
 
-from conftest import f_at, random_dataset
+from conftest import benchmark_data, f_at, random_dataset
 from reference_solvers import ref_klr_solve, ref_l1_klr_solve
 
 
@@ -90,6 +91,8 @@ class TestModelSpec:
             dict(variant="klr", lam="1.0"),
             dict(variant="l1-rklr", lam=1.0, lam1=None),
             dict(variant="klr", lam=1.0, tau="1e-6"),
+            dict(variant="klr", lam=True),
+            dict(variant="klr", lam=1.0, tau=True),
         ],
     )
     def test_rejects_bad_parameters(self, kwargs):
@@ -456,6 +459,52 @@ class TestConvexReduction:
         assert abs(ours - ref_value) <= 1e-4 * (1.0 + abs(ref_value))
 
 
+class TestPsdByKernel:
+    """An RBF fit declares its Gram PSD: no eigensolver runs."""
+
+    @staticmethod
+    def refuse_eigensolvers(monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigensolver called")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+
+    @pytest.mark.parametrize("variant, lam1", [("klr", 0.0), ("l1-rklr", 0.01)])
+    def test_rbf_fit_runs_no_eigensolver(self, rng, monkeypatch, variant, lam1):
+        data = random_dataset(rng, n=40, d=3)
+        self.refuse_eigensolvers(monkeypatch)
+        model = fit(ModelSpec(variant=variant, lam=0.5, lam1=lam1), data)
+        assert model.trace.status == CONVERGED
+
+    def test_tl1_fit_keeps_the_eigensolver(self, rng, monkeypatch):
+        data = random_dataset(rng, n=20, d=3)
+        self.refuse_eigensolvers(monkeypatch)
+        with pytest.raises(AssertionError, match="eigensolver called"):
+            fit(ModelSpec(variant="l1-riklr", lam=0.5, lam1=0.01), data)
+
+    def test_matches_the_eigensolver_path_on_a_flat_gram(self):
+        # sigma = 100 makes K nearly all ones: eigvalsh reports 41
+        # eigenvalues near -1e-14, so the eigensolver path runs eigh and
+        # splits its negative ones (43) off into W; the PSD path keeps W empty.
+        data = benchmark_data(0, 200)
+        gram = gram_matrix(KernelSpec.rbf(100.0), data)
+        runs = []
+        for psd in (False, True):
+            decomp = decompose_gram(gram, 1e-6, psd=psd)
+            assert decomp.lowrank.shape[1] == (0 if psd else 43)
+            obj = DcObjective.from_labels(decomp, data.labels, 1.0, 0.01)
+            runs.append(pla_fit(obj, SolverConfig()))
+        (a_eig, t_eig), (a_psd, t_psd) = runs
+        assert t_psd.status == t_eig.status == CONVERGED
+        assert t_psd.num_iterations == t_eig.num_iterations
+        assert t_psd.inner_iterations == t_eig.inner_iterations
+        support = [np.flatnonzero(np.abs(a) > SPARSITY_THRESHOLD) for a in (a_eig, a_psd)]
+        assert np.array_equal(*support)
+        f_eig, f_psd = t_eig.f_values[-1], t_psd.f_values[-1]
+        assert abs(f_psd - f_eig) <= 1e-10 * abs(f_eig)
+
+
 class TestSerialization:
     def test_round_trip_reproduces_predictions_bitwise(self, rng, tmp_path):
         data = random_dataset(rng, n=12, d=3)
@@ -575,6 +624,9 @@ class TestSerialization:
             pytest.param("kernel", 5, "kernel must be a JSON object", id="number-kernel"),
             pytest.param(
                 "kernel", {"kind": "rbf", "sigma": "1.0"}, "sigma", id="string-sigma"
+            ),
+            pytest.param(
+                "kernel", {"kind": "rbf", "sigma": True}, "sigma", id="bool-sigma"
             ),
             pytest.param("lambda", "1.0", "lam must be a finite", id="string-lambda"),
             pytest.param(

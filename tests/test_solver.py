@@ -33,10 +33,11 @@ from iklogit.solver import (
     smooth_lipschitz_bound,
     stationarity_residual,
 )
-from iklogit.spectral import GramDecomposition, sym_eigendecompose
+from iklogit.spectral import GramDecomposition, positive_decompose
 
 from conftest import (
     benchmark_data,
+    eigenvalues,
     grad_h_at,
     kplus,
     residual_at,
@@ -59,17 +60,16 @@ class TestLipschitzBound:
     def test_hand_value_identity_gram(self):
         # n=1, K=[1], lam=1, tau=0, gamma=1: 1/4 + 1 + 1.
         decomp = GramDecomposition(
-            gram=np.eye(1),
-            eigenvalues=np.array([1.0]),
-            eigenvectors=np.eye(1),
-            tau=0.0,
+            gram=np.eye(1), tau=0.0, lowrank=np.empty((1, 0)),
+            spectral_norm=1.0, top_eigenvalue=1.0,
         )
         obj = DcObjective(decomp, np.array([1.0]), lam=1.0)
         assert smooth_lipschitz_bound(obj, gamma=1.0) == pytest.approx(2.25, abs=1e-15)
 
     def test_limit_is_loss_curvature_term(self, rng):
         obj = symmetric_objective(rng, lam=1e-12, lam1=0.0)
-        spec_norm = max(abs(obj.decomp.eigenvalues[0]), abs(obj.decomp.eigenvalues[-1]))
+        vals = eigenvalues(obj.decomp)
+        spec_norm = max(abs(vals[0]), abs(vals[-1]))
         expected = spec_norm**2 / (4.0 * obj.n)
         assert smooth_lipschitz_bound(obj, gamma=1e12) == pytest.approx(expected, rel=1e-9)
 
@@ -114,12 +114,7 @@ class TestInnerSolve:
 
     def test_pure_quadratic_minimized_at_zero(self):
         # Zero Gram makes the loss constant; kplus alone shapes the problem.
-        decomp = GramDecomposition(
-            gram=np.zeros((1, 1)),
-            eigenvalues=np.array([0.0]),
-            eigenvectors=np.eye(1),
-            tau=1.0,
-        )
+        decomp = positive_decompose(np.zeros((1, 1)), np.array([0.0]), np.eye(1), tau=1.0)
         obj = DcObjective(decomp, np.array([1.0]), lam=1.0, lam1=0.0)
         result = solve_subproblem(obj, np.zeros(1), np.zeros(1), SolverConfig())
         assert np.array_equal(result.alpha, np.zeros(1))
@@ -239,7 +234,7 @@ class TestPlaFit:
         obj = tl1_objective(rng, n=30, d=4, lam=0.2, lam1=0.02)
         alpha, trace = pla_fit(obj, SolverConfig())
         assert trace.status == CONVERGED
-        mu_min = float(obj.decomp.eigenvalues[-1])
+        mu_min = float(eigenvalues(obj.decomp)[-1])
         for k in range(trace.num_iterations):
             drop = trace.f_values[k] - trace.f_values[k + 1]
             assert drop >= 0.5 * trace.step_norms[k] ** 2 - 1e-12
@@ -374,7 +369,7 @@ class TestDivergenceCertificate:
         # At a critical point f = (1/n) sum phi(m_i) + (lam1/2) ||a||_1 > 0.
         for n in (40, 60):
             obj = tl1_objective(rng, n=n, d=3, lam=0.1, lam1=0.01)
-            assert np.any(obj.decomp.eigenvalues < 0)
+            assert obj.decomp.lowrank.shape[1] > 0
             alpha, trace = pla_fit(obj, SolverConfig())
             assert trace.status == CONVERGED
             margins = obj.y_signed * (obj.decomp.gram @ alpha)
@@ -457,6 +452,8 @@ class TestSolverConfigValidation:
             {"max_outer": True},
             {"max_inner": False},
             {"max_outer": 5.0},
+            {"gamma": True},
+            {"epsilon_inner": True},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
@@ -525,13 +522,12 @@ class TestProductBudget:
 
         obj = tl1_objective(rng, n=100, d=3, lam=0.1, lam1=0.01)
         n = obj.n
-        assert np.any(obj.decomp.eigenvalues < 0)
-        # The split keeps no eigenvectors, so W is rebuilt from a fresh eigh.
-        vals, vecs = sym_eigendecompose(obj.decomp.gram)
-        counted = GramDecomposition(
-            obj.decomp.gram.view(CountingGram), vals, vecs, obj.decomp.tau
+        assert obj.decomp.lowrank.shape[1] > 0
+        counted = dataclasses.replace(
+            obj.decomp,
+            gram=obj.decomp.gram.view(CountingGram),
+            lowrank=obj.decomp.lowrank.view(CountingFactor),
         )
-        object.__setattr__(counted, "lowrank", counted.lowrank.view(CountingFactor))
         obj = DcObjective(counted, obj.y_signed, lam=obj.lam, lam1=obj.lam1)
         return obj, dense, rows, lowrank
 

@@ -6,11 +6,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import iklogit.spectral
 from iklogit import InputError, KernelSpec, decompose_gram, gram_matrix
-from iklogit.spectral import positive_decompose, sym_eigendecompose
+from iklogit.kernels import kernel_rows
+from iklogit.spectral import perron_bound, positive_decompose, sym_eigendecompose
 
 from conftest import (
     bfactor,
+    eigenvalues,
     kminus,
     kplus,
     num_nonneg,
@@ -76,11 +79,16 @@ class TestPositiveDecompose:
         assert np.allclose(kminus(dec), np.diag([1.0, 3.0]), atol=1e-12)
 
     def test_stores_only_gram_spectrum_and_lowrank_factor(self, rng):
-        dec = decompose_gram(random_symmetric(rng, 6), 1e-6)
+        gram = random_symmetric(rng, 6)
+        dec = decompose_gram(gram, 1e-6)
         arrays = {k for k, v in vars(dec).items() if isinstance(v, np.ndarray)}
-        assert arrays == {"gram", "eigenvalues", "lowrank"}
+        assert arrays == {"gram", "lowrank"}
         fields = {f.name for f in dataclasses.fields(dec)}
-        assert fields == {"gram", "eigenvalues", "tau", "lowrank"}
+        assert fields == {"gram", "tau", "lowrank", "spectral_norm", "top_eigenvalue"}
+        # The two norms are the step bound's, read off the eigenvalues.
+        vals, _ = sym_eigendecompose(gram, vectors_if_negative=True)
+        assert dec.spectral_norm == max(abs(float(vals[0])), abs(float(vals[-1])))
+        assert dec.top_eigenvalue == max(float(vals[0]), 0.0)
 
     def test_invariants_on_random_matrices(self, rng):
         tau = 1e-6
@@ -104,15 +112,17 @@ class TestPositiveDecompose:
             assert np.linalg.eigvalsh(kplus(dec)).min() == pytest.approx(tau, abs=1e-12)
             assert np.linalg.eigvalsh(kminus(dec)).min() == pytest.approx(tau, abs=1e-12)
             assert np.allclose(bfactor(dec).T @ bfactor(dec), kplus(dec), atol=1e-10)
-            assert num_nonneg(dec) == int(np.sum(dec.eigenvalues >= 0))
+            vals = eigenvalues(dec)
+            assert dec.spectral_norm == pytest.approx(max(-vals[-1], vals[0]), rel=1e-12)
             assert dec.lowrank.shape == (n, n - num_nonneg(dec))
             assert_products_match(dec, probe.normal(size=n))
 
         # PSD Gram: no negative eigenpairs, so K- = tau I.
         rbf_gram = gram_matrix(KernelSpec.rbf(1.0), random_dataset(rng, 12, 3))
-        psd = decompose_gram(rbf_gram, tau)
-        assert psd.lowrank.shape == (12, 0)
-        assert_products_match(psd, probe.normal(size=12))
+        for declared in (False, True):
+            psd = decompose_gram(rbf_gram, tau, psd=declared)
+            assert psd.lowrank.shape == (12, 0)
+            assert_products_match(psd, probe.normal(size=12))
 
     def test_psd_input_gives_tau_scaled_identity_minus_part(self, rng):
         data = random_dataset(rng, 10, 3)
@@ -159,7 +169,10 @@ class TestEigenvaluesOnly:
         dec = decompose_gram(gram, tau)
         assert calls == []
         assert dec.lowrank.shape == (40, 0)
-        assert np.array_equal(dec.eigenvalues, np.linalg.eigvalsh(gram)[::-1])
+        vals, vecs = sym_eigendecompose(gram, vectors_if_negative=True)
+        assert calls == [] and vecs is None
+        assert np.array_equal(vals, np.linalg.eigvalsh(gram)[::-1])
+        assert dec.spectral_norm == dec.top_eigenvalue == vals[0]
         alpha = rng.normal(size=40)
         assert np.array_equal(dec.kminus_dot(alpha), tau * alpha)
 
@@ -170,8 +183,10 @@ class TestEigenvaluesOnly:
             vals, factor = full_eigh_split(gram)
             assert np.any(vals < 0.0)
             dec = decompose_gram(gram, 1e-6)
-            assert np.array_equal(dec.eigenvalues, vals)
+            assert np.array_equal(sym_eigendecompose(gram, vectors_if_negative=True)[0], vals)
             assert np.array_equal(dec.lowrank, factor)
+            assert dec.spectral_norm == max(abs(float(vals[0])), abs(float(vals[-1])))
+            assert dec.top_eigenvalue == max(float(vals[0]), 0.0)
 
     def test_missing_eigenvectors_rejected_for_negative_spectrum(self):
         gram = np.diag([2.0, -1.0])
@@ -199,3 +214,90 @@ class TestEigenvaluesOnly:
         finally:
             tracemalloc.stop()
         assert peak <= bound * 8 * n * n
+
+
+def rbf_gram(rng, n, sigma, d=3):
+    """RBF Gram of n standard normal points; n = 1 is allowed."""
+    x = rng.normal(size=(n, d))
+    return kernel_rows(KernelSpec.rbf(sigma), x, x)
+
+
+class TestPsdDeclared:
+    """decompose_gram(psd=True): no eigensolver, ||K||_2 from perron_bound."""
+
+    @pytest.mark.parametrize("n", [1, 2, 80, 500])
+    @pytest.mark.parametrize("sigma", [1e-4, 0.01, 1.0, 10.0, 100.0])
+    def test_bound_is_within_rounding_above_top_eigenvalue(self, rng, n, sigma):
+        gram = rbf_gram(rng, n, sigma)
+        mu1 = float(np.linalg.eigvalsh(gram)[-1])
+        bound = perron_bound(gram)
+        # eigvalsh is itself off by a few ulps of ||K||: on a near-identity
+        # Gram (sigma = 0.01, n = 500) it returns 1 + 6 ulps for a Perron
+        # root that rounds to 1.
+        assert bound >= mu1 * (1.0 - 16 * np.finfo(float).eps)
+        assert bound <= mu1 * (1.0 + 1e-12)
+
+    def test_identity_gives_exactly_one(self):
+        assert perron_bound(np.eye(7)) == 1.0
+        dec = decompose_gram(np.eye(7), 0.5, psd=True)
+        assert dec.spectral_norm == dec.top_eigenvalue == 1.0
+
+    def test_capped_run_still_bounds_from_above(self, rng, monkeypatch):
+        gram = rbf_gram(rng, 80, 1.0)
+        mu1 = float(np.linalg.eigvalsh(gram)[-1])
+        converged = perron_bound(gram)
+        monkeypatch.setattr(iklogit.spectral, "PERRON_MAX_ITER", 2)
+        capped = perron_bound(gram)
+        assert capped > converged * (1.0 + 1e-6)  # the cap stopped it early
+        assert capped >= mu1
+
+    def test_underflowing_entries_keep_the_bound_finite(self):
+        # Two clusters of identical points, weakly coupled, converge slowly;
+        # an isolated point's entry of v shrinks by about 100x per step and
+        # would reach 0, and 0/0 would make the bound NaN.
+        gram = np.zeros((200, 200))
+        gram[:100, :100] = gram[100:199, 100:199] = 1.0
+        gram[:100, 100:199] = gram[100:199, :100] = 1e-3
+        gram[199, 199] = 1.0
+        mu1 = float(np.linalg.eigvalsh(gram)[-1])
+        bound = perron_bound(gram)
+        assert mu1 <= bound <= 1.001 * mu1
+
+    def test_split_has_no_negative_part_and_runs_no_eigensolver(self, rng, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigensolver called")
+
+        gram = rbf_gram(rng, 30, 1.0)
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        dec = decompose_gram(gram, 0.25, psd=True)
+        assert dec.lowrank.shape == (30, 0)
+        assert dec.spectral_norm == dec.top_eigenvalue == perron_bound(gram)
+        alpha = rng.normal(size=30)
+        assert np.array_equal(dec.kminus_dot(alpha), 0.25 * alpha)
+
+    @pytest.mark.parametrize(
+        "entries, match",
+        [
+            ({(0, 1): -0.1, (1, 0): -0.1}, "negative"),
+            ({(2, 2): np.nan}, "non-finite"),
+            ({(0, 1): 2.0}, "not symmetric"),
+            ({(3, 3): 0.0}, "positive diagonal"),
+        ],
+        ids=["negative-entry", "nan", "asymmetric", "zero-diagonal"],
+    )
+    def test_rejects_what_the_bound_cannot_take(self, rng, entries, match):
+        gram = rbf_gram(rng, 6, 1.0)
+        for index, value in entries.items():
+            gram[index] = value
+        with pytest.raises(InputError, match=match):
+            decompose_gram(gram, 1e-6, psd=True)
+
+    def test_rejects_non_square_and_empty(self):
+        for gram in (np.ones((2, 3)), np.zeros((0, 0))):
+            with pytest.raises(InputError):
+                decompose_gram(gram, 1e-6, psd=True)
+
+    def test_eigenvectors_without_eigenvalues_rejected(self):
+        with pytest.raises(InputError, match="eigenvalues"):
+            positive_decompose(np.eye(2), None, np.eye(2), tau=0.1)
