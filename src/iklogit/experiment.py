@@ -23,7 +23,7 @@ from .errors import ConfigError, InputError, NumericalError, ParseError
 from .kernels import Dataset, KernelSpec, gram_matrix, normalize_binary_labels
 from .model import (L1_VARIANTS, RBF_VARIANTS, VARIANTS, ModelSpec, fit,
                     predict_label)
-from .solver import SolverConfig
+from .solver import MAX_ITERATIONS, SolverConfig
 from .spectral import sym_eigendecompose
 
 DEFAULT_GRID = (0.0001, 0.001, 0.01, 0.1, 1.0, 5.0, 10.0)
@@ -318,7 +318,9 @@ def run_experiment(spec: ExperimentSpec) -> list[ReportRow]:
 
     Repeats that raise NumericalError or InputError are excluded from
     aggregation and listed in ``failed_repeats``; any other exception
-    propagates.  Identical specs reproduce reports exactly.
+    propagates.  A scored model that stopped at max_iterations is kept and
+    reported in a warning, with its final stationarity residual.  Identical
+    specs reproduce reports exactly.
     """
     data = ingest_csv(spec.path, spec.csv)
     eig_min, eig_max = spectrum_range(KernelSpec.tl1().resolve(data.d), data)
@@ -335,6 +337,12 @@ def run_experiment(spec: ExperimentSpec) -> list[ReportRow]:
                 train, test = half_split(data, run_seed)
                 params = cv_select(spec, variant, train, run_seed)
                 model = fit(_model_spec(spec, variant, params), train)
+                if model.trace.status == MAX_ITERATIONS:
+                    warnings.warn(
+                        f"repeat {r} of {variant}: the scored model stopped at "
+                        "max_iterations (final stationarity residual "
+                        f"{model.trace.stationarity_residuals[-1]:.3g})"
+                    )
                 accs.append(accuracy(model, test))
                 sels.append(model.support.size)
                 chosen.append(params)

@@ -99,13 +99,17 @@ def loss_value(obj: DcObjective, scores: np.ndarray) -> float:
     return float(np.logaddexp(0.0, -(obj.y_signed * scores)).sum()) / obj.n
 
 
-def loss_grad(obj: DcObjective, scores: np.ndarray) -> np.ndarray:
+def loss_grad(
+    obj: DcObjective, scores: np.ndarray, rows: np.ndarray | None = None
+) -> np.ndarray:
     """Loss gradient -(1/n) K (y * sigmoid(-y * s)) at the scores s = K a.
 
-    It costs one dense product.
+    It costs one dense product.  Given ``rows``, a block of rows of K, it
+    returns the gradient's entries on those rows only, at the block's cost.
     """
     margins = obj.y_signed * scores
-    return -(obj.decomp.gram @ (obj.y_signed * sigmoid(-margins))) / obj.n
+    gram = obj.decomp.gram if rows is None else rows
+    return -(gram @ (obj.y_signed * sigmoid(-margins))) / obj.n
 
 
 def f_value(obj: DcObjective, alpha: np.ndarray, scores: np.ndarray) -> float:

@@ -50,26 +50,43 @@ is certified by the proximal fixed-point residual
 ||a - S_{t*lam1}(a - t grad_phi(a))||_inf, evaluated at the point actually
 returned.
 
+Working sets: with lam1 > 0 each inner solve runs over a working set W of
+coordinates, the rest held at 0 (after Blitz, Johnson & Guestrin, ICML
+2015, and Celer, Massias, Gramfort & Salmon, ICML 2018).  W starts as the
+support of alpha_k plus every coordinate that the first proximal step
+from alpha_k moves, where |grad phi(alpha_k)| > lam1; that gradient is the
+one the first step takes anyway.  A point that passes the stop test on W
+is certified over all n with one full product; a coordinate its proximal
+step would move joins W, and momentum restarts from that point.  So the
+returned point meets the residual tolerance over all n coordinates.  When
+W would hold at least half of the n coordinates, or lam1 = 0, it is all of
+them: the iterations then read K itself and are those of a solve without
+working sets, bitwise.
+
 Product budget: every product with K and K- is computed once per point and
-carried next to the iterate.  An inner iteration makes one full n x n
-product: the loss gradient K (y * s) at the momentum point y.  K y and K+ y
-are combinations of the carried products, since y = c + beta (c - x) is
-linear in the iterates.  The candidate c = S(y - t grad phi(y)) comes out
-of the L1 prox, so it is mostly sparse: while fewer than half of its
-coefficients are nonzero, K c and W^T c are sums of the support rows of K
-and W (full products otherwise), and K- c = tau c + W (W^T c) adds one
-low-rank expansion.  The candidate's loss gradient, a second full product,
-is taken in two cases only.  A momentum restart needs it at the last
-candidate x, for the plain step from x.  The stop test needs it once the
-momentum point's residual ||y - c||_inf, which costs nothing, is at most
-INNER_CHECK_FACTOR times the tolerance; when beta = 0 (the first iteration
-and the one after a restart) y is x, that residual is x's exact one, and x
-is returned with the products it carries.  The outer loop adds no product
-of its own: K a, K- a and the loss gradient of the new iterate come back
-from the inner solve and serve f_value, grad_h, the stationarity residual
-and the next warm start.  Only the starting point costs two dense products
-(K a and the loss gradient) and one low-rank K- a.  No function computes a
-product it is not given: each takes the products it needs as arguments.
+carried next to the iterate.  An inner iteration makes one product with
+the |W| rows of K on the working set: the loss gradient K[W] (y * s) at the
+momentum point y, n |W| operations (a full n x n product when W is all n).
+K y and K+ y on W are combinations of the carried products, since
+y = c + beta (c - x) is linear in the iterates.  The candidate
+c = S(y - t grad phi(y)) comes out of the L1 prox, so it is mostly sparse:
+while fewer than half of its n coefficients are nonzero, K c and W^T c are
+sums of the support rows of K and W (full products otherwise), and
+K- c = tau c + W (W^T c) adds one low-rank expansion.  The candidate's loss
+gradient on W, a second product, is taken in two cases only.  A momentum
+restart needs it at the last candidate x, for the plain step from x.  The
+stop test needs it once the momentum point's residual ||y - c||_inf, which
+costs nothing, is at most INNER_CHECK_FACTOR times the tolerance; when
+beta = 0 (the first iteration and the one after a restart) y is x, that
+residual is x's exact one on W, and x is returned with the products it
+carries.  On a working set smaller than all n the returned point costs one
+more full product, its loss gradient over all n, and one low-rank K- a.
+The outer loop adds no product of its own: K a, K- a and the loss gradient
+of the new iterate come back from the inner solve and serve f_value,
+grad_h, the stationarity residual and the next warm start.  Only the
+starting point costs two dense products (K a and the loss gradient) and one
+low-rank K- a.  No function computes a product it is not given: each takes
+the products it needs as arguments.
 """
 
 from __future__ import annotations
@@ -102,13 +119,13 @@ DIVERGENCE_NORM = 1e12
 # alpha_{k-1}||); 0 gives the fixed tolerance epsilon_inner.
 INNER_RTOL = 1e-3
 
-# An inner iteration's candidate c pays a full product (its loss gradient)
-# for its exact residual only when the momentum point's free residual
-# ||y - c||_inf is at most INNER_CHECK_FACTOR * tol: a smaller factor checks
-# less often but can stop later.  One unit of the benchmark workloads at
-# factors 1, 3, 10 and infinity (check every candidate): bench-protocol
-# takes 53,366, 49,693, 46,698 and 46,146 inner iterations, and fit-tl1
-# 14,662, 14,491, 16,935 and 24,788 full products.
+# An inner iteration's candidate c pays a product with K (its loss gradient
+# on the working set) for its exact residual only when the momentum point's
+# free residual ||y - c||_inf is at most INNER_CHECK_FACTOR * tol: a smaller
+# factor checks less often but can stop later.  One unit of the benchmark
+# workloads at factors 1, 3, 10 and infinity (check every candidate), before
+# working sets: bench-protocol takes 53,366, 49,693, 46,698 and 46,146 inner
+# iterations, and fit-tl1 14,662, 14,491, 16,935 and 24,788 full products.
 INNER_CHECK_FACTOR = 3.0
 
 log = logging.getLogger(__name__)
@@ -216,22 +233,42 @@ def _prox_residual(a: np.ndarray, grad: np.ndarray, step: float, t: float) -> fl
     return _max_abs(a - soft_threshold(a - step * grad, t))
 
 
-def _products(decomp: GramDecomposition, a: np.ndarray):
-    """K a, K+ a and the support of a.
+class _WorkingSet:
+    """The coordinates an inner solve moves; the others stay at 0.
 
-    When fewer than half of a's coefficients are nonzero, K a and W^T a are
-    sums of the support rows of K (which is symmetric) and W; they differ
-    from the full products only in rounding.
+    ``index`` lists them in increasing order, or is None for all n: the
+    set given, unless it is None or holds at least half of the n.  ``gram``
+    and ``lowrank`` are the rows of K and W on the set, which the products
+    read: for all n, K and W themselves, not copies.
+    """
+
+    __slots__ = ("index", "gram", "lowrank")
+
+    def __init__(self, decomp: GramDecomposition, index: np.ndarray | None):
+        if index is not None and 2 * index.size < decomp.gram.shape[0]:
+            self.index, self.gram, self.lowrank = index, decomp.gram[index], decomp.lowrank[index]
+        else:
+            self.index, self.gram, self.lowrank = None, decomp.gram, decomp.lowrank
+
+
+def _products(decomp: GramDecomposition, a: np.ndarray, ws: _WorkingSet):
+    """K a over all n, K+ a on the working set ``ws``, and the support of a.
+
+    ``a`` holds the coefficients on ``ws``.  When fewer than half of the n
+    coefficients are nonzero, as on every working set smaller than all n,
+    K a and W^T a are sums of the support rows of K (which is symmetric) and
+    W; they differ from the full products only in rounding.
     """
     nz = a.nonzero()[0]
-    if 2 * nz.size < a.size:
+    if ws.index is not None or 2 * nz.size < a.size:
+        rows = nz if ws.index is None else ws.index[nz]
         coef = a[nz]
-        k_a = coef @ decomp.gram[nz]
-        kminus_a = decomp.tau * a + decomp.lowrank @ (coef @ decomp.lowrank[nz])
+        k_a = coef @ decomp.gram[rows]
+        kminus_a = decomp.tau * a + ws.lowrank @ (coef @ decomp.lowrank[rows])
     else:
         k_a = decomp.gram @ a
         kminus_a = decomp.kminus_dot(a)
-    return k_a, k_a + kminus_a, nz
+    return k_a, (k_a if ws.index is None else k_a[ws.index]) + kminus_a, nz
 
 
 # Overflow in the loop is diagnosed through the non-finite objective check.
@@ -258,10 +295,20 @@ def inner_solve(
     gradient at the momentum point only, and the candidate's K c and K- c
     from the rows of its support; the candidate's loss gradient is taken
     only for a restart or for the stop test, which runs once the momentum
-    point's free residual is within INNER_CHECK_FACTOR of ``tol``.  Returns
-    the first candidate whose exact residual passes ``tol``, with
-    ``iterations`` its index, or the last candidate with ``converged=False``
-    after ``cfg.max_inner`` steps.
+    point's free residual is within INNER_CHECK_FACTOR of ``tol``.
+
+    With lam1 > 0 the iterations run over a working set W: the support of
+    alpha_k and every coordinate that the first proximal step from alpha_k
+    moves, that is, where |grad phi(alpha_k)| > lam1.  The other
+    coefficients stay at 0, and the products cost n |W| instead of n^2.
+    When W holds at least half of the n coordinates, or lam1 = 0, it is all
+    of them.  A point that passes the stop test on a smaller W is checked
+    over all n with one full product; if it fails there, every coordinate
+    its proximal step moves joins W and momentum restarts from it.
+
+    Returns the first point whose exact residual over all n passes ``tol``,
+    with ``iterations`` its index, or the last candidate with
+    ``converged=False`` after ``cfg.max_inner`` steps.
     """
     anchor = np.asarray(alpha_k, dtype=np.float64)
     threshold = step * obj.lam1
@@ -271,69 +318,109 @@ def inner_solve(
     # phi = g's smooth part - omega^T (a - alpha_k) + ||a - alpha_k||^2 / (2 gamma).
     shift = np.asarray(omega, dtype=np.float64) + inv_gamma * anchor
 
-    def total(a, k_a, kp_a, nz):
+    def total(a, k_a, kp_a, nz, sh):
         """phi + lam1 ||a||_1 at a, less the constant of the solve; the
         coefficient terms are sums over the support nz."""
         s = a[nz]
-        coef_terms = s @ (0.5 * lam * kp_a[nz] + 0.5 * inv_gamma * s - shift[nz])
+        coef_terms = s @ (0.5 * lam * kp_a[nz] + 0.5 * inv_gamma * s - sh[nz])
         l1_term = obj.lam1 * float(np.abs(s).sum())
         return loss_value(obj, k_a) + float(coef_terms) + l1_term
 
-    def grad_phi(a, kp_a, lg_a):
-        """grad phi at a from K+ a and the loss gradient."""
-        return lg_a + lam * kp_a + inv_gamma * a - shift
+    def grad_phi(a, kp_a, lg_a, sh):
+        """grad phi at a from K+ a, the loss gradient and the shift ``sh``."""
+        return lg_a + lam * kp_a + inv_gamma * a - sh
 
-    # x is the last candidate; its loss gradient lgx is None until needed.
-    x, kx, kpx, lgx = anchor, scores, scores + kminus, loss_grad
-    total_x = total(x, kx, kpx, x.nonzero()[0])
-    y, kpy, lgy = x, kpx, lgx
-    theta, beta = 1.0, 0.0
-    for it in range(1, cfg.max_inner + 1):
-        cand = soft_threshold(y - step * grad_phi(y, kpy, lgy), threshold)
-        gap = _max_abs(y - cand)
-        if beta == 0.0 and gap <= tol:
-            # y is x, so gap is x's exact residual.
-            return InnerResult(x, it - 1, gap, True, kx, kpx - kx, lgx)
-        kc, kpc, nzc = _products(decomp, cand)
-        total_c = total(cand, kc, kpc, nzc)
-        if not math.isfinite(total_c):
-            raise NumericalError("inner solve produced a non-finite objective")
-        if total_c > total_x:
-            theta = 1.0
-            if beta != 0.0:
-                # Momentum overshot; fall back to a plain step from x.
+    # a is the point each working set starts from, over all n, with K a, K+ a,
+    # its loss gradient, its plain proximal step nxt and exact residual gap.
+    a, k_a, kp_a, lg_a = anchor, scores, scores + kminus, loss_grad
+    nxt = soft_threshold(a - step * grad_phi(a, kp_a, lg_a, shift), threshold)
+    gap = _max_abs(a - nxt)
+    if gap <= tol:
+        return InnerResult(a, 0, gap, True, k_a, kp_a - k_a, lg_a)
+    index, it = None, 0
+    while True:
+        # W is the last W, a's support and every coordinate nxt moves: outside
+        # them a's exact residual is 0, so gap is its residual on W.  It is
+        # all n without set-up work when lam1 = 0 or nxt moves half of them.
+        if threshold > 0.0 and 2 * np.count_nonzero(nxt) < nxt.size:
+            moved = np.logical_or(a, nxt)
+            if index is not None:
+                moved[index] = True
+            index = moved.nonzero()[0]
+        else:
+            index = None
+        ws = _WorkingSet(decomp, index)
+        # x is the last candidate; its loss gradient lgx is None until needed.
+        x, kx, kpx, lgx, cand, sh = a, k_a, kp_a, lg_a, nxt, shift
+        if ws.index is not None:
+            x, kpx, lgx, cand, sh = (v[ws.index] for v in (a, kp_a, lg_a, nxt, shift))
+        total_x = total(x, kx, kpx, x.nonzero()[0], sh)
+        y, kpy, lgy = x, kpx, lgx
+        theta, beta = 1.0, 0.0
+        for it in range(it + 1, cfg.max_inner + 1):
+            if beta == 0.0 and gap <= tol:
+                # y is x, so gap is x's exact residual on W.
+                point = x, kx, kpx, lgx, it - 1, gap
+                break
+            kc, kpc, nzc = _products(decomp, cand, ws)
+            total_c = total(cand, kc, kpc, nzc, sh)
+            if not math.isfinite(total_c):
+                raise NumericalError("inner solve produced a non-finite objective")
+            if total_c > total_x:
+                theta = 1.0
+                if beta != 0.0:
+                    # Momentum overshot; fall back to a plain step from x.
+                    if lgx is None:
+                        lgx = loss_gradient(obj, kx, ws.gram)
+                    cand = soft_threshold(x - step * grad_phi(x, kpx, lgx, sh), threshold)
+                    gap, beta = _max_abs(x - cand), 0.0
+                    if gap <= tol:
+                        point = x, kx, kpx, lgx, it - 1, gap
+                        break
+                    kc, kpc, nzc = _products(decomp, cand, ws)
+                    total_c = total(cand, kc, kpc, nzc, sh)
+            lgc = None
+            if gap <= INNER_CHECK_FACTOR * tol:
+                lgc = loss_gradient(obj, kc, ws.gram)
+                residual = _prox_residual(cand, grad_phi(cand, kpc, lgc, sh), step, threshold)
+                if residual <= tol:
+                    point = cand, kc, kpc, lgc, it, residual
+                    break
+            theta_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * theta * theta))
+            beta = (theta - 1.0) / theta_next
+            if beta == 0.0:
+                # First step and the one after a restart: y is the candidate.
+                if lgc is None:
+                    lgc = loss_gradient(obj, kc, ws.gram)
+                y, kpy, lgy = cand, kpc, lgc
+            else:
+                # y is linear in the iterates, and so are K y and K+ y.
+                y = cand + beta * (cand - x)
+                kpy = kpc + beta * (kpc - kpx)
+                lgy = loss_gradient(obj, kc + beta * (kc - kx), ws.gram)
+            x, kx, kpx, lgx, total_x, theta = cand, kc, kpc, lgc, total_c, theta_next
+            cand = soft_threshold(y - step * grad_phi(y, kpy, lgy, sh), threshold)
+            gap = _max_abs(y - cand)
+        else:
+            point = x, kx, kpx, lgx, cfg.max_inner, None
+        x, kx, kpx, lgx, iterations, residual = point
+        converged = residual is not None
+        if ws.index is None:
+            if not converged:
                 if lgx is None:
                     lgx = loss_gradient(obj, kx)
-                cand = soft_threshold(x - step * grad_phi(x, kpx, lgx), threshold)
-                gap, beta = _max_abs(x - cand), 0.0
-                if gap <= tol:
-                    return InnerResult(x, it - 1, gap, True, kx, kpx - kx, lgx)
-                kc, kpc, nzc = _products(decomp, cand)
-                total_c = total(cand, kc, kpc, nzc)
-        lgc = None
-        if gap <= INNER_CHECK_FACTOR * tol:
-            lgc = loss_gradient(obj, kc)
-            residual = _prox_residual(cand, grad_phi(cand, kpc, lgc), step, threshold)
-            if residual <= tol:
-                return InnerResult(cand, it, residual, True, kc, kpc - kc, lgc)
-        theta_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * theta * theta))
-        beta = (theta - 1.0) / theta_next
-        if beta == 0.0:
-            # First step and the one after a restart: y is the candidate.
-            if lgc is None:
-                lgc = loss_gradient(obj, kc)
-            y, kpy, lgy = cand, kpc, lgc
-        else:
-            # y is linear in the iterates, and so are K y and K+ y.
-            y = cand + beta * (cand - x)
-            kpy = kpc + beta * (kpc - kpx)
-            lgy = loss_gradient(obj, kc + beta * (kc - kx))
-        x, kx, kpx, lgx, total_x, theta = cand, kc, kpc, lgc, total_c, theta_next
-
-    if lgx is None:
-        lgx = loss_gradient(obj, kx)
-    residual = _prox_residual(x, grad_phi(x, kpx, lgx), step, threshold)
-    return InnerResult(x, cfg.max_inner, residual, False, kx, kpx - kx, lgx)
+                residual = _prox_residual(x, grad_phi(x, kpx, lgx, sh), step, threshold)
+            return InnerResult(x, iterations, residual, converged, kx, kpx - kx, lgx)
+        # The point over all n: one full product gives its loss gradient.
+        a = np.zeros(obj.n)
+        a[ws.index] = x
+        nz = x.nonzero()[0]
+        kminus_a = decomp.tau * a + decomp.lowrank @ (x[nz] @ ws.lowrank[nz])
+        k_a, kp_a, lg_a = kx, kx + kminus_a, loss_gradient(obj, kx)
+        nxt = soft_threshold(a - step * grad_phi(a, kp_a, lg_a, shift), threshold)
+        gap = _max_abs(a - nxt)
+        if gap <= tol or not converged:
+            return InnerResult(a, iterations, gap, converged, k_a, kminus_a, lg_a)
 
 
 def stationarity_residual(

@@ -1,12 +1,15 @@
 """Ingestion, splits, CV selection, and the benchmark protocol."""
 
 import json
+import re
 import warnings
 
 import numpy as np
 import pytest
 
-from iklogit import ConfigError, Dataset, InputError, NumericalError, ParseError
+from iklogit import (
+    ConfigError, Dataset, InputError, NumericalError, ParseError, SolverConfig,
+)
 from iklogit.experiment import (
     CsvOptions,
     ExperimentSpec,
@@ -382,6 +385,28 @@ class TestRunExperiment:
         assert row.failed_repeats == [1]
         assert len(row.accuracies) == 2
         assert len(row.chosen) == 2
+
+    def test_scored_model_at_max_iterations_warns(self, rng, tmp_path):
+        # Two outer steps cannot converge: every scored model is kept and
+        # named in a warning with its final stationarity residual.
+        spec = self.tiny_spec(rng, tmp_path, variants=("klr",),
+                              solver=SolverConfig(max_outer=2))
+        pattern = (r"repeat {} of klr: the scored model stopped at max_iterations "
+                   r"\(final stationarity residual [0-9][0-9.e+-]*\)")
+        with pytest.warns(UserWarning) as caught:
+            rows = run_experiment(spec)
+        messages = [str(w.message) for w in caught]
+        for r in (0, 1):
+            assert any(re.fullmatch(pattern.format(r), m) for m in messages), messages
+        assert rows[0].failed_repeats == []
+        assert len(rows[0].accuracies) == 2
+
+    def test_converged_scored_models_do_not_warn(self, rng, tmp_path):
+        spec = self.tiny_spec(rng, tmp_path)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run_experiment(spec)
+        assert not [w for w in caught if "max_iterations" in str(w.message)]
 
     def test_accuracy_helper(self, rng):
         data = separated_dataset(rng, n=10)

@@ -11,11 +11,13 @@ import iklogit.solver
 from iklogit import (
     DcObjective,
     InputError,
+    KernelSpec,
     ModelSpec,
     NumericalError,
     SolverConfig,
     decompose_gram,
     fit,
+    gram_matrix,
     pla_fit,
     rate_monitor,
 )
@@ -46,7 +48,12 @@ from conftest import (
     symmetric_objective,
     tl1_objective,
 )
-from reference_solvers import ref_inner_objective, ref_inner_prox_gradient
+from reference_solvers import (
+    ref_inner_objective,
+    ref_inner_prox_gradient,
+    ref_soft_threshold,
+)
+import full_set_solver
 
 
 def dominant_lam1_objective(rng, n=8, lam=0.3):
@@ -168,18 +175,24 @@ class TestInnerSolve:
 
     def test_support_row_products_match_full(self, rng):
         # Below half of n nonzeros, K a and W^T a are sums over the support
-        # rows: equal to the full products up to rounding.
+        # rows: equal to the full products up to rounding.  On a working set
+        # a holds the coefficients on the set and K+ a comes on the set.
         decomp = tl1_objective(rng, n=80).decomp
         assert decomp.lowrank.shape[1] > 0
-        for count in (0, 1, 5, 39, 40, 80):
-            a = np.zeros(80)
-            a[rng.choice(80, count, replace=False)] = rng.normal(size=count)
-            k_a, kplus_a, nz = iklogit.solver._products(decomp, a)
-            full = decomp.gram @ a
-            assert np.array_equal(nz, np.flatnonzero(a))
-            assert np.allclose(k_a, full, rtol=1e-13, atol=1e-15)
-            kplus_full = full + decomp.kminus_dot(a)
-            assert np.allclose(kplus_a, kplus_full, rtol=1e-13, atol=1e-15)
+        subset = np.sort(rng.choice(80, 39, replace=False))
+        for index, counts in ((None, (0, 1, 5, 39, 40, 80)), (subset, (0, 1, 5, 39))):
+            ws = iklogit.solver._WorkingSet(decomp, index)
+            assert (ws.index is None) == (index is None)
+            on_set = np.arange(80) if index is None else index
+            for count in counts:
+                a = np.zeros(80)
+                a[rng.choice(on_set, count, replace=False)] = rng.normal(size=count)
+                k_a, kplus_a, nz = iklogit.solver._products(decomp, a[on_set], ws)
+                full = decomp.gram @ a
+                assert np.array_equal(on_set[nz], np.flatnonzero(a))
+                assert np.allclose(k_a, full, rtol=1e-13, atol=1e-15)
+                kplus_full = full + decomp.kminus_dot(a)
+                assert np.allclose(kplus_a, kplus_full[on_set], rtol=1e-13, atol=1e-15)
 
     def test_stop_on_free_residual_returns_exact_products(self, rng):
         # A strong proximal term (small gamma) makes plain steps contract
@@ -216,6 +229,110 @@ class TestInnerSolve:
         huge = np.full(obj.n, 1e300)
         with pytest.raises(NumericalError):
             solve_subproblem(obj, huge, np.zeros(obj.n), SolverConfig())
+
+
+def recorded_working_sets(monkeypatch):
+    """The index of every working set an inner solve builds (None: all n)."""
+    sets = []
+    init = iklogit.solver._WorkingSet.__init__
+
+    def recording(self, decomp, index):
+        init(self, decomp, index)
+        sets.append(self.index)
+
+    monkeypatch.setattr(iklogit.solver._WorkingSet, "__init__", recording)
+    return sets
+
+
+class TestWorkingSet:
+    @staticmethod
+    def pushed_subproblem(kind, lam1):
+        """A subproblem at the origin where only coordinates 0, 1 and 2 violate.
+
+        omega cancels the loss gradient at 0 exactly except on those three,
+        which it pushes hard.  Once they move, the loss and K+ couple their
+        neighbours in, whose gradients then pass lam1.
+        """
+        n = 40
+        if kind == "rbf":
+            data = benchmark_data(0, n)
+            gram = gram_matrix(KernelSpec.rbf(1.0), data)
+            obj = DcObjective.from_labels(
+                decompose_gram(gram, 1e-6, psd=True), data.labels, 0.5, lam1)
+        else:
+            obj = tl1_objective(np.random.default_rng(0), n=n, lam=0.5, lam1=lam1)
+            assert obj.decomp.lowrank.shape[1] > 0
+        anchor = np.zeros(n)
+        scores = obj.decomp.gram @ anchor
+        push = np.zeros(n)
+        push[:3] = [0.5, -0.5, 0.5]
+        omega = loss_grad(obj, scores) + push
+        return obj, omega, anchor
+
+    @pytest.mark.parametrize("kind, lam1", [("rbf", 0.01), ("tl1", 0.05)])
+    def test_violator_outside_the_start_joins(self, kind, lam1, monkeypatch):
+        obj, omega, anchor = self.pushed_subproblem(kind, lam1)
+        sets = recorded_working_sets(monkeypatch)
+        cfg = SolverConfig()
+        result = solve_subproblem(obj, omega, anchor, cfg)
+        assert result.converged
+        # W started at the three pushed coordinates and grew, still below n/2.
+        assert sets[0].tolist() == [0, 1, 2]
+        assert len(sets) >= 2 and sets[1] is not None
+        assert set(sets[0].tolist()) < set(sets[1].tolist())
+        outside = set(np.flatnonzero(result.alpha).tolist()) - {0, 1, 2}
+        assert outside
+        # The residual over all n, computed here from dense products.
+        alpha, gram = result.alpha, obj.decomp.gram
+        step = 1.0 / smooth_lipschitz_bound(obj, cfg.gamma)
+        grad = (loss_grad(obj, gram @ alpha) + obj.lam * (kplus(obj.decomp) @ alpha)
+                - omega + (alpha - anchor) / cfg.gamma)
+        moved = alpha - ref_soft_threshold(alpha - step * grad, step * obj.lam1)
+        assert np.abs(moved).max() <= cfg.epsilon_inner
+        # The products returned are those of the returned point.
+        k_alpha = gram @ alpha
+        assert np.allclose(result.scores, k_alpha, rtol=1e-13, atol=1e-15)
+        assert np.allclose(result.kminus, obj.decomp.kminus_dot(alpha), rtol=1e-12, atol=1e-15)
+        assert np.allclose(result.loss_grad, loss_grad(obj, k_alpha), rtol=1e-12, atol=1e-15)
+        # And the point is the subproblem's minimizer.
+        args = (gram, kplus(obj.decomp), obj.y_signed, obj.lam, obj.lam1, omega, anchor, 1.0)
+        ref = ref_inner_prox_gradient(*args)
+        assert set(np.flatnonzero(ref).tolist()) == set(np.flatnonzero(alpha).tolist())
+        assert abs(ref_inner_objective(*args, alpha) - ref_inner_objective(*args, ref)) <= 1e-9
+
+    def test_restricted_fit_ends_at_a_critical_point(self, monkeypatch):
+        # Every solve of this RBF fit runs on fewer than half of the n.
+        data = benchmark_data(0, 120)
+        gram = gram_matrix(KernelSpec.rbf(1.0), data)
+        obj = DcObjective.from_labels(decompose_gram(gram, 1e-6, psd=True), data.labels,
+                                      lam=0.01, lam1=0.01)
+        sets = recorded_working_sets(monkeypatch)
+        alpha, trace = pla_fit(obj, SolverConfig())
+        assert trace.status == CONVERGED
+        assert len(sets) >= trace.num_iterations > 100
+        assert all(s is not None and 2 * s.size < obj.n for s in sets)
+        assert residual_at(obj, alpha) <= 10 * SolverConfig().epsilon_outer
+
+    @pytest.mark.parametrize("spec", [
+        ModelSpec("klr", lam=1e-4),
+        ModelSpec("l1-riklr", lam=1.0, lam1=0.01),
+    ], ids=["klr", "l1-riklr"])
+    def test_all_n_fits_are_bitwise_the_full_set_loop(self, spec, monkeypatch):
+        # klr (lam1 = 0) runs on all n with no set-up; this l1-riklr fit's
+        # working sets each hold at least half of the n.  Either way every
+        # iterate is the full-set loop's, bitwise.
+        data = benchmark_data(0, 120)
+        sets = recorded_working_sets(monkeypatch)
+        model = fit(spec, data)
+        assert sets and all(s is None for s in sets)
+        monkeypatch.setattr(iklogit.solver, "inner_solve", full_set_solver.inner_solve)
+        reference = fit(spec, data)
+        trace, ref = model.trace, reference.trace
+        assert trace.status == ref.status
+        assert trace.inner_iterations == ref.inner_iterations
+        assert len(trace.iterates) == len(ref.iterates)
+        assert all(np.array_equal(a, b) for a, b in zip(trace.iterates, ref.iterates))
+        assert np.array_equal(model.alpha, reference.alpha)
 
 
 class TestPlaFit:
@@ -496,18 +613,21 @@ class TestStationarityResidual:
 
 class TestProductBudget:
     @staticmethod
-    def counted_objective(rng):
-        """An indefinite TL1 objective whose K and K- products are counted.
+    def counted(obj):
+        """``obj`` with its K and W products counted.
 
-        ``dense`` gets one entry per full product with K, ``rows`` the row
-        count of each product with support rows of K (``c[nz] @ K[nz]``),
-        and ``lowrank`` one entry per expansion W v of a K- product.
+        ``products`` gets the row count of each product of a block of rows
+        of K with a vector (``K @ v``, n rows, or ``K[W] @ v`` on a working
+        set), ``rows`` the row count of each product with support rows of K
+        (``c[nz] @ K[nz]``), and ``lowrank`` the row count of each expansion
+        W v of a K- product (``W[W] v`` on a working set).
         """
-        dense, rows, lowrank = [], [], []
+        products, rows, lowrank = [], [], []
+        r = obj.decomp.lowrank.shape[1]
 
         class CountingGram(np.ndarray):
             def __matmul__(self, other):
-                dense.append(1)
+                products.append(self.shape[0])
                 return np.matmul(self.view(np.ndarray), other)
 
             def __rmatmul__(self, other):
@@ -516,32 +636,37 @@ class TestProductBudget:
 
         class CountingFactor(np.ndarray):
             def __matmul__(self, other):
-                if self.shape[0] == n:  # W v, not W^T a
-                    lowrank.append(1)
+                if self.shape[1] == r:  # W v, not W^T a
+                    lowrank.append(self.shape[0])
                 return np.matmul(self.view(np.ndarray), other)
 
-        obj = tl1_objective(rng, n=100, d=3, lam=0.1, lam1=0.01)
-        n = obj.n
-        assert obj.decomp.lowrank.shape[1] > 0
         counted = dataclasses.replace(
             obj.decomp,
             gram=obj.decomp.gram.view(CountingGram),
             lowrank=obj.decomp.lowrank.view(CountingFactor),
         )
         obj = DcObjective(counted, obj.y_signed, lam=obj.lam, lam1=obj.lam1)
-        return obj, dense, rows, lowrank
+        return obj, products, rows, lowrank
+
+    def counted_objective(self, rng):
+        """An indefinite TL1 objective whose K and K- products are counted."""
+        obj = tl1_objective(rng, n=100, d=3, lam=0.1, lam1=0.01)
+        assert obj.decomp.lowrank.shape[1] > 0
+        return self.counted(obj)
 
     def check_budget(self, rng, min_ratio):
-        obj, dense, rows, lowrank = self.counted_objective(rng)
+        obj, products, rows, lowrank = self.counted_objective(rng)
         _, trace = pla_fit(obj, SolverConfig())
         assert trace.status == CONVERGED
         inner, outer = sum(trace.inner_iterations), trace.num_iterations
         assert inner > min_ratio * outer
-        # One full product per inner iteration (the loss gradient at the
+        # One product with K per inner iteration (the loss gradient at the
         # momentum point), plus stop tests, restarts and a few per fit.
         # Taking the candidate's loss gradient every iteration, or its K c
         # as a full product, costs about 2 or 3 per inner iteration.
-        assert len(dense) <= 1.5 * inner + 2 * outer + 2
+        assert len(products) <= 1.5 * inner + 2 * outer + 2
+        # A working set holds fewer than half of the n rows.
+        assert all(p == obj.n or p < obj.n / 2 for p in products)
         # While under half of a candidate's coefficients are nonzero, its
         # K c comes from its support rows; K- c costs one expansion W v.
         assert 0 < len(rows) <= 1.3 * inner + outer
@@ -558,17 +683,40 @@ class TestProductBudget:
         # inner solves are shorter.
         self.check_budget(rng, min_ratio=5)
 
+    def test_sparse_fit_makes_few_full_products(self):
+        # rbf-serve's problem at n = 400: supports of about 10 rows.  The
+        # inner iterations take their products on working sets of at most
+        # a few dozen rows; a full product (n rows) certifies each solve
+        # over all n.  Without working sets it is about 1.06 per inner
+        # iteration.
+        data = benchmark_data(0, 400)
+        gram = gram_matrix(KernelSpec.rbf(1.0), data)
+        obj = DcObjective.from_labels(decompose_gram(gram, 1e-6, psd=True), data.labels,
+                                      lam=1.0, lam1=0.01)
+        obj, products, rows, lowrank = self.counted(obj)
+        _, trace = pla_fit(obj, SolverConfig())
+        assert trace.status == CONVERGED
+        inner, outer = sum(trace.inner_iterations), trace.num_iterations
+        assert inner > 10 * outer
+        full = [p for p in products if p == obj.n]
+        on_sets = [p for p in products if p != obj.n]
+        assert len(full) <= 0.25 * inner
+        assert len(full) <= 2 * outer + 2
+        assert len(on_sets) >= inner
+        assert max(on_sets) < obj.n / 10
+        assert max(rows) < obj.n / 10
+
     def test_outer_loop_adds_no_products(self, rng, monkeypatch):
         # K a, K- a and the loss gradient of each new iterate come back from
         # the inner solve; outside it, only the starting point's K a, loss
         # gradient and K- a are computed.
-        obj, dense, rows, lowrank = self.counted_objective(rng)
-        inside = {"dense": 0, "rows": 0, "lowrank": 0, "solves": 0}
+        obj, products, rows, lowrank = self.counted_objective(rng)
+        inside = {"products": 0, "rows": 0, "lowrank": 0, "solves": 0}
 
         def counting_inner_solve(*args, **kwargs):
-            before = len(dense), len(rows), len(lowrank)
+            before = len(products), len(rows), len(lowrank)
             result = inner_solve(*args, **kwargs)
-            inside["dense"] += len(dense) - before[0]
+            inside["products"] += len(products) - before[0]
             inside["rows"] += len(rows) - before[1]
             inside["lowrank"] += len(lowrank) - before[2]
             inside["solves"] += 1
@@ -578,7 +726,7 @@ class TestProductBudget:
         _, trace = pla_fit(obj, SolverConfig())
         assert trace.status == CONVERGED
         assert inside["solves"] == trace.num_iterations > 10
-        assert len(dense) - inside["dense"] == 2
+        assert len(products) - inside["products"] == 2
         assert len(rows) == inside["rows"]
         assert len(lowrank) - inside["lowrank"] == 1
 
