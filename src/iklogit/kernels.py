@@ -7,6 +7,14 @@ Two kernels are supported:
   general.  ``eta`` defaults to ``0.7 * d`` when left unset.
 * ``rbf``: the Gaussian kernel ``k(x, z) = exp(-||x - z||^2 / sigma^2)``,
   positive definite for distinct points.
+
+Every kernel block, the Gram included, is filled by one loop over blocks of
+output rows (:func:`kernel_rows`).  A block is built one feature at a time:
+the differences of that feature, then their ``abs`` (TL1) or square (RBF),
+added in place to the block.  The kernel's map, the TL1 cap or ``exp``, is
+applied in place at the end.  Scratch beyond the result is one block of
+differences, at most KERNEL_BLOCK_BYTES (or one output row, if that is
+larger), plus a transposed copy of the training features.
 """
 
 from __future__ import annotations
@@ -19,6 +27,12 @@ import numpy as np
 from .errors import InputError, ResourceError
 
 KERNEL_KINDS = ("tl1", "rbf")
+
+# Bytes of one block of output rows in kernel_rows, and of its scratch.  On
+# a 2-core Xeon (one thread) the n = 2000, d = 5 Gram takes 0.04-0.06 s with
+# blocks of 32 KiB to 1 MiB, and 0.06-0.07 s with blocks of 2 MiB and more,
+# which no longer stay in cache.
+KERNEL_BLOCK_BYTES = 2**18
 
 # Fraction of the feature dimension used for the default TL1 bandwidth.
 DEFAULT_ETA_FACTOR = 0.7
@@ -164,25 +178,17 @@ def _require_resolved(spec: KernelSpec) -> None:
         raise InputError("tl1 kernel has unresolved eta; call spec.resolve(d) first")
 
 
-def _rows_against(spec: KernelSpec, block: np.ndarray, point: np.ndarray) -> np.ndarray:
-    """Kernel values of one point against every row of ``block``."""
-    if spec.kind == "tl1":
-        dist = np.abs(block - point).sum(axis=1)
-        return np.maximum(spec.eta - dist, 0.0)
-    sq = ((block - point) ** 2).sum(axis=1)
-    return np.exp(-sq / spec.sigma**2)
-
-
 def gram_matrix(
     spec: KernelSpec, data: Dataset, *, max_bytes: int = 2**29
 ) -> np.ndarray:
     """Assemble the full symmetric Gram matrix of ``data`` under ``spec``.
 
     This is :func:`kernel_rows` of the data against itself, so scratch
-    memory beyond the result is one n x d row block.  The result is
-    exactly symmetric, since |a - b| and (a - b)^2 do not depend on the
-    order of a and b in floating point.  Raises ResourceError when the
-    n x n result would exceed ``max_bytes``.
+    memory beyond the result is one block of KERNEL_BLOCK_BYTES.  The
+    result is exactly symmetric for every d: entries (i, j) and (j, i) add
+    the same terms in the same feature order, since |a - b| and (a - b)^2
+    do not depend on the order of a and b in floating point.  Raises
+    ResourceError when the n x n result would exceed ``max_bytes``.
     """
     _require_resolved(spec)
     n = data.n
@@ -201,10 +207,18 @@ def kernel_rows(
 ) -> np.ndarray:
     """Cross-kernel block: entry (i, j) = k(test_i, train_j).
 
-    ``train`` may be a Dataset or a bare (n, d) feature matrix.  The loop
-    runs over the shorter side, one row of it against every row of the
-    longer side, so scratch memory beyond the result is one row block of
-    the longer side.  Either orientation gives bitwise-equal entries.
+    ``train`` may be a Dataset or a bare (n, d) feature matrix.  The output
+    is filled in blocks of rows of at most KERNEL_BLOCK_BYTES (at least one
+    row each), feature by feature, so scratch memory beyond the result is
+    one such block plus a d x n copy of the training features.
+
+    Each distance is summed in feature order, 0 + t_1 + t_2 + ... + t_d.
+    For d < 8 that is bitwise numpy's ``sum(axis=1)`` over the features.
+    For d >= 8 numpy sums pairwise, so entries can differ from it in the
+    last bits: on 1000 standard normal points at d = 33, by at most 1.1e-14
+    for TL1 with the default eta and 3.3e-16 for RBF with sigma = sqrt(d).
+    ``kernel_rows(spec, a, b)`` is bitwise ``kernel_rows(spec, b, a).T`` for
+    every d.
     """
     _require_resolved(spec)
     base = train.features if isinstance(train, Dataset) else np.asarray(train, float)
@@ -219,11 +233,26 @@ def kernel_rows(
         )
     if not np.all(np.isfinite(tests)):
         raise InputError("test features contain non-finite values")
-    out = np.empty((tests.shape[0], base.shape[0]), dtype=np.float64)
-    if tests.shape[0] <= base.shape[0]:
-        for j in range(tests.shape[0]):
-            out[j] = _rows_against(spec, base, tests[j])
-    else:
-        for i in range(base.shape[0]):
-            out[:, i] = _rows_against(spec, tests, base[i])
+    m, n = tests.shape[0], base.shape[0]
+    out = np.empty((m, n), dtype=np.float64)
+    columns = np.ascontiguousarray(base.T)
+    step = max(1, KERNEL_BLOCK_BYTES // (8 * max(n, 1)))
+    scratch = np.empty((min(step, m), n), dtype=np.float64)
+    power = np.abs if spec.kind == "tl1" else np.square
+    for start in range(0, m, step):
+        block = out[start : start + step]
+        diff = scratch[: block.shape[0]]
+        rows = tests[start : start + step]
+        block.fill(0.0)
+        for k in range(columns.shape[0]):
+            np.subtract(rows[:, k, None], columns[k], out=diff)
+            power(diff, out=diff)
+            block += diff
+        if spec.kind == "tl1":
+            np.subtract(spec.eta, block, out=block)
+            np.maximum(block, 0.0, out=block)
+        else:
+            np.negative(block, out=block)
+            block /= spec.sigma**2
+            np.exp(block, out=block)
     return out

@@ -1,13 +1,39 @@
 """Kernel evaluation, Gram assembly, and dataset plumbing."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import iklogit.kernels
 from iklogit import Dataset, InputError, KernelSpec, ResourceError, gram_matrix
 from iklogit.kernels import kernel_rows, normalize_binary_labels
 
+import row_loop_kernels
 from conftest import random_dataset
 from reference_solvers import ref_tl1_gram
+
+EPS = np.finfo(np.float64).eps
+
+
+def spec_for(kind, d):
+    """A kernel whose entries are mostly nonzero on standard normal points."""
+    return KernelSpec.tl1(2.0 * d) if kind == "tl1" else KernelSpec.rbf(np.sqrt(d))
+
+
+def summation_bound(spec, d):
+    """Largest entry difference allowed between two summation orders.
+
+    Each order's distance is within (d - 1) eps of the exact sum of its d
+    nonnegative terms.  A TL1 entry eta - dist is nonzero only for
+    dist < eta, and the cap and the subtraction add an ulp of eta; an RBF
+    entry exp(-s) moves by at most exp(-s) s times the relative error of s,
+    and exp(-s) s <= 1.
+    """
+    if spec.kind == "tl1":
+        return (2 * d + 1) * EPS * spec.eta
+    return (2 * d + 2) * EPS
+
 
 INVALID_SPECS = [
     {"kind": "poly"},
@@ -114,6 +140,35 @@ class TestGramMatrix:
         eigvals = np.linalg.eigvalsh(gram)
         assert eigvals.min() >= -1e-10
 
+    @pytest.mark.parametrize("kind", ["tl1", "rbf"])
+    @pytest.mark.parametrize("d", [8, 13, 33])
+    def test_exactly_symmetric_for_every_d(self, rng, kind, d):
+        # From d = 8 on the entries leave numpy's pairwise order, but (i, j)
+        # and (j, i) still add the same terms in the same order.
+        data = random_dataset(rng, 40, d)
+        spec = spec_for(kind, d)
+        gram = gram_matrix(spec, data)
+        assert np.array_equal(gram, gram.T)
+        reference = row_loop_kernels.kernel_rows(spec, data.features, data.features)
+        assert np.max(np.abs(gram - reference)) <= summation_bound(spec, d)
+
+    @pytest.mark.parametrize("kind", ["tl1", "rbf"])
+    def test_peak_traced_memory(self, rng, kind):
+        # Scratch beyond the output is one block of differences and a d x n
+        # copy of the features: at most two blocks.
+        n, d = 600, 5
+        data = random_dataset(rng, n, d)
+        spec = spec_for(kind, d)
+        gram_matrix(spec, data)  # first-call allocations stay out
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            gram_matrix(spec, data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - 8 * n * n <= 2 * iklogit.kernels.KERNEL_BLOCK_BYTES
+
     def test_memory_cap_enforced(self, rng):
         data = random_dataset(rng, 20, 2)
         with pytest.raises(ResourceError):
@@ -147,17 +202,42 @@ class TestKernelRows:
 
     @pytest.mark.parametrize("kind", ["tl1", "rbf"])
     @pytest.mark.parametrize("m, n", [(3, 11), (11, 3), (7, 7)])
-    @pytest.mark.parametrize("d", [3, 40])
+    @pytest.mark.parametrize("d", [1, 3, 5, 7, 8, 13, 33, 40])
     def test_either_orientation_bitwise_equal(self, rng, kind, m, n, d):
-        # The loop runs over the shorter side; swapping the sides swaps
-        # which one that is, and every entry must come out the same.
-        spec = KernelSpec.tl1(2.0 * d) if kind == "tl1" else KernelSpec.rbf(np.sqrt(d))
+        # Swapping the sides transposes the block: every entry must come
+        # out the same.  Against the row loop, each distance is summed in
+        # feature order, which is numpy's order for d < 8 and not its
+        # pairwise order from d = 8 on.
+        spec = spec_for(kind, d)
         a = rng.normal(size=(m, d))
         b = rng.normal(size=(n, d))
         rows = kernel_rows(spec, a, b)
         assert rows.shape == (n, m)
         assert np.array_equal(rows, kernel_rows(spec, b, a).T)
         assert np.count_nonzero(rows) > rows.size // 2
+        reference = row_loop_kernels.kernel_rows(spec, a, b)
+        if d < 8:
+            assert np.array_equal(rows, reference)
+        else:
+            assert np.max(np.abs(rows - reference)) <= summation_bound(spec, d)
+
+    @pytest.mark.parametrize("kind", ["tl1", "rbf"])
+    @pytest.mark.parametrize("block_rows", [1, 3, 4, 10])
+    def test_block_boundaries(self, rng, monkeypatch, kind, block_rows):
+        # 10 output rows in blocks of 1, of 3 (a last block of 1), of 4
+        # (a last block of 2) and of 10 (one block).
+        d, n = 5, 6
+        spec = spec_for(kind, d)
+        train = rng.normal(size=(n, d))
+        tests = rng.normal(size=(10, d))
+        monkeypatch.setattr(iklogit.kernels, "KERNEL_BLOCK_BYTES", 8 * n * block_rows)
+        rows = kernel_rows(spec, train, tests)
+        assert np.array_equal(rows, row_loop_kernels.kernel_rows(spec, train, tests))
+
+    @pytest.mark.parametrize("kind", ["tl1", "rbf"])
+    def test_empty_test_set(self, rng, kind):
+        rows = kernel_rows(spec_for(kind, 4), rng.normal(size=(6, 4)), np.empty((0, 4)))
+        assert rows.shape == (0, 6)
 
 
 class TestDataset:

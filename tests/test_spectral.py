@@ -293,6 +293,44 @@ class TestPsdDeclared:
         with pytest.raises(InputError, match=match):
             decompose_gram(gram, 1e-6, psd=True)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("psd", [False, True])
+    def test_rejects_non_finite_entries(self, rng, value, psd):
+        # One min and one max pass find every NaN and infinity.
+        gram = rbf_gram(rng, 7, 1.0)
+        gram[2, 5] = gram[5, 2] = value
+        with pytest.raises(InputError, match="non-finite"):
+            decompose_gram(gram, 1e-6, psd=psd)
+
+    @pytest.mark.parametrize(
+        "pair", [(9, 10), (10, 8), (3, 4), (4, 3), (0, 10)],
+        ids=["last-block-upper", "last-block-lower", "straddle-upper",
+             "straddle-lower", "corner"],
+    )
+    @pytest.mark.parametrize("psd", [False, True])
+    def test_asymmetry_found_in_every_block_pair(self, rng, monkeypatch, pair, psd):
+        # n = 11 in blocks of 4 rows: [0, 4), [4, 8) and a short [8, 11).
+        monkeypatch.setattr(iklogit.spectral, "SYMMETRY_BLOCK_BYTES", 8 * 11 * 4)
+        gram = rbf_gram(rng, 11, 1.0)
+        gram[pair] += 1e-6
+        with pytest.raises(InputError, match="not symmetric"):
+            decompose_gram(gram, 1e-6, psd=psd)
+
+    def test_psd_split_peak_traced_memory(self, rng):
+        # The symmetry check works on blocks: no n x n temporary, where
+        # K - K^T alone took 8 n^2 bytes.
+        n = 600
+        gram = rbf_gram(rng, n, 1.0)
+        decompose_gram(gram, 1e-6, psd=True)  # first-call allocations stay out
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            decompose_gram(gram, 1e-6, psd=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * n / 2
+
     def test_rejects_non_square_and_empty(self):
         for gram in (np.ones((2, 3)), np.zeros((0, 0))):
             with pytest.raises(InputError):
