@@ -41,9 +41,8 @@ MODEL_SCHEMA = "iklogit-model"
 MODEL_SCHEMA_VERSION = 2
 
 # Bytes held at once while scoring: test rows go in blocks whose kernel
-# values (one per nonzero coefficient) and per-row scratch (one per
-# feature) each fit in this many bytes, so memory does not grow with the
-# number of test rows.
+# values (one per nonzero coefficient) fit in this many bytes, so memory
+# does not grow with the number of test rows.
 SCORE_BLOCK_BYTES = 2**22
 
 # Probabilities are clipped into the open interval (0, 1).
@@ -146,8 +145,7 @@ class FittedModel:
         tests = np.atleast_2d(np.asarray(test_features, dtype=np.float64))
         nonzero = np.flatnonzero(self.alpha)
         rows, coef = self.train_features[nonzero], self.alpha[nonzero]
-        width = max(nonzero.size, self.train_features.shape[1], 1)
-        step = max(1, SCORE_BLOCK_BYTES // (8 * width))
+        step = max(1, SCORE_BLOCK_BYTES // (8 * max(nonzero.size, 1)))
         return np.concatenate([
             kernel_rows(self.kernel, rows, tests[i : i + step]) @ coef
             for i in range(0, max(len(tests), 1), step)

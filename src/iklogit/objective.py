@@ -19,7 +19,7 @@ Setting lam1 = 0 recovers the plain (indefinite) kernel logistic model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,12 +46,17 @@ class DcObjective:
         Smoothness (quadratic) weight, > 0.
     lam1 : float
         Sparsity (L1) weight, >= 0; 0 disables the L1 term.
+
+    ``half_y`` and ``half_y_over_n`` are y / 2 and y / (2n), the label
+    vectors of :func:`loss_grad`, built once here.
     """
 
     decomp: GramDecomposition
     y_signed: np.ndarray
     lam: float
     lam1: float = 0.0
+    half_y: np.ndarray = field(init=False, repr=False)
+    half_y_over_n: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         y = np.asarray(self.y_signed, dtype=np.float64)
@@ -63,6 +68,8 @@ class DcObjective:
         check_number("lam", self.lam)
         check_number("lam1", self.lam1, positive=False)
         object.__setattr__(self, "y_signed", y)
+        object.__setattr__(self, "half_y", 0.5 * y)
+        object.__setattr__(self, "half_y_over_n", 0.5 * y / n)
 
     @classmethod
     def from_labels(
@@ -94,9 +101,16 @@ def _check_alpha(obj: DcObjective, alpha: np.ndarray) -> np.ndarray:
 
 def loss_value(obj: DcObjective, scores: np.ndarray) -> float:
     """Loss (1/n) sum ln(1 + exp(-y_i s_i)) at the scores s = K a."""
-    # ln(1 + e^u) as logaddexp(0, u), without overflow; sum / n is
-    # np.mean's own arithmetic, without its per-call overhead.
-    return float(np.logaddexp(0.0, -(obj.y_signed * scores)).sum()) / obj.n
+    # ln(1 + e^-m) = log1p(e^-|m|) - min(m, 0) at the margins m = y s, without
+    # overflow, in two buffers of length n; sum / n is np.mean's own
+    # arithmetic, without its per-call overhead.
+    margins = obj.y_signed * scores
+    terms = np.abs(margins)
+    np.negative(terms, out=terms)
+    np.exp(terms, out=terms)
+    np.log1p(terms, out=terms)
+    terms -= np.minimum(margins, 0.0, out=margins)
+    return float(terms.sum()) / obj.n
 
 
 def loss_grad(
@@ -104,12 +118,17 @@ def loss_grad(
 ) -> np.ndarray:
     """Loss gradient -(1/n) K (y * sigmoid(-y * s)) at the scores s = K a.
 
-    It costs one dense product.  Given ``rows``, a block of rows of K, it
+    Computed as K ((tanh(y s / 2) - 1) y / (2n)), the same vector since
+    sigmoid(-m) = (1 - tanh(m / 2)) / 2, with one buffer of length n.  It
+    costs one dense product.  Given ``rows``, a block of rows of K, it
     returns the gradient's entries on those rows only, at the block's cost.
     """
-    margins = obj.y_signed * scores
+    weights = obj.half_y * scores
+    np.tanh(weights, out=weights)
+    weights -= 1.0
+    weights *= obj.half_y_over_n
     gram = obj.decomp.gram if rows is None else rows
-    return -(gram @ (obj.y_signed * sigmoid(-margins))) / obj.n
+    return gram @ weights
 
 
 def f_value(obj: DcObjective, alpha: np.ndarray, scores: np.ndarray) -> float:

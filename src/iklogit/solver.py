@@ -68,10 +68,12 @@ carried next to the iterate.  An inner iteration makes one product with
 the |W| rows of K on the working set: the loss gradient K[W] (y * s) at the
 momentum point y, n |W| operations (a full n x n product when W is all n).
 K y and K+ y on W are combinations of the carried products, since
-y = c + beta (c - x) is linear in the iterates.  The candidate
-c = S(y - t grad phi(y)) comes out of the L1 prox, so it is mostly sparse:
-while fewer than half of its n coefficients are nonzero, K c and W^T c are
-sums of the support rows of K and W (full products otherwise), and
+y = c + beta (c - x) is linear in the iterates.  For the candidate
+c = S(y - t grad phi(y)), K c and W^T c are products with the working
+set's rows of K and W, which the set copies once when it is built, not once
+per candidate.  Over all n, c comes out of the L1 prox and is mostly
+sparse: while fewer than half of its n coefficients are nonzero, K c and
+W^T c are sums of its support rows (full products otherwise).
 K- c = tau c + W (W^T c) adds one low-rank expansion.  The candidate's loss
 gradient on W, a second product, is taken in two cases only.  A momentum
 restart needs it at the last candidate x, for the plain step from x.  The
@@ -252,23 +254,27 @@ class _WorkingSet:
 
 
 def _products(decomp: GramDecomposition, a: np.ndarray, ws: _WorkingSet):
-    """K a over all n, K+ a on the working set ``ws``, and the support of a.
+    """K a over all n and K+ a on the working set ``ws``.
 
-    ``a`` holds the coefficients on ``ws``.  When fewer than half of the n
-    coefficients are nonzero, as on every working set smaller than all n,
-    K a and W^T a are sums of the support rows of K (which is symmetric) and
-    W; they differ from the full products only in rounding.
+    ``a`` holds the coefficients on ``ws``.  On a working set smaller than
+    all n, K a and W^T a are products with the set's rows of K (which is
+    symmetric) and W, which ``ws`` holds.  Over all n, while fewer than half
+    of the coefficients are nonzero, they are sums of the support rows of K
+    and W.  Either way they differ from the full products only in rounding.
     """
+    if ws.index is not None:
+        k_a = a @ ws.gram
+        kminus_a = decomp.tau * a + ws.lowrank @ (a @ ws.lowrank)
+        return k_a, k_a[ws.index] + kminus_a
     nz = a.nonzero()[0]
-    if ws.index is not None or 2 * nz.size < a.size:
-        rows = nz if ws.index is None else ws.index[nz]
+    if 2 * nz.size < a.size:
         coef = a[nz]
-        k_a = coef @ decomp.gram[rows]
-        kminus_a = decomp.tau * a + ws.lowrank @ (coef @ decomp.lowrank[rows])
+        k_a = coef @ decomp.gram[nz]
+        kminus_a = decomp.tau * a + decomp.lowrank @ (coef @ decomp.lowrank[nz])
     else:
         k_a = decomp.gram @ a
         kminus_a = decomp.kminus_dot(a)
-    return k_a, (k_a if ws.index is None else k_a[ws.index]) + kminus_a, nz
+    return k_a, k_a + kminus_a
 
 
 # Overflow in the loop is diagnosed through the non-finite objective check.
@@ -293,7 +299,7 @@ def inner_solve(
     momentum is discarded and a plain proximal-gradient step (guaranteed
     descent at step 1/L) is taken instead.  Each iteration takes the loss
     gradient at the momentum point only, and the candidate's K c and K- c
-    from the rows of its support; the candidate's loss gradient is taken
+    from the working set's rows; the candidate's loss gradient is taken
     only for a restart or for the stop test, which runs once the momentum
     point's free residual is within INNER_CHECK_FACTOR of ``tol``.
 
@@ -318,12 +324,10 @@ def inner_solve(
     # phi = g's smooth part - omega^T (a - alpha_k) + ||a - alpha_k||^2 / (2 gamma).
     shift = np.asarray(omega, dtype=np.float64) + inv_gamma * anchor
 
-    def total(a, k_a, kp_a, nz, sh):
-        """phi + lam1 ||a||_1 at a, less the constant of the solve; the
-        coefficient terms are sums over the support nz."""
-        s = a[nz]
-        coef_terms = s @ (0.5 * lam * kp_a[nz] + 0.5 * inv_gamma * s - sh[nz])
-        l1_term = obj.lam1 * float(np.abs(s).sum())
+    def total(a, k_a, kp_a, sh):
+        """phi + lam1 ||a||_1 at a, less the constant of the solve."""
+        coef_terms = a @ (0.5 * lam * kp_a + 0.5 * inv_gamma * a - sh)
+        l1_term = obj.lam1 * float(np.abs(a).sum())
         return loss_value(obj, k_a) + float(coef_terms) + l1_term
 
     def grad_phi(a, kp_a, lg_a, sh):
@@ -354,7 +358,7 @@ def inner_solve(
         x, kx, kpx, lgx, cand, sh = a, k_a, kp_a, lg_a, nxt, shift
         if ws.index is not None:
             x, kpx, lgx, cand, sh = (v[ws.index] for v in (a, kp_a, lg_a, nxt, shift))
-        total_x = total(x, kx, kpx, x.nonzero()[0], sh)
+        total_x = total(x, kx, kpx, sh)
         y, kpy, lgy = x, kpx, lgx
         theta, beta = 1.0, 0.0
         for it in range(it + 1, cfg.max_inner + 1):
@@ -362,8 +366,8 @@ def inner_solve(
                 # y is x, so gap is x's exact residual on W.
                 point = x, kx, kpx, lgx, it - 1, gap
                 break
-            kc, kpc, nzc = _products(decomp, cand, ws)
-            total_c = total(cand, kc, kpc, nzc, sh)
+            kc, kpc = _products(decomp, cand, ws)
+            total_c = total(cand, kc, kpc, sh)
             if not math.isfinite(total_c):
                 raise NumericalError("inner solve produced a non-finite objective")
             if total_c > total_x:
@@ -377,8 +381,8 @@ def inner_solve(
                     if gap <= tol:
                         point = x, kx, kpx, lgx, it - 1, gap
                         break
-                    kc, kpc, nzc = _products(decomp, cand, ws)
-                    total_c = total(cand, kc, kpc, nzc, sh)
+                    kc, kpc = _products(decomp, cand, ws)
+                    total_c = total(cand, kc, kpc, sh)
             lgc = None
             if gap <= INNER_CHECK_FACTOR * tol:
                 lgc = loss_gradient(obj, kc, ws.gram)
@@ -414,8 +418,7 @@ def inner_solve(
         # The point over all n: one full product gives its loss gradient.
         a = np.zeros(obj.n)
         a[ws.index] = x
-        nz = x.nonzero()[0]
-        kminus_a = decomp.tau * a + decomp.lowrank @ (x[nz] @ ws.lowrank[nz])
+        kminus_a = decomp.tau * a + decomp.lowrank @ (x @ ws.lowrank)
         k_a, kp_a, lg_a = kx, kx + kminus_a, loss_gradient(obj, kx)
         nxt = soft_threshold(a - step * grad_phi(a, kp_a, lg_a, shift), threshold)
         gap = _max_abs(a - nxt)

@@ -322,11 +322,10 @@ class TestPredict:
         assert model.scores(test[0]).shape == (1,)
         assert model.scores(test[:0]).shape == (0,)
 
-    def test_score_blocks_sized_by_features_when_support_is_small(
-        self, rng, monkeypatch
-    ):
-        # Two nonzero coefficients, d = 10: the per-row scratch of 10 values
-        # sets the block size, 3 rows of 10 values of 8 bytes.
+    def test_score_blocks_sized_by_support_not_features(self, rng, monkeypatch):
+        # Two nonzero coefficients, d = 10: a block row holds the 2 kernel
+        # values of its support, so blocks of 3 rows take 3 * 2 * 8 bytes;
+        # the 10 features do not count.
         model = FittedModel(
             alpha=np.array([0.5, 0.0, -1.0, 0.0]),
             train_features=rng.normal(size=(4, 10)),
@@ -345,9 +344,14 @@ class TestPredict:
             return kernel_rows(spec, train, tests)
 
         monkeypatch.setattr(iklogit.model, "kernel_rows", recording_kernel_rows)
-        monkeypatch.setattr(iklogit.model, "SCORE_BLOCK_BYTES", 3 * 10 * 8)
+        monkeypatch.setattr(iklogit.model, "SCORE_BLOCK_BYTES", 3 * 2 * 8)
         assert np.array_equal(model.scores(test), whole)
         assert blocks == [3, 3, 3, 1]
+        # An all-zero alpha scores one value per row: blocks of 6 rows.
+        blocks.clear()
+        model.alpha = np.zeros(4)
+        assert np.array_equal(model.scores(test), np.zeros(10))
+        assert blocks == [6, 4]
 
     def test_dimension_mismatch_rejected(self, rng):
         model = zero_score_model(d=2)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from iklogit import DcObjective, InputError, SolverConfig, decompose_gram
-from iklogit.objective import soft_threshold
+from iklogit.objective import loss_grad, loss_value, sigmoid, soft_threshold
 from iklogit.solver import inner_solve, stationarity_residual
 
 from conftest import (
@@ -52,6 +52,44 @@ class TestLogisticLoss:
         obj = tl1_objective(rng)
         with pytest.raises(InputError):
             logistic_loss(obj, np.full(obj.n, np.nan))
+
+
+# Margins y * s at which the loss and its gradient are checked.
+MARGINS = np.array([0.0, 1e-300, -1e-300, 30.0, -30.0, 745.0, -745.0, 1e4, -1e4])
+ULPS = 4 * np.finfo(np.float64).eps
+
+
+class TestLossArithmetic:
+    """loss_value and loss_grad against the logaddexp and sigmoid formulas."""
+
+    @pytest.mark.parametrize("y", [1.0, -1.0])
+    @pytest.mark.parametrize("margin", MARGINS)
+    def test_single_margin(self, margin, y):
+        obj = scalar_objective(y=y)
+        scores = np.array([y * margin])
+        value = loss_value(obj, scores)
+        grad = loss_grad(obj, scores)
+        assert np.isfinite(value) and np.all(np.isfinite(grad))
+        assert np.allclose(value, np.logaddexp(0.0, -margin), rtol=ULPS, atol=0.0)
+        # K = [[1]] and n = 1: the gradient is -y sigmoid(-m).
+        assert np.allclose(grad, -y * sigmoid(-margin), rtol=ULPS, atol=0.0)
+
+    def test_vector_of_margins(self):
+        # K = I: the gradient's entries are the per-margin ones over n.
+        n = 2 * MARGINS.size
+        y = np.repeat([1.0, -1.0], MARGINS.size)
+        margins = np.concatenate([MARGINS, -MARGINS])
+        obj = DcObjective(decomp=decompose_gram(np.eye(n), 1e-6), y_signed=y, lam=1.0)
+        scores = y * margins
+        before = scores.copy()
+        value = loss_value(obj, scores)
+        grad = loss_grad(obj, scores)
+        assert np.array_equal(scores, before)
+        assert np.allclose(value, np.logaddexp(0.0, -margins).mean(), rtol=ULPS, atol=0.0)
+        assert np.allclose(grad, -(y * sigmoid(-margins)) / n, rtol=ULPS, atol=0.0)
+        # Rows of K give the gradient's entries on those rows.
+        rows = np.array([1, 4, 12])
+        assert np.array_equal(loss_grad(obj, scores, obj.decomp.gram[rows]), grad[rows])
 
 
 class TestDcSplit:

@@ -187,12 +187,33 @@ class TestInnerSolve:
             for count in counts:
                 a = np.zeros(80)
                 a[rng.choice(on_set, count, replace=False)] = rng.normal(size=count)
-                k_a, kplus_a, nz = iklogit.solver._products(decomp, a[on_set], ws)
+                k_a, kplus_a = iklogit.solver._products(decomp, a[on_set], ws)
                 full = decomp.gram @ a
-                assert np.array_equal(on_set[nz], np.flatnonzero(a))
                 assert np.allclose(k_a, full, rtol=1e-13, atol=1e-15)
                 kplus_full = full + decomp.kminus_dot(a)
                 assert np.allclose(kplus_a, kplus_full[on_set], rtol=1e-13, atol=1e-15)
+
+    def test_working_set_products_match_full(self, rng):
+        # On a working set, K a and W^T a are products with the set's rows;
+        # zeros inside the set, and an all-zero candidate, are taken as they
+        # come.
+        decomp = tl1_objective(rng, n=80).decomp
+        assert decomp.lowrank.shape[1] > 0
+        index = np.sort(rng.choice(80, 30, replace=False))
+        ws = iklogit.solver._WorkingSet(decomp, index)
+        assert ws.index is index
+        with_zeros = rng.normal(size=30)
+        with_zeros[rng.choice(30, 12, replace=False)] = 0.0
+        for coef in (with_zeros, rng.normal(size=30), np.zeros(30)):
+            a = np.zeros(80)
+            a[index] = coef
+            k_a, kplus_a = iklogit.solver._products(decomp, coef, ws)
+            full = decomp.gram @ a
+            kplus_full = (full + decomp.kminus_dot(a))[index]
+            scale = max(np.abs(full).max(), np.abs(kplus_full).max(), 1.0)
+            assert np.allclose(k_a, full, rtol=1e-12, atol=1e-15 * scale)
+            assert np.allclose(kplus_a, kplus_full, rtol=1e-12, atol=1e-15 * scale)
+        assert not k_a.any() and not kplus_a.any()
 
     def test_stop_on_free_residual_returns_exact_products(self, rng):
         # A strong proximal term (small gamma) makes plain steps contract
@@ -618,9 +639,10 @@ class TestProductBudget:
 
         ``products`` gets the row count of each product of a block of rows
         of K with a vector (``K @ v``, n rows, or ``K[W] @ v`` on a working
-        set), ``rows`` the row count of each product with support rows of K
-        (``c[nz] @ K[nz]``), and ``lowrank`` the row count of each expansion
-        W v of a K- product (``W[W] v`` on a working set).
+        set), ``rows`` the row count of each product of a vector with rows
+        of K (``c @ K[W]`` with the working set's rows, or ``c[nz] @ K[nz]``
+        with the support rows over all n), and ``lowrank`` the row count of
+        each expansion W v of a K- product (``W[W] v`` on a working set).
         """
         products, rows, lowrank = [], [], []
         r = obj.decomp.lowrank.shape[1]
@@ -705,6 +727,33 @@ class TestProductBudget:
         assert len(on_sets) >= inner
         assert max(on_sets) < obj.n / 10
         assert max(rows) < obj.n / 10
+
+    def test_working_set_iterations_gather_no_rows(self, rng, monkeypatch):
+        # Every solve of this TL1 fit runs on fewer than half of the n.
+        # Rows of K and W are gathered only to build a working set, one
+        # gather each; the iterations on the set read the rows it holds.
+        gathers = []
+
+        class Gathering(np.ndarray):
+            def __getitem__(self, key):
+                if self.ndim == 2:
+                    gathers.append(self.shape)
+                return super().__getitem__(key)
+
+        obj = tl1_objective(rng, n=100, d=3, lam=0.1, lam1=0.02)
+        assert obj.decomp.lowrank.shape[1] > 0
+        decomp = dataclasses.replace(
+            obj.decomp,
+            gram=obj.decomp.gram.view(Gathering),
+            lowrank=obj.decomp.lowrank.view(Gathering),
+        )
+        obj = DcObjective(decomp, obj.y_signed, lam=obj.lam, lam1=obj.lam1)
+        sets = recorded_working_sets(monkeypatch)
+        _, trace = pla_fit(obj, SolverConfig())
+        assert trace.status == CONVERGED
+        assert len(sets) > 10 and all(s is not None for s in sets)
+        assert sum(trace.inner_iterations) > 5 * len(sets)
+        assert len(gathers) == 2 * len(sets)
 
     def test_outer_loop_adds_no_products(self, rng, monkeypatch):
         # K a, K- a and the loss gradient of each new iterate come back from
