@@ -138,9 +138,8 @@ def f_value(obj: DcObjective, alpha: np.ndarray, scores: np.ndarray) -> float:
     return loss_value(obj, scores) + quad + obj.lam1 * float(np.abs(a).sum())
 
 
-def grad_h(obj: DcObjective, alpha: np.ndarray, kminus: np.ndarray) -> np.ndarray:
-    """Gradient of h: lam K- a, given kminus = K- a."""
-    _check_alpha(obj, alpha)
+def grad_h(obj: DcObjective, kminus: np.ndarray) -> np.ndarray:
+    """Gradient of h at a: lam K- a, given kminus = K- a."""
     return obj.lam * kminus
 
 

@@ -55,13 +55,14 @@ coordinates, the rest held at 0 (after Blitz, Johnson & Guestrin, ICML
 2015, and Celer, Massias, Gramfort & Salmon, ICML 2018).  W starts as the
 support of alpha_k plus every coordinate that the first proximal step
 from alpha_k moves, where |grad phi(alpha_k)| > lam1; that gradient is the
-one the first step takes anyway.  A point that passes the stop test on W
-is certified over all n with one full product; a coordinate its proximal
-step would move joins W, and momentum restarts from that point.  So the
-returned point meets the residual tolerance over all n coordinates.  When
-W would hold at least half of the n coordinates, or lam1 = 0, it is all of
-them: the iterations then read K itself and are those of a solve without
-working sets, bitwise.
+one the first step takes anyway.  The point that passes the stop test on
+W is expanded to all n and takes the residual test over all n that the
+warm start took, at the cost of one full product; if it fails, every
+coordinate its proximal step would move joins W, and momentum restarts
+from that point.  So the returned point meets the residual tolerance over
+all n coordinates.  When W holds at least half of the n coordinates, or
+lam1 = 0, it is all of them: the iterations then read K itself, with full
+products, as a solve without working sets does.
 
 Product budget: every product with K and K- is computed once per point and
 carried next to the iterate.  An inner iteration makes one product with
@@ -71,24 +72,22 @@ K y and K+ y on W are combinations of the carried products, since
 y = c + beta (c - x) is linear in the iterates.  For the candidate
 c = S(y - t grad phi(y)), K c and W^T c are products with the working
 set's rows of K and W, which the set copies once when it is built, not once
-per candidate.  Over all n, c comes out of the L1 prox and is mostly
-sparse: while fewer than half of its n coefficients are nonzero, K c and
-W^T c are sums of its support rows (full products otherwise).
+per candidate; over all n they are the full products.
 K- c = tau c + W (W^T c) adds one low-rank expansion.  The candidate's loss
 gradient on W, a second product, is taken in two cases only.  A momentum
 restart needs it at the last candidate x, for the plain step from x.  The
 stop test needs it once the momentum point's residual ||y - c||_inf, which
 costs nothing, is at most INNER_CHECK_FACTOR times the tolerance; when
 beta = 0 (the first iteration and the one after a restart) y is x, that
-residual is x's exact one on W, and x is returned with the products it
-carries.  On a working set smaller than all n the returned point costs one
-more full product, its loss gradient over all n, and one low-rank K- a.
-The outer loop adds no product of its own: K a, K- a and the loss gradient
-of the new iterate come back from the inner solve and serve f_value,
-grad_h, the stationarity residual and the next warm start.  Only the
-starting point costs two dense products (K a and the loss gradient) and one
-low-rank K- a.  No function computes a product it is not given: each takes
-the products it needs as arguments.
+residual is x's exact one on W, and x ends the working set's iterations
+with the products it carries.  On a working set smaller than all n that
+point costs one more full product, its loss gradient over all n, and one
+low-rank K- a.  The outer loop adds no product of its own: K a, K- a and
+the loss gradient of the new iterate come back from the inner solve and
+serve f_value, grad_h, the stationarity residual and the next warm start.
+Only the starting point costs two dense products (K a and the loss
+gradient) and one low-rank K- a.  No function computes a product it is not
+given: each takes the products it needs as arguments.
 """
 
 from __future__ import annotations
@@ -256,25 +255,18 @@ class _WorkingSet:
 def _products(decomp: GramDecomposition, a: np.ndarray, ws: _WorkingSet):
     """K a over all n and K+ a on the working set ``ws``.
 
-    ``a`` holds the coefficients on ``ws``.  On a working set smaller than
-    all n, K a and W^T a are products with the set's rows of K (which is
-    symmetric) and W, which ``ws`` holds.  Over all n, while fewer than half
-    of the coefficients are nonzero, they are sums of the support rows of K
-    and W.  Either way they differ from the full products only in rounding.
+    ``a`` holds the coefficients on ``ws``.  Over all n these are the full
+    products K a and K a + K- a.  On a working set smaller than all n, K a
+    and W^T a are products with the set's rows of K (which is symmetric)
+    and W, which ``ws`` holds; they differ from the full products only in
+    rounding.
     """
-    if ws.index is not None:
-        k_a = a @ ws.gram
-        kminus_a = decomp.tau * a + ws.lowrank @ (a @ ws.lowrank)
-        return k_a, k_a[ws.index] + kminus_a
-    nz = a.nonzero()[0]
-    if 2 * nz.size < a.size:
-        coef = a[nz]
-        k_a = coef @ decomp.gram[nz]
-        kminus_a = decomp.tau * a + decomp.lowrank @ (coef @ decomp.lowrank[nz])
-    else:
+    if ws.index is None:
         k_a = decomp.gram @ a
-        kminus_a = decomp.kminus_dot(a)
-    return k_a, k_a + kminus_a
+        return k_a, k_a + decomp.kminus_dot(a)
+    k_a = a @ ws.gram
+    kminus_a = decomp.tau * a + ws.lowrank @ (a @ ws.lowrank)
+    return k_a, k_a[ws.index] + kminus_a
 
 
 # Overflow in the loop is diagnosed through the non-finite objective check.
@@ -296,25 +288,26 @@ def inner_solve(
     :func:`smooth_lipschitz_bound`) from the warm start alpha_k, whose
     K alpha_k, K- alpha_k and loss gradient are ``scores``, ``kminus`` and
     ``loss_grad``.  When the momentum step raises the subproblem objective,
-    momentum is discarded and a plain proximal-gradient step (guaranteed
-    descent at step 1/L) is taken instead.  Each iteration takes the loss
-    gradient at the momentum point only, and the candidate's K c and K- c
-    from the working set's rows; the candidate's loss gradient is taken
-    only for a restart or for the stop test, which runs once the momentum
-    point's free residual is within INNER_CHECK_FACTOR of ``tol``.
+    momentum is discarded and the iteration is taken again as a plain
+    proximal-gradient step from the last candidate (guaranteed descent at
+    step 1/L).  Each iteration takes the loss gradient at the momentum point
+    only, and the candidate's K c and K- c from the working set's rows; the
+    candidate's loss gradient is taken only for a restart or for the stop
+    test, which runs once the momentum point's free residual is within
+    INNER_CHECK_FACTOR of ``tol``.
 
     With lam1 > 0 the iterations run over a working set W: the support of
-    alpha_k and every coordinate that the first proximal step from alpha_k
-    moves, that is, where |grad phi(alpha_k)| > lam1.  The other
-    coefficients stay at 0, and the products cost n |W| instead of n^2.
-    When W holds at least half of the n coordinates, or lam1 = 0, it is all
-    of them.  A point that passes the stop test on a smaller W is checked
-    over all n with one full product; if it fails there, every coordinate
-    its proximal step moves joins W and momentum restarts from it.
+    the point they start from, every coordinate that its proximal step
+    moves, and the last W.  The other coefficients stay at 0, and the
+    products cost n |W| instead of n^2.  When W holds at least half of the
+    n coordinates, or lam1 = 0, it is all of them.
 
-    Returns the first point whose exact residual over all n passes ``tol``,
-    with ``iterations`` its index, or the last candidate with
-    ``converged=False`` after ``cfg.max_inner`` steps.
+    The warm start, and the point each working set's iterations end at,
+    expanded to all n, pass one residual test over all n.  A point that
+    passes it is returned, with ``iterations`` its index; one that fails
+    starts the next working set, which adds every coordinate its proximal
+    step moves, with momentum restarted.  After ``cfg.max_inner`` steps
+    the last candidate is returned with ``converged=False``.
     """
     anchor = np.asarray(alpha_k, dtype=np.float64)
     threshold = step * obj.lam1
@@ -334,25 +327,27 @@ def inner_solve(
         """grad phi at a from K+ a, the loss gradient and the shift ``sh``."""
         return lg_a + lam * kp_a + inv_gamma * a - sh
 
-    # a is the point each working set starts from, over all n, with K a, K+ a,
-    # its loss gradient, its plain proximal step nxt and exact residual gap.
-    a, k_a, kp_a, lg_a = anchor, scores, scores + kminus, loss_grad
-    nxt = soft_threshold(a - step * grad_phi(a, kp_a, lg_a, shift), threshold)
-    gap = _max_abs(a - nxt)
-    if gap <= tol:
-        return InnerResult(a, 0, gap, True, k_a, kp_a - k_a, lg_a)
-    index, it = None, 0
+    # a is a point the solve may return: the warm start, or the point a
+    # working set's iterations end at, over all n, with its index done,
+    # K a, K+ a, K- a and loss gradient.
+    a, done, k_a, kp_a, lg_a = anchor, 0, scores, scores + kminus, loss_grad
+    km_a = kp_a - k_a
+    index, it, capped = None, 0, False
     while True:
-        # W is the last W, a's support and every coordinate nxt moves: outside
-        # them a's exact residual is 0, so gap is its residual on W.  It is
-        # all n without set-up work when lam1 = 0 or nxt moves half of them.
-        if threshold > 0.0 and 2 * np.count_nonzero(nxt) < nxt.size:
+        # a's plain proximal step nxt and exact residual gap; a capped solve
+        # returns a whatever its residual.
+        nxt = soft_threshold(a - step * grad_phi(a, kp_a, lg_a, shift), threshold)
+        gap = _max_abs(a - nxt)
+        if gap <= tol or capped:
+            return InnerResult(a, done, gap, not capped, k_a, km_a, lg_a)
+        # W is the last W, a's support and every coordinate nxt moves (all n
+        # when lam1 = 0): outside them a's exact residual is 0, so gap is its
+        # residual on W.
+        if threshold > 0.0:
             moved = np.logical_or(a, nxt)
             if index is not None:
                 moved[index] = True
             index = moved.nonzero()[0]
-        else:
-            index = None
         ws = _WorkingSet(decomp, index)
         # x is the last candidate; its loss gradient lgx is None until needed.
         x, kx, kpx, lgx, cand, sh = a, k_a, kp_a, lg_a, nxt, shift
@@ -361,10 +356,12 @@ def inner_solve(
         total_x = total(x, kx, kpx, sh)
         y, kpy, lgy = x, kpx, lgx
         theta, beta = 1.0, 0.0
-        for it in range(it + 1, cfg.max_inner + 1):
+        # it is the candidate's index; a restart takes its iteration again.
+        it += 1
+        while it <= cfg.max_inner:
             if beta == 0.0 and gap <= tol:
                 # y is x, so gap is x's exact residual on W.
-                point = x, kx, kpx, lgx, it - 1, gap
+                done = it - 1
                 break
             kc, kpc = _products(decomp, cand, ws)
             total_c = total(cand, kc, kpc, sh)
@@ -378,17 +375,12 @@ def inner_solve(
                         lgx = loss_gradient(obj, kx, ws.gram)
                     cand = soft_threshold(x - step * grad_phi(x, kpx, lgx, sh), threshold)
                     gap, beta = _max_abs(x - cand), 0.0
-                    if gap <= tol:
-                        point = x, kx, kpx, lgx, it - 1, gap
-                        break
-                    kc, kpc = _products(decomp, cand, ws)
-                    total_c = total(cand, kc, kpc, sh)
+                    continue
             lgc = None
             if gap <= INNER_CHECK_FACTOR * tol:
                 lgc = loss_gradient(obj, kc, ws.gram)
-                residual = _prox_residual(cand, grad_phi(cand, kpc, lgc, sh), step, threshold)
-                if residual <= tol:
-                    point = cand, kc, kpc, lgc, it, residual
+                if _prox_residual(cand, grad_phi(cand, kpc, lgc, sh), step, threshold) <= tol:
+                    x, kx, kpx, lgx, done = cand, kc, kpc, lgc, it
                     break
             theta_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * theta * theta))
             beta = (theta - 1.0) / theta_next
@@ -405,25 +397,20 @@ def inner_solve(
             x, kx, kpx, lgx, total_x, theta = cand, kc, kpc, lgc, total_c, theta_next
             cand = soft_threshold(y - step * grad_phi(y, kpy, lgy, sh), threshold)
             gap = _max_abs(y - cand)
+            it += 1
         else:
-            point = x, kx, kpx, lgx, cfg.max_inner, None
-        x, kx, kpx, lgx, iterations, residual = point
-        converged = residual is not None
+            done, capped = cfg.max_inner, True
+        k_a = kx
         if ws.index is None:
-            if not converged:
-                if lgx is None:
-                    lgx = loss_gradient(obj, kx)
-                residual = _prox_residual(x, grad_phi(x, kpx, lgx, sh), step, threshold)
-            return InnerResult(x, iterations, residual, converged, kx, kpx - kx, lgx)
-        # The point over all n: one full product gives its loss gradient.
-        a = np.zeros(obj.n)
-        a[ws.index] = x
-        kminus_a = decomp.tau * a + decomp.lowrank @ (x @ ws.lowrank)
-        k_a, kp_a, lg_a = kx, kx + kminus_a, loss_gradient(obj, kx)
-        nxt = soft_threshold(a - step * grad_phi(a, kp_a, lg_a, shift), threshold)
-        gap = _max_abs(a - nxt)
-        if gap <= tol or not converged:
-            return InnerResult(a, iterations, gap, converged, k_a, kminus_a, lg_a)
+            a, kp_a, km_a, lg_a = x, kpx, kpx - kx, lgx
+        else:
+            # The end point over all n: one full product gives its loss gradient.
+            a = np.zeros(obj.n)
+            a[ws.index] = x
+            km_a = decomp.tau * a + decomp.lowrank @ (x @ ws.lowrank)
+            kp_a, lg_a = kx + km_a, None
+        if lg_a is None:
+            lg_a = loss_gradient(obj, kx)
 
 
 def stationarity_residual(
@@ -476,7 +463,7 @@ def pla_fit(obj: DcObjective, cfg: SolverConfig) -> tuple[np.ndarray, SolveTrace
     inner_total = 0
 
     for k in range(1, cfg.max_outer + 1):
-        omega = grad_h(obj, alpha, kminus)
+        omega = grad_h(obj, kminus)
         tol = max(cfg.epsilon_inner, INNER_RTOL * moved)
         inner = inner_solve(obj, omega, alpha, cfg, step, tol, scores, kminus, loss_grad)
         alpha_new, scores = inner.alpha, inner.scores

@@ -178,7 +178,7 @@ def f_at(obj: DcObjective, alpha: np.ndarray) -> float:
 
 def grad_h_at(obj: DcObjective, alpha: np.ndarray) -> np.ndarray:
     """grad_h at alpha with its K- alpha."""
-    return grad_h(obj, alpha, obj.decomp.kminus_dot(np.asarray(alpha, dtype=np.float64)))
+    return grad_h(obj, obj.decomp.kminus_dot(_check_alpha(obj, alpha)))
 
 
 def solve_subproblem(obj: DcObjective, omega, anchor, cfg):

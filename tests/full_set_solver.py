@@ -5,6 +5,11 @@ Kept unchanged as the bitwise reference for the all-n case of
 least half of the coordinates, the solver must return exactly what this loop
 returns, iterate for iterate.  It takes the same arguments and is a drop-in
 replacement for ``iklogit.solver.inner_solve`` in a fit.
+
+This loop's ``_products`` sums the support rows of a candidate with fewer
+than n/2 nonzeros, where the solver takes full products over all n.  So the
+bitwise claim holds while no all-n candidate has fewer than n/2 nonzeros;
+the fits that compare the two meet that (every all-n candidate dense).
 """
 
 from __future__ import annotations

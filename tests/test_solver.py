@@ -173,47 +173,36 @@ class TestInnerSolve:
         again = solve_subproblem(obj, omega, result.alpha, SolverConfig())
         assert np.array_equal(again.scores, obj.decomp.gram @ again.alpha)
 
-    def test_support_row_products_match_full(self, rng):
-        # Below half of n nonzeros, K a and W^T a are sums over the support
-        # rows: equal to the full products up to rounding.  On a working set
-        # a holds the coefficients on the set and K+ a comes on the set.
-        decomp = tl1_objective(rng, n=80).decomp
-        assert decomp.lowrank.shape[1] > 0
-        subset = np.sort(rng.choice(80, 39, replace=False))
-        for index, counts in ((None, (0, 1, 5, 39, 40, 80)), (subset, (0, 1, 5, 39))):
-            ws = iklogit.solver._WorkingSet(decomp, index)
-            assert (ws.index is None) == (index is None)
-            on_set = np.arange(80) if index is None else index
-            for count in counts:
-                a = np.zeros(80)
-                a[rng.choice(on_set, count, replace=False)] = rng.normal(size=count)
-                k_a, kplus_a = iklogit.solver._products(decomp, a[on_set], ws)
-                full = decomp.gram @ a
-                assert np.allclose(k_a, full, rtol=1e-13, atol=1e-15)
-                kplus_full = full + decomp.kminus_dot(a)
-                assert np.allclose(kplus_a, kplus_full[on_set], rtol=1e-13, atol=1e-15)
-
     def test_working_set_products_match_full(self, rng):
-        # On a working set, K a and W^T a are products with the set's rows;
-        # zeros inside the set, and an all-zero candidate, are taken as they
-        # come.
+        # Over all n the products are K a and K a + K- a themselves, sparse a
+        # too.  On a working set (39 of 80 rows is still one), K a and W^T a
+        # are products with the set's rows; zeros inside the set, and an
+        # all-zero candidate, are taken as they come.
         decomp = tl1_objective(rng, n=80).decomp
         assert decomp.lowrank.shape[1] > 0
-        index = np.sort(rng.choice(80, 30, replace=False))
-        ws = iklogit.solver._WorkingSet(decomp, index)
-        assert ws.index is index
-        with_zeros = rng.normal(size=30)
-        with_zeros[rng.choice(30, 12, replace=False)] = 0.0
-        for coef in (with_zeros, rng.normal(size=30), np.zeros(30)):
-            a = np.zeros(80)
-            a[index] = coef
-            k_a, kplus_a = iklogit.solver._products(decomp, coef, ws)
-            full = decomp.gram @ a
-            kplus_full = (full + decomp.kminus_dot(a))[index]
-            scale = max(np.abs(full).max(), np.abs(kplus_full).max(), 1.0)
-            assert np.allclose(k_a, full, rtol=1e-12, atol=1e-15 * scale)
-            assert np.allclose(kplus_a, kplus_full, rtol=1e-12, atol=1e-15 * scale)
-        assert not k_a.any() and not kplus_a.any()
+        subsets = [np.sort(rng.choice(80, m, replace=False)) for m in (30, 39)]
+        for index in (None, *subsets):
+            ws = iklogit.solver._WorkingSet(decomp, index)
+            assert ws.index is index
+            on_set = np.arange(80) if index is None else index
+            size = on_set.size
+            with_zeros = rng.normal(size=size)
+            with_zeros[rng.choice(size, 12, replace=False)] = 0.0
+            sparse = np.zeros(size)
+            sparse[rng.choice(size, 5, replace=False)] = rng.normal(size=5)
+            for coef in (with_zeros, sparse, rng.normal(size=size), np.zeros(size)):
+                a = np.zeros(80)
+                a[on_set] = coef
+                k_a, kplus_a = iklogit.solver._products(decomp, coef, ws)
+                full = decomp.gram @ a
+                kplus_full = (full + decomp.kminus_dot(a))[on_set]
+                if index is None:
+                    assert np.array_equal(k_a, full)
+                    assert np.array_equal(kplus_a, kplus_full)
+                scale = max(np.abs(full).max(), np.abs(kplus_full).max(), 1.0)
+                assert np.allclose(k_a, full, rtol=1e-12, atol=1e-15 * scale)
+                assert np.allclose(kplus_a, kplus_full, rtol=1e-12, atol=1e-15 * scale)
+            assert not k_a.any() and not kplus_a.any()
 
     def test_stop_on_free_residual_returns_exact_products(self, rng):
         # A strong proximal term (small gamma) makes plain steps contract
@@ -250,6 +239,14 @@ class TestInnerSolve:
         huge = np.full(obj.n, 1e300)
         with pytest.raises(NumericalError):
             solve_subproblem(obj, huge, np.zeros(obj.n), SolverConfig())
+
+
+def dense_residual(obj, omega, anchor, cfg, alpha):
+    """The subproblem's proximal residual over all n at alpha, from dense products."""
+    step = 1.0 / smooth_lipschitz_bound(obj, cfg.gamma)
+    grad = (loss_grad(obj, obj.decomp.gram @ alpha) + obj.lam * (kplus(obj.decomp) @ alpha)
+            - omega + (alpha - anchor) / cfg.gamma)
+    return np.abs(alpha - ref_soft_threshold(alpha - step * grad, step * obj.lam1)).max()
 
 
 def recorded_working_sets(monkeypatch):
@@ -305,11 +302,7 @@ class TestWorkingSet:
         assert outside
         # The residual over all n, computed here from dense products.
         alpha, gram = result.alpha, obj.decomp.gram
-        step = 1.0 / smooth_lipschitz_bound(obj, cfg.gamma)
-        grad = (loss_grad(obj, gram @ alpha) + obj.lam * (kplus(obj.decomp) @ alpha)
-                - omega + (alpha - anchor) / cfg.gamma)
-        moved = alpha - ref_soft_threshold(alpha - step * grad, step * obj.lam1)
-        assert np.abs(moved).max() <= cfg.epsilon_inner
+        assert dense_residual(obj, omega, anchor, cfg, alpha) <= cfg.epsilon_inner
         # The products returned are those of the returned point.
         k_alpha = gram @ alpha
         assert np.allclose(result.scores, k_alpha, rtol=1e-13, atol=1e-15)
@@ -320,6 +313,35 @@ class TestWorkingSet:
         ref = ref_inner_prox_gradient(*args)
         assert set(np.flatnonzero(ref).tolist()) == set(np.flatnonzero(alpha).tolist())
         assert abs(ref_inner_objective(*args, alpha) - ref_inner_objective(*args, ref)) <= 1e-9
+
+    @pytest.mark.parametrize("lam1", [0.0, 0.05])
+    def test_capped_solve_reports_the_point_it_returns(self, lam1, monkeypatch):
+        # A capped solve returns its last point with that point's residual
+        # over all n and its products.  With lam1 = 0 the solve runs on all
+        # n; with lam1 > 0 it is capped on a working set of the three pushed
+        # coordinates, and the point is expanded to all n.
+        obj, omega, anchor = self.pushed_subproblem("tl1", lam1)
+        sets = recorded_working_sets(monkeypatch)
+        cfg = SolverConfig(max_inner=3, epsilon_inner=1e-15)
+        result = solve_subproblem(obj, omega, anchor, cfg)
+        assert not result.converged
+        assert result.iterations == 3
+        if lam1 == 0.0:
+            assert sets == [None]
+        else:
+            assert [s.tolist() for s in sets] == [[0, 1, 2]]
+        alpha = result.alpha
+        residual = dense_residual(obj, omega, anchor, cfg, alpha)
+        assert residual > cfg.epsilon_inner
+        assert result.residual == pytest.approx(residual, rel=1e-12)
+        k_alpha = obj.decomp.gram @ alpha
+        exact = {
+            "scores": k_alpha,
+            "kminus": obj.decomp.kminus_dot(alpha),
+            "loss_grad": loss_grad(obj, k_alpha),
+        }
+        for name, value in exact.items():
+            assert np.allclose(getattr(result, name), value, rtol=1e-12, atol=1e-15)
 
     def test_restricted_fit_ends_at_a_critical_point(self, monkeypatch):
         # Every solve of this RBF fit runs on fewer than half of the n.
@@ -639,10 +661,10 @@ class TestProductBudget:
 
         ``products`` gets the row count of each product of a block of rows
         of K with a vector (``K @ v``, n rows, or ``K[W] @ v`` on a working
-        set), ``rows`` the row count of each product of a vector with rows
-        of K (``c @ K[W]`` with the working set's rows, or ``c[nz] @ K[nz]``
-        with the support rows over all n), and ``lowrank`` the row count of
-        each expansion W v of a K- product (``W[W] v`` on a working set).
+        set), ``rows`` the row count of each product of a vector with the
+        rows of K on a working set (``c @ K[W]``), and ``lowrank`` the row
+        count of each expansion W v of a K- product (``W[W] v`` on a working
+        set).
         """
         products, rows, lowrank = [], [], []
         r = obj.decomp.lowrank.shape[1]
@@ -689,8 +711,8 @@ class TestProductBudget:
         assert len(products) <= 1.5 * inner + 2 * outer + 2
         # A working set holds fewer than half of the n rows.
         assert all(p == obj.n or p < obj.n / 2 for p in products)
-        # While under half of a candidate's coefficients are nonzero, its
-        # K c comes from its support rows; K- c costs one expansion W v.
+        # On a working set smaller than n, a candidate's K c is a product
+        # with the set's rows of K; K- c costs one expansion W v.
         assert 0 < len(rows) <= 1.3 * inner + outer
         assert max(rows) < obj.n / 2
         assert len(lowrank) <= 1.3 * inner + 1 * outer + 2
