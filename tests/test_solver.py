@@ -204,6 +204,26 @@ class TestInnerSolve:
                 assert np.allclose(kplus_a, kplus_full, rtol=1e-12, atol=1e-15 * scale)
             assert not k_a.any() and not kplus_a.any()
 
+    def test_support_row_products_match_full(self, rng):
+        # Sparse a, from empty to full support: K a and K+ a equal the full
+        # products up to rounding.  On a working set a holds the
+        # coefficients on the set and K+ a comes on the set.
+        decomp = tl1_objective(rng, n=80).decomp
+        assert decomp.lowrank.shape[1] > 0
+        subset = np.sort(rng.choice(80, 39, replace=False))
+        for index, counts in ((None, (0, 1, 5, 39, 40, 80)), (subset, (0, 1, 5, 39))):
+            ws = iklogit.solver._WorkingSet(decomp, index)
+            assert (ws.index is None) == (index is None)
+            on_set = np.arange(80) if index is None else index
+            for count in counts:
+                a = np.zeros(80)
+                a[rng.choice(on_set, count, replace=False)] = rng.normal(size=count)
+                k_a, kplus_a = iklogit.solver._products(decomp, a[on_set], ws)
+                full = decomp.gram @ a
+                assert np.allclose(k_a, full, rtol=1e-13, atol=1e-15)
+                kplus_full = full + decomp.kminus_dot(a)
+                assert np.allclose(kplus_a, kplus_full[on_set], rtol=1e-13, atol=1e-15)
+
     def test_stop_on_free_residual_returns_exact_products(self, rng):
         # A strong proximal term (small gamma) makes plain steps contract
         # fast.  With tol a quarter of the start's residual, the first
