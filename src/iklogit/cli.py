@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import numbers
 import sys
 from pathlib import Path
 
@@ -77,55 +76,6 @@ def _apply_overrides(cfg: dict, overrides: list[str]) -> dict:
     return cfg
 
 
-def _as_is(value):
-    return value
-
-
-def _number(value, kind: type, name: str):
-    """``value`` as ``kind`` (float or int), else a ConfigError.
-
-    Bools and strings are no numbers, and an int must be integral; an
-    integral float such as 1e3 counts as an int.  Range checks are the
-    spec's own.
-    """
-    if kind is int and isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or (
-        kind is int and not isinstance(value, int)
-    ):
-        what = "an integer" if kind is int else "a number"
-        raise ConfigError(f"{name} must be {what}, got {value!r}")
-    return kind(value)
-
-
-def _string(value, name: str) -> str:
-    if not isinstance(value, str):
-        raise ConfigError(f"{name} must be a string, got {value!r}")
-    return value
-
-
-def _column(value, name: str) -> int | None:
-    """A column index (an integer, which may be negative) or null."""
-    if value is None:
-        return None
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{name} must be an integer or null, got {value!r}")
-    return value
-
-
-def _strings(value, name: str) -> tuple:
-    if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
-        raise ConfigError(f"{name} must be a list of strings, got {value!r}")
-    return tuple(value)
-
-
-def _grid(values) -> tuple:
-    """A JSON list of numbers as a tuple of floats, else a ConfigError."""
-    if not isinstance(values, list):
-        raise ConfigError(f"grid must be a list of numbers, got {values!r}")
-    return tuple(_number(v, float, "grid value") for v in values)
-
-
 def _check_sections(cfg: dict) -> None:
     """A ConfigError unless each config section present is a JSON object."""
     for name in ("data", "model", "kernel", "solver", "output"):
@@ -133,39 +83,34 @@ def _check_sections(cfg: dict) -> None:
             raise ConfigError(f"{name} must be a JSON object")
 
 
-def _cast(section: dict, table: dict, where: str, required: tuple = ()) -> dict:
-    """Keyword arguments from the keys present in ``section``, cast by ``table``.
+def _cast(section: dict, keys: tuple, where: str, required: tuple = ()) -> dict:
+    """Keyword arguments of a spec from the keys present in ``section``.
 
-    ``table`` maps each allowed key to its cast; a None cast marks a key
-    the command reads itself.  The casts ``float`` and ``int`` go through
-    :func:`_number`, and the cast ``bool`` takes a JSON boolean only.
-    The casts ``_string``, ``_column`` and ``_strings`` name the key in
-    their errors.  Absent keys are left out, so the spec dataclass
-    supplies the default.
+    ``keys`` lists the allowed keys.  Values pass unchanged, so the spec
+    checks them, except that a nested kernel or solver section becomes its
+    spec and an integral float for an integer key (JSON writes 1e3 as a
+    float) becomes an int.  Keys in _OWN are read by the command itself,
+    and absent keys are left out, so the spec supplies the default.
     """
     if not isinstance(section, dict):
         raise ConfigError(f"{where} must be a JSON object")
-    unknown = set(section) - set(table)
+    unknown = set(section) - set(keys)
     if unknown:
         raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
     for key in required:
         if key not in section:
             raise ConfigError(f"{where}.{key} is required")
-    return {
-        _FIELDS.get(key, key): _value(section[key], cast, f"{where} key {key!r}")
-        for key, cast in table.items()
-        if cast is not None and key in section
-    }
-
-
-def _value(value, cast, name: str):
-    if cast in (float, int):
-        return _number(value, cast, name)
-    if cast is bool and not isinstance(value, bool):
-        raise ConfigError(f"{name} must be true or false, got {value!r}")
-    if cast in (_string, _column, _strings):
-        return cast(value, name)
-    return cast(value)
+    kwargs = {}
+    for key in keys:
+        if key in _OWN or key not in section:
+            continue
+        value = section[key]
+        if key in _NESTED:
+            value = _NESTED[key](value)
+        elif key in _INTEGERS and isinstance(value, float) and value.is_integer():
+            value = int(value)
+        kwargs[_FIELDS.get(key, key)] = value
+    return kwargs
 
 
 def _data_path(section: dict) -> str:
@@ -194,25 +139,21 @@ def _model_spec(section: dict, solver: SolverConfig) -> ModelSpec:
     return ModelSpec(solver=solver, **kwargs)
 
 
-# One table per config section: key -> cast.
-_DATA = {
-    "path": None, "delimiter": _string, "has_header": bool,
-    "label_column": _column, "standardize": bool,
-}
-_SOLVER = {
-    "gamma": float, "epsilon_outer": float, "max_outer": int,
-    "epsilon_inner": float, "max_inner": int,
-}
-_KERNEL = {"kind": _string, "eta": float, "sigma": float}
-_MODEL = {
-    "variant": _as_is, "lambda": float, "lambda1": float,
-    "tau": float, "kernel": _kernel_spec,
-}
-_BENCH = {
-    "data": None, "name": _string, "variants": _strings, "grid": _grid,
-    "repeats": int, "cv_folds": int, "base_seed": int, "tau": float,
-    "solver": _solver_config, "output": None,
-}
+# The keys of each config section.
+_DATA = ("path", "delimiter", "has_header", "label_column", "standardize")
+_SOLVER = ("gamma", "epsilon_outer", "max_outer", "epsilon_inner", "max_inner")
+_KERNEL = ("kind", "eta", "sigma")
+_MODEL = ("variant", "lambda", "lambda1", "tau", "kernel")
+_BENCH = (
+    "data", "name", "variants", "grid", "repeats", "cv_folds", "base_seed", "tau",
+    "solver", "output",
+)
+# Keys the commands read themselves.
+_OWN = ("path", "data", "output")
+# Keys whose value is a section of its own, built into its spec.
+_NESTED = {"kernel": _kernel_spec, "solver": _solver_config}
+# Integer keys, where an integral float such as 1e3 counts as an int.
+_INTEGERS = ("max_outer", "max_inner", "repeats", "cv_folds", "base_seed")
 # Config keys spelled differently from their dataclass field.
 _FIELDS = {"lambda": "lam", "lambda1": "lam1"}
 

@@ -1,4 +1,4 @@
-"""Exception types, and the number check, shared across the package."""
+"""Exception types, and the value checks of the specs, shared across the package."""
 
 import math
 import numbers
@@ -31,8 +31,8 @@ class NumericalError(RuntimeError):
         self.trace = trace
 
 
-def check_number(name: str, value, positive: bool = True) -> None:
-    """Raise InputError unless ``value`` is a finite real number, not a
+def check_number(name: str, value, positive: bool = True, error=InputError) -> None:
+    """Raise ``error`` unless ``value`` is a finite real number, not a
     bool, that is > 0 (``positive``) or >= 0."""
     if not (
         isinstance(value, numbers.Real)
@@ -41,4 +41,18 @@ def check_number(name: str, value, positive: bool = True) -> None:
         and (value > 0 if positive else value >= 0)
     ):
         bound = "> 0" if positive else ">= 0"
-        raise InputError(f"{name} must be a finite number {bound}, got {value!r}")
+        raise error(f"{name} must be a finite number {bound}, got {value!r}")
+
+
+def check_integer(name: str, value, minimum: int = 1, error=InputError) -> None:
+    """Raise ``error`` unless ``value`` is an int, not a bool, >= ``minimum``."""
+    if not (isinstance(value, int) and not isinstance(value, bool) and value >= minimum):
+        what = "a positive integer" if minimum == 1 else f"an integer >= {minimum}"
+        raise error(f"{name} must be {what}, got {value!r}")
+
+
+def check_type(name: str, value, kinds: tuple, what: str, error=InputError) -> None:
+    """Raise ``error`` unless ``value`` is an instance of ``kinds``, a bool
+    only where ``kinds`` holds bool; ``what`` names them in the message."""
+    if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
+        raise error(f"{name} must be {what}, got {value!r}")

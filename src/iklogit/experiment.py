@@ -19,7 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, InputError, NumericalError, ParseError
+from .errors import (ConfigError, InputError, NumericalError, ParseError, check_integer,
+                     check_number, check_type)
 from .kernels import Dataset, KernelSpec, gram_matrix, normalize_binary_labels
 from .model import (L1_VARIANTS, RBF_VARIANTS, VARIANTS, ModelSpec, fit,
                     predict_label)
@@ -42,6 +43,13 @@ class CsvOptions:
     has_header: bool = False
     label_column: int | None = -1
     standardize: bool = False
+
+    def __post_init__(self) -> None:
+        check_type("delimiter", self.delimiter, (str,), "a string", ConfigError)
+        check_type("has_header", self.has_header, (bool,), "a bool", ConfigError)
+        check_type("standardize", self.standardize, (bool,), "a bool", ConfigError)
+        check_type("label_column", self.label_column, (int, type(None)),
+                   "an integer or None", ConfigError)
 
 
 def _read_matrix(path: str, options: CsvOptions) -> np.ndarray:
@@ -204,21 +212,27 @@ class ExperimentSpec:
     solver: SolverConfig = field(default_factory=SolverConfig)
 
     def __post_init__(self) -> None:
-        self.variants = tuple(str(v).lower() for v in self.variants)
+        check_type("name", self.name, (str, type(None)), "a string or None", ConfigError)
+        if not (isinstance(self.variants, (list, tuple))
+                and all(isinstance(v, str) for v in self.variants)):
+            raise ConfigError(
+                f"variants must be a list or tuple of strings, got {self.variants!r}"
+            )
+        self.variants = tuple(v.lower() for v in self.variants)
         unknown = [v for v in self.variants if v not in VARIANTS]
         if unknown:
             raise ConfigError(f"unknown variants {unknown}; expected {VARIANTS}")
         if not self.variants:
             raise ConfigError("at least one variant is required")
+        if not (isinstance(self.grid, (list, tuple)) and self.grid):
+            raise ConfigError(f"grid must be a non-empty list or tuple, got {self.grid!r}")
+        for value in self.grid:
+            check_number("grid value", value, error=ConfigError)
         self.grid = tuple(float(v) for v in self.grid)
-        if not self.grid:
-            raise ConfigError("hyperparameter grid must be non-empty")
-        if any(not (np.isfinite(v) and v > 0) for v in self.grid):
-            raise ConfigError("grid values must be positive and finite")
-        if self.repeats < 1:
-            raise ConfigError(f"repeats must be >= 1, got {self.repeats}")
-        if self.cv_folds < 2:
-            raise ConfigError(f"cv_folds must be >= 2, got {self.cv_folds}")
+        check_integer("repeats", self.repeats, 1, ConfigError)
+        check_integer("cv_folds", self.cv_folds, 2, ConfigError)
+        check_integer("base_seed", self.base_seed, 0, ConfigError)
+        check_number("tau", self.tau, error=ConfigError)
 
     @property
     def dataset_name(self) -> str:

@@ -19,12 +19,11 @@ larger), plus a transposed copy of the training features.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InputError, ResourceError
+from .errors import InputError, ResourceError, check_number
 
 KERNEL_KINDS = ("tl1", "rbf")
 
@@ -33,6 +32,9 @@ KERNEL_KINDS = ("tl1", "rbf")
 # blocks of 32 KiB to 1 MiB, and 0.06-0.07 s with blocks of 2 MiB and more,
 # which no longer stay in cache.
 KERNEL_BLOCK_BYTES = 2**18
+
+# Largest Gram matrix gram_matrix assembles, in bytes: 512 MiB, n = 8192.
+GRAM_MAX_BYTES = 2**29
 
 # Fraction of the feature dimension used for the default TL1 bandwidth.
 DEFAULT_ETA_FACTOR = 0.7
@@ -105,16 +107,6 @@ class Dataset:
         return Dataset(self.features[idx], self.labels[idx])
 
 
-def _positive(value) -> bool:
-    """True for a positive finite number, False for anything else (a bool too)."""
-    return (
-        isinstance(value, numbers.Real)
-        and not isinstance(value, bool)
-        and bool(np.isfinite(value))
-        and value > 0
-    )
-
-
 @dataclass(frozen=True)
 class KernelSpec:
     """Kernel family plus its single active parameter.
@@ -129,17 +121,16 @@ class KernelSpec:
 
     def __post_init__(self) -> None:
         if self.kind not in KERNEL_KINDS:
-            raise InputError(f"unknown kernel kind {self.kind!r}")
+            raise InputError(f"kind must be one of {KERNEL_KINDS}, got {self.kind!r}")
         if self.kind == "tl1":
             if self.sigma is not None:
                 raise InputError("tl1 kernel takes eta, not sigma")
-            if self.eta is not None and not _positive(self.eta):
-                raise InputError(f"eta must be positive and finite, got {self.eta}")
+            if self.eta is not None:
+                check_number("eta", self.eta)
         else:
             if self.eta is not None:
                 raise InputError("rbf kernel takes sigma, not eta")
-            if not _positive(self.sigma):
-                raise InputError(f"sigma must be positive and finite, got {self.sigma}")
+            check_number("sigma", self.sigma)
 
     @classmethod
     def tl1(cls, eta: float | None = None) -> "KernelSpec":
@@ -178,9 +169,7 @@ def _require_resolved(spec: KernelSpec) -> None:
         raise InputError("tl1 kernel has unresolved eta; call spec.resolve(d) first")
 
 
-def gram_matrix(
-    spec: KernelSpec, data: Dataset, *, max_bytes: int = 2**29
-) -> np.ndarray:
+def gram_matrix(spec: KernelSpec, data: Dataset) -> np.ndarray:
     """Assemble the full symmetric Gram matrix of ``data`` under ``spec``.
 
     This is :func:`kernel_rows` of the data against itself, so scratch
@@ -188,14 +177,14 @@ def gram_matrix(
     result is exactly symmetric for every d: entries (i, j) and (j, i) add
     the same terms in the same feature order, since |a - b| and (a - b)^2
     do not depend on the order of a and b in floating point.  Raises
-    ResourceError when the n x n result would exceed ``max_bytes``.
+    ResourceError when the n x n result would exceed GRAM_MAX_BYTES.
     """
     _require_resolved(spec)
     n = data.n
-    if n * n * 8 > max_bytes:
+    if n * n * 8 > GRAM_MAX_BYTES:
         raise ResourceError(
             f"Gram matrix of size {n}x{n} needs {n * n * 8} bytes, "
-            f"cap is {max_bytes}"
+            f"cap is {GRAM_MAX_BYTES}"
         )
     return kernel_rows(spec, data, data.features)
 

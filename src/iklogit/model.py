@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError, check_number
+from .errors import InputError, check_integer, check_number
 from .kernels import Dataset, KernelSpec, gram_matrix, kernel_rows
 from .objective import DcObjective, sigmoid
 from .solver import SolveTrace, SolverConfig, pla_fit
@@ -245,10 +245,10 @@ def load_model(path: str) -> FittedModel:
     try:
         rows = payload["train_features"]
         d = payload["d"] if version == MODEL_SCHEMA_VERSION else None
-        if d is not None and (type(d) is not int or d < 1):
-            raise InputError(f"d must be a positive integer, got {d!r}")
-        if d is not None and not rows:
-            rows = np.zeros((0, d))  # an all-zero alpha stores no row
+        if d is not None:
+            check_integer("d", d)
+            if not rows:
+                rows = np.zeros((0, d))  # an all-zero alpha stores no row
         model = FittedModel(
             alpha=payload["alpha"],
             train_features=rows,

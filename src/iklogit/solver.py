@@ -85,8 +85,8 @@ point costs one more full product, its loss gradient over all n, and one
 low-rank K- a.  The outer loop adds no product of its own: K a, K- a and
 the loss gradient of the new iterate come back from the inner solve and
 serve f_value, grad_h, the stationarity residual and the next warm start.
-Only the starting point costs two dense products (K a and the loss
-gradient) and one low-rank K- a.  No function computes a product it is not
+Only the starting point costs one dense product, its loss gradient: K a
+and K- a are 0 at alpha = 0.  No function computes a product it is not
 given: each takes the products it needs as arguments.
 """
 
@@ -98,7 +98,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError, NumericalError, check_number
+from .errors import InputError, NumericalError, check_integer, check_number
 from .objective import DcObjective, f_value, grad_h, loss_value, soft_threshold
 from .objective import loss_grad as loss_gradient
 from .spectral import GramDecomposition
@@ -151,10 +151,8 @@ class SolverConfig:
         self.gamma = float(self.gamma)
         check_number("epsilon_outer", self.epsilon_outer)
         check_number("epsilon_inner", self.epsilon_inner)
-        for name in ("max_outer", "max_inner"):
-            val = getattr(self, name)
-            if not (isinstance(val, int) and not isinstance(val, bool) and val >= 1):
-                raise InputError(f"{name} must be a positive integer, got {val!r}")
+        check_integer("max_outer", self.max_outer)
+        check_integer("max_inner", self.max_inner)
 
 
 @dataclass(frozen=True)
@@ -360,8 +358,9 @@ def inner_solve(
         it += 1
         while it <= cfg.max_inner:
             if beta == 0.0 and gap <= tol:
-                # y is x, so gap is x's exact residual on W.
-                done = it - 1
+                # y is x, so gap is x's exact residual on W; the next working
+                # set takes this iteration again.
+                done = it = it - 1
                 break
             kc, kpc = _products(decomp, cand, ws)
             total_c = total(cand, kc, kpc, sh)
@@ -452,9 +451,8 @@ def pla_fit(obj: DcObjective, cfg: SolverConfig) -> tuple[np.ndarray, SolveTrace
     trace = SolveTrace()
     step = 1.0 / smooth_lipschitz_bound(obj, cfg.gamma)
     # K alpha, K- alpha and the loss gradient of the current iterate, carried
-    # from one inner solve to the next.
-    scores = obj.decomp.gram @ alpha
-    kminus = obj.decomp.kminus_dot(alpha)
+    # from one inner solve to the next; K alpha and K- alpha are 0 at alpha = 0.
+    scores, kminus = np.zeros(obj.n), np.zeros(obj.n)
     loss_grad = loss_gradient(obj, scores)
     f_cur = f_value(obj, alpha, scores)
     trace.f_values.append(f_cur)

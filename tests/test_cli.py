@@ -1,12 +1,14 @@
 """CLI subcommands driven in-process through main(argv)."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from iklogit import load_model
+from iklogit import KernelSpec, ModelSpec, SolverConfig, cli, load_model
 from iklogit.cli import main
+from iklogit.experiment import CsvOptions, ExperimentSpec
 
 from conftest import benchmark_data, separated_dataset, write_csv
 
@@ -355,7 +357,7 @@ class TestNumberKeys:
         rc = main(["train", "--config", cfg, "--set", override])
         assert rc == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and f"key {key!r} must be" in err
+        assert err.startswith(f"error: {key} must be ")
         assert not (tmp_path / "model.json").exists()
 
     @pytest.mark.parametrize(
@@ -372,11 +374,11 @@ class TestNumberKeys:
         rc = main(["train", "--config", cfg, "--set", f"model.kernel={kernel}"])
         assert rc == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: kernel key {key!r} must be")
+        assert err.startswith(f"error: {key} must be ")
         assert not (tmp_path / "model.json").exists()
         rc = main(["kernel-stats", "--data", str(clusters_csv), "--set", f"kernel={kernel}"])
         assert rc == 1
-        assert capsys.readouterr().err.startswith(f"error: kernel key {key!r} must be")
+        assert capsys.readouterr().err.startswith(f"error: {key} must be ")
 
     def test_integral_float_is_an_integer(self, clusters_csv, tmp_path, capsys):
         cfg = train_config(tmp_path, clusters_csv)
@@ -386,7 +388,7 @@ class TestNumberKeys:
     @pytest.mark.parametrize(
         "override",
         ["repeats=1.5", "cv_folds=true", 'base_seed="0"', "tau=true",
-         "solver.max_outer=2.7", 'solver.epsilon_inner="0"'],
+         "solver.max_outer=2.7", 'solver.epsilon_inner="0"', "tau=0"],
     )
     def test_bench_rejects_non_numbers(self, clusters_csv, tmp_path, capsys, override):
         key = override.partition("=")[0].rpartition(".")[2]
@@ -397,7 +399,7 @@ class TestNumberKeys:
         )
         rc = main(["bench", "--config", cfg, "--set", override])
         assert rc == 1
-        assert f"key {key!r} must be" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(f"error: {key} must be ")
         assert not (tmp_path / "report.json").exists()
 
 
@@ -413,7 +415,8 @@ class TestConfigTypes:
         rc = main(["kernel-stats", "--data", str(path), "--set", override])
         assert rc == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: data key ") and "must be true or false" in err
+        key = override.partition("=")[0].rpartition(".")[2]
+        assert err.startswith(f"error: {key} must be a bool, got ")
 
     @pytest.mark.parametrize("has_header, rows", [("true", 3), ("false", 4)])
     def test_boolean_header_flag(self, tmp_path, capsys, has_header, rows):
@@ -437,12 +440,12 @@ class TestConfigTypes:
 
     @pytest.mark.parametrize(
         "override, message",
-        [('variants="klr"', "bench config key 'variants' must be a list of strings"),
-         ('variants=["klr", 1]', "bench config key 'variants' must be a list of strings"),
-         ("name=3", "bench config key 'name' must be a string"),
-         ('data.label_column="x"', "data key 'label_column' must be an integer or null"),
-         ("data.label_column=true", "data key 'label_column' must be an integer or null"),
-         ("data.delimiter=5", "data key 'delimiter' must be a string")],
+        [('variants="klr"', "variants must be a list or tuple of strings"),
+         ('variants=["klr", 1]', "variants must be a list or tuple of strings"),
+         ("name=3", "name must be a string or None"),
+         ('data.label_column="x"', "label_column must be an integer or None"),
+         ("data.label_column=true", "label_column must be an integer or None"),
+         ("data.delimiter=5", "delimiter must be a string")],
     )
     def test_bench_pass_through_keys_are_typed(
         self, clusters_csv, tmp_path, capsys, override, message
@@ -480,3 +483,20 @@ class TestConfigTypes:
         assert rc == 1
         section = override.partition("=")[0]
         assert capsys.readouterr().err == f"error: {section} must be a JSON object\n"
+
+    @pytest.mark.parametrize(
+        "keys, spec, elsewhere",
+        [(cli._DATA, CsvOptions, ()), (cli._SOLVER, SolverConfig, ()),
+         (cli._KERNEL, KernelSpec, ()), (cli._MODEL, ModelSpec, ("solver",)),
+         (cli._BENCH, ExperimentSpec, ("path", "csv"))],
+        ids=["data", "solver", "kernel", "model", "bench"],
+    )
+    def test_config_keys_are_spec_fields(self, keys, spec, elsewhere):
+        # Every key a section passes on (after the rename) is a field of its
+        # spec, and every field is reachable: ``elsewhere`` are the fields
+        # filled from another section, a model's solver from "solver" and a
+        # bench's path and CSV options from "data".
+        passed = {cli._FIELDS.get(key, key) for key in keys if key not in cli._OWN}
+        fields = {field.name for field in dataclasses.fields(spec)}
+        assert passed | set(elsewhere) == fields
+        assert not passed & set(elsewhere)

@@ -308,11 +308,34 @@ class TestExperimentSpecValidation:
             dict(grid=(0.1, np.inf)),
             dict(repeats=0),
             dict(cv_folds=1),
+            dict(tau=0),
+            dict(repeats=True),
+            dict(repeats=2.5),
+            dict(cv_folds=2.5),
+            dict(base_seed=-1),
+            dict(base_seed=1.5),
+            dict(grid=(True,)),
+            dict(grid=("1",)),
+            dict(variants="klr"),
+            dict(name=3),
         ],
     )
     def test_rejected(self, kwargs):
         with pytest.raises(ConfigError):
             ExperimentSpec(path="x.csv", **kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(has_header="false"),
+            dict(standardize=1),
+            dict(label_column=True),
+            dict(delimiter=5),
+        ],
+    )
+    def test_csv_options_rejected(self, kwargs):
+        with pytest.raises(ConfigError):
+            CsvOptions(**kwargs)
 
     def test_dataset_name_defaults_to_stem(self):
         assert ExperimentSpec(path="/tmp/haberman.csv").dataset_name == "haberman"

@@ -169,10 +169,11 @@ class TestGramMatrix:
             tracemalloc.stop()
         assert peak - 8 * n * n <= 2 * iklogit.kernels.KERNEL_BLOCK_BYTES
 
-    def test_memory_cap_enforced(self, rng):
+    def test_memory_cap_enforced(self, rng, monkeypatch):
+        monkeypatch.setattr(iklogit.kernels, "GRAM_MAX_BYTES", 100)
         data = random_dataset(rng, 20, 2)
         with pytest.raises(ResourceError):
-            gram_matrix(KernelSpec.tl1(1.0), data, max_bytes=100)
+            gram_matrix(KernelSpec.tl1(1.0), data)
 
 
 class TestKernelRows:
