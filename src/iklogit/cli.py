@@ -83,6 +83,13 @@ def _check_sections(cfg: dict) -> None:
             raise ConfigError(f"{name} must be a JSON object")
 
 
+def _check_keys(section: dict, keys: tuple, where: str) -> None:
+    """A ConfigError naming the keys of ``section`` that ``keys`` does not list."""
+    unknown = set(section) - set(keys)
+    if unknown:
+        raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
+
+
 def _cast(section: dict, keys: tuple, where: str, required: tuple = ()) -> dict:
     """Keyword arguments of a spec from the keys present in ``section``.
 
@@ -94,9 +101,7 @@ def _cast(section: dict, keys: tuple, where: str, required: tuple = ()) -> dict:
     """
     if not isinstance(section, dict):
         raise ConfigError(f"{where} must be a JSON object")
-    unknown = set(section) - set(keys)
-    if unknown:
-        raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
+    _check_keys(section, keys, where)
     for key in required:
         if key not in section:
             raise ConfigError(f"{where}.{key} is required")
@@ -148,6 +153,14 @@ _BENCH = (
     "data", "name", "variants", "grid", "repeats", "cv_folds", "base_seed", "tau",
     "solver", "output",
 )
+# The top-level keys of each command's config.
+_COMMAND_KEYS = {
+    "train": ("data", "model", "solver", "output"),
+    "predict": ("model_path", "data", "output"),
+    "eval": ("model_path", "data", "output"),
+    "kernel-stats": ("data", "kernel", "name", "output"),
+    "bench": _BENCH,
+}
 # Keys the commands read themselves.
 _OWN = ("path", "data", "output")
 # Keys whose value is a section of its own, built into its spec.
@@ -368,6 +381,7 @@ def main(argv: list[str] | None = None) -> int:
         cfg = _load_config(args.config)
         cfg = _apply_overrides(cfg, args.set)
         _check_sections(cfg)
+        _check_keys(cfg, _COMMAND_KEYS[args.command], f"{args.command} config")
         cfg = _merge_flags(cfg, args)
         return _COMMANDS[args.command](cfg)
     except NumericalError as exc:

@@ -46,6 +46,8 @@ class CsvOptions:
 
     def __post_init__(self) -> None:
         check_type("delimiter", self.delimiter, (str,), "a string", ConfigError)
+        if len(self.delimiter) != 1:
+            raise ConfigError(f"delimiter must be a 1-character string, got {self.delimiter!r}")
         check_type("has_header", self.has_header, (bool,), "a bool", ConfigError)
         check_type("standardize", self.standardize, (bool,), "a bool", ConfigError)
         check_type("label_column", self.label_column, (int, type(None)),

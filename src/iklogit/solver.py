@@ -44,11 +44,12 @@ The iterate-norm cap DIVERGENCE_NORM stays as a backstop for unbounded
 iterates whose f stays above 0, a case the certificate does not cover.
 
 Inner loop: accelerated proximal gradient (momentum restart on objective
-increase) with the fixed step 1/L_phi from :func:`smooth_lipschitz_bound`,
-which pla_fit computes once per fit, warm-started at alpha_k.  Convergence
-is certified by the proximal fixed-point residual
-||a - S_{t*lam1}(a - t grad_phi(a))||_inf, evaluated at the point actually
-returned.
+increase), warm-started at alpha_k.  pla_fit computes the step 1/L_phi of
+:func:`smooth_lipschitz_bound` once per fit; the iterations on a working
+set smaller than n step by the set's own 1/L_W (below).  Convergence is
+certified by the proximal fixed-point residual
+||a - S_{t*lam1}(a - t grad_phi(a))||_inf at t = 1/L_phi, evaluated over all
+n at the point actually returned.
 
 Working sets: with lam1 > 0 each inner solve runs over a working set W of
 coordinates, the rest held at 0 (after Blitz, Johnson & Guestrin, ICML
@@ -62,7 +63,21 @@ coordinate its proximal step would move joins W, and momentum restarts
 from that point.  So the returned point meets the residual tolerance over
 all n coordinates.  When W holds at least half of the n coordinates, or
 lam1 = 0, it is all of them: the iterations then read K itself, with full
-products, as a solve without working sets does.
+products and the step 1/L_phi, as a solve without working sets does.
+
+The step of a working set: the smooth part of the subproblem restricted to
+W has curvature at most l_W = lambda_max(K[W,:] K[:,W] / (4n) + lam K+[W,W])
++ 1/gamma (:func:`_set_lipschitz_bound`), often a fraction of L_phi, and
+FISTA's rate depends on the curvature of the coordinates it moves (Beck &
+Teboulle, SIAM J. Imaging Sci. 2009).  So the iterations on W, their first
+candidate, restarts and stop tests included, take the step 1/L_W with
+L_W = min(L_phi, l_W).  The proximal residual does not decrease as the
+step grows, so a point that passes the stop test on W at 1/L_W passes
+there at 1/L_phi too, and the test over all n keeps 1/L_phi.  pla_fit
+hands the set each solve ends on to the next solve: a set equal to it
+reuses its rows of K and W and its step, and a set inside it reuses its
+step, since by Cauchy interlacing l_W of a subset is at most l_W of the
+set.
 
 Product budget: every product with K and K- is computed once per point and
 carried next to the iterate.  An inner iteration makes one product with
@@ -82,12 +97,16 @@ beta = 0 (the first iteration and the one after a restart) y is x, that
 residual is x's exact one on W, and x ends the working set's iterations
 with the products it carries.  On a working set smaller than all n that
 point costs one more full product, its loss gradient over all n, and one
-low-rank K- a.  The outer loop adds no product of its own: K a, K- a and
-the loss gradient of the new iterate come back from the inner solve and
-serve f_value, grad_h, the stationarity residual and the next warm start.
-Only the starting point costs one dense product, its loss gradient: K a
-and K- a are 0 at alpha = 0.  No function computes a product it is not
-given: each takes the products it needs as arguments.
+low-rank K- a.  A working set that is not equal to the last one gathers
+its rows of K and W once; one that is not inside it also bounds its step,
+with one product of its rows with themselves (n |W|^2 operations), one
+W[W] W[W]^T and one eigvalsh of order |W| (53 of the 373 sets of the
+n = 500 benchmark fit).  The outer loop adds no product of its own: K a,
+K- a and the loss gradient of the new iterate come back from the inner
+solve and serve f_value, grad_h, the stationarity residual and the next
+warm start.  Only the starting point costs one dense product, its loss
+gradient: K a and K- a are 0 at alpha = 0.  No function computes a
+product it is not given: each takes the products it needs as arguments.
 """
 
 from __future__ import annotations
@@ -162,7 +181,8 @@ class InnerResult:
     ``iterations`` is the index of the returned iterate (0 for the warm
     start).  ``scores`` is K alpha, ``kminus`` is K- alpha and
     ``loss_grad`` is the loss gradient at alpha (see
-    :func:`.objective.loss_grad`).
+    :func:`.objective.loss_grad`).  ``working_set`` is the set the solve
+    ended on, which pla_fit hands to the next solve.
     """
 
     alpha: np.ndarray
@@ -172,6 +192,7 @@ class InnerResult:
     scores: np.ndarray
     kminus: np.ndarray
     loss_grad: np.ndarray
+    working_set: _WorkingSet | None = None
 
 
 @dataclass
@@ -233,21 +254,85 @@ def _prox_residual(a: np.ndarray, grad: np.ndarray, step: float, t: float) -> fl
 
 
 class _WorkingSet:
-    """The coordinates an inner solve moves; the others stay at 0.
+    """The coordinates an inner solve moves, with their rows and their step.
 
-    ``index`` lists them in increasing order, or is None for all n: the
-    set given, unless it is None or holds at least half of the n.  ``gram``
-    and ``lowrank`` are the rows of K and W on the set, which the products
-    read: for all n, K and W themselves, not copies.
+    ``index`` lists the coordinates in increasing order, or is None for all
+    n: the set given, unless it is None or holds at least half of the n.
+    The other coordinates stay at 0.  ``gram`` and ``lowrank`` are the rows
+    of K and W on the set, which the products read: for all n, K and W
+    themselves, not copies.
+
+    ``step`` is 1/L_W, the step of the iterations on the set.  Over all n it
+    is the fit's own ``step`` = 1/L.  On a smaller set L_W = min(L, l_W),
+    where l_W (:func:`_set_lipschitz_bound`) bounds the curvature of the
+    subproblem's smooth part restricted to W, and is often a fraction of L.
+
+    ``last`` is the fit's set before this one, or None: the set the last
+    solve ended on, or the one this solve grows.  A set equal to it takes
+    its rows and step; one inside it takes its step: by Cauchy interlacing
+    the largest eigenvalue of a principal submatrix is at most the
+    matrix's, so a step that holds on a set holds on each of its subsets.
     """
 
-    __slots__ = ("index", "gram", "lowrank")
+    __slots__ = ("index", "gram", "lowrank", "step")
 
-    def __init__(self, decomp: GramDecomposition, index: np.ndarray | None):
-        if index is not None and 2 * index.size < decomp.gram.shape[0]:
-            self.index, self.gram, self.lowrank = index, decomp.gram[index], decomp.lowrank[index]
-        else:
+    def __init__(
+        self,
+        obj: DcObjective,
+        index: np.ndarray | None,
+        step: float,
+        inv_gamma: float,
+        last: _WorkingSet | None,
+    ):
+        decomp = obj.decomp
+        if index is None or 2 * index.size >= obj.n:
             self.index, self.gram, self.lowrank = None, decomp.gram, decomp.lowrank
+            self.step = step
+            return
+        self.index = index
+        known = last is not None and last.index is not None
+        if known and np.array_equal(index, last.index):
+            self.gram, self.lowrank, self.step = last.gram, last.lowrank, last.step
+            return
+        self.gram, self.lowrank = decomp.gram[index], decomp.lowrank[index]
+        if known and _inside(index, last.index):
+            self.step = last.step
+        else:
+            bound = _set_lipschitz_bound(obj, index, self.gram, self.lowrank, inv_gamma)
+            self.step = max(step, 1.0 / bound)
+
+
+def _inside(index: np.ndarray, outer: np.ndarray) -> bool:
+    """Whether each entry of ``index`` is in ``outer``; both increasing, ``index`` nonempty.
+
+    One binary search per entry, where ``np.isin`` sorts both arrays: on a
+    fit-tl1 unit this test costs about 0.02 s less.
+    """
+    pos = np.searchsorted(outer, index)
+    return bool(pos[-1] < outer.size and np.array_equal(outer[pos], index))
+
+
+def _set_lipschitz_bound(
+    obj: DcObjective,
+    index: np.ndarray,
+    gram_rows: np.ndarray,
+    lowrank_rows: np.ndarray,
+    inv_gamma: float,
+) -> float:
+    """lambda_max(K[W,:] K[:,W] / (4n) + lam K+[W,W]) + 1/gamma on the set W.
+
+    A Lipschitz constant of the subproblem's smooth part restricted to the
+    coordinates ``index``: the loss's Hessian there is at most
+    K[W,:] K[:,W] / (4n), and K+[W,W] = K[W,W] + tau I + W[W] W[W]^T.  It
+    takes the set's rows of K and W, one product of the rows with
+    themselves (n |W|^2 operations) and one ``eigvalsh`` of order |W|.
+    """
+    kplus_on_set = gram_rows[:, index] + lowrank_rows @ lowrank_rows.T
+    kplus_on_set += obj.decomp.tau * np.eye(index.size)
+    mat = gram_rows @ gram_rows.T
+    mat *= 1.0 / (4.0 * obj.n)
+    mat += obj.lam * kplus_on_set
+    return float(np.linalg.eigvalsh(mat)[-1]) + inv_gamma
 
 
 def _products(decomp: GramDecomposition, a: np.ndarray, ws: _WorkingSet):
@@ -279,26 +364,32 @@ def inner_solve(
     scores: np.ndarray,
     kminus: np.ndarray,
     loss_grad: np.ndarray,
+    last_set: _WorkingSet | None = None,
 ) -> InnerResult:
     """Solve one linearized subproblem to the fixed-point tolerance ``tol``.
 
-    Accelerated proximal gradient with step ``step`` = 1/L_phi (see
-    :func:`smooth_lipschitz_bound`) from the warm start alpha_k, whose
+    Accelerated proximal gradient from the warm start alpha_k, whose
     K alpha_k, K- alpha_k and loss gradient are ``scores``, ``kminus`` and
-    ``loss_grad``.  When the momentum step raises the subproblem objective,
-    momentum is discarded and the iteration is taken again as a plain
-    proximal-gradient step from the last candidate (guaranteed descent at
-    step 1/L).  Each iteration takes the loss gradient at the momentum point
-    only, and the candidate's K c and K- c from the working set's rows; the
-    candidate's loss gradient is taken only for a restart or for the stop
-    test, which runs once the momentum point's free residual is within
-    INNER_CHECK_FACTOR of ``tol``.
+    ``loss_grad``.  ``step`` = 1/L_phi (see :func:`smooth_lipschitz_bound`)
+    is the step over all n; the iterations on a working set take the set's
+    own step 1/L_W >= 1/L_phi.  When the momentum step raises the subproblem
+    objective, momentum is discarded and the iteration is taken again as a
+    plain proximal-gradient step from the last candidate (guaranteed descent
+    at step 1/L_W).  Each iteration takes the loss gradient at the momentum
+    point only, and the candidate's K c and K- c from the working set's
+    rows; the candidate's loss gradient is taken only for a restart or for
+    the stop test, which runs once the momentum point's free residual is
+    within INNER_CHECK_FACTOR of ``tol``.
 
     With lam1 > 0 the iterations run over a working set W: the support of
     the point they start from, every coordinate that its proximal step
     moves, and the last W.  The other coefficients stay at 0, and the
     products cost n |W| instead of n^2.  When W holds at least half of the
-    n coordinates, or lam1 = 0, it is all of them.
+    n coordinates, or lam1 = 0, it is all of them.  ``last_set`` is the
+    working set the fit's previous solve ended on, whose rows and step a
+    set equal to it or inside it reuses (see :class:`_WorkingSet`); the
+    result's ``working_set`` is the one this solve ended on, or
+    ``last_set`` when it built none.
 
     The warm start, and the point each working set's iterations end at,
     expanded to all n, pass one residual test over all n.  A point that
@@ -330,14 +421,15 @@ def inner_solve(
     # K a, K+ a, K- a and loss gradient.
     a, done, k_a, kp_a, lg_a = anchor, 0, scores, scores + kminus, loss_grad
     km_a = kp_a - k_a
-    index, it, capped = None, 0, False
+    index, it, capped, ws = None, 0, False, last_set
     while True:
-        # a's plain proximal step nxt and exact residual gap; a capped solve
-        # returns a whatever its residual.
-        nxt = soft_threshold(a - step * grad_phi(a, kp_a, lg_a, shift), threshold)
+        # a's plain proximal step nxt and exact residual gap at the fit's
+        # step; a capped solve returns a whatever its residual.
+        grad = grad_phi(a, kp_a, lg_a, shift)
+        nxt = soft_threshold(a - step * grad, threshold)
         gap = _max_abs(a - nxt)
         if gap <= tol or capped:
-            return InnerResult(a, done, gap, not capped, k_a, km_a, lg_a)
+            return InnerResult(a, done, gap, not capped, k_a, km_a, lg_a, ws)
         # W is the last W, a's support and every coordinate nxt moves (all n
         # when lam1 = 0): outside them a's exact residual is 0, so gap is its
         # residual on W.
@@ -346,11 +438,17 @@ def inner_solve(
             if index is not None:
                 moved[index] = True
             index = moved.nonzero()[0]
-        ws = _WorkingSet(decomp, index)
+        ws = _WorkingSet(obj, index, step, inv_gamma, ws)
+        # The iterations on W step by W's own 1/L_W.  The residual does not
+        # decrease as the step grows, so a point that passes on W at 1/L_W
+        # passes there at 1/L too.
+        s, t = ws.step, ws.step * obj.lam1
         # x is the last candidate; its loss gradient lgx is None until needed.
         x, kx, kpx, lgx, cand, sh = a, k_a, kp_a, lg_a, nxt, shift
         if ws.index is not None:
-            x, kpx, lgx, cand, sh = (v[ws.index] for v in (a, kp_a, lg_a, nxt, shift))
+            x, kpx, lgx, sh, grad = (v[ws.index] for v in (a, kp_a, lg_a, shift, grad))
+            cand = soft_threshold(x - s * grad, t)
+            gap = _max_abs(x - cand)
         total_x = total(x, kx, kpx, sh)
         y, kpy, lgy = x, kpx, lgx
         theta, beta = 1.0, 0.0
@@ -372,13 +470,13 @@ def inner_solve(
                     # Momentum overshot; fall back to a plain step from x.
                     if lgx is None:
                         lgx = loss_gradient(obj, kx, ws.gram)
-                    cand = soft_threshold(x - step * grad_phi(x, kpx, lgx, sh), threshold)
+                    cand = soft_threshold(x - s * grad_phi(x, kpx, lgx, sh), t)
                     gap, beta = _max_abs(x - cand), 0.0
                     continue
             lgc = None
             if gap <= INNER_CHECK_FACTOR * tol:
                 lgc = loss_gradient(obj, kc, ws.gram)
-                if _prox_residual(cand, grad_phi(cand, kpc, lgc, sh), step, threshold) <= tol:
+                if _prox_residual(cand, grad_phi(cand, kpc, lgc, sh), s, t) <= tol:
                     x, kx, kpx, lgx, done = cand, kc, kpc, lgc, it
                     break
             theta_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * theta * theta))
@@ -394,7 +492,7 @@ def inner_solve(
                 kpy = kpc + beta * (kpc - kpx)
                 lgy = loss_gradient(obj, kc + beta * (kc - kx), ws.gram)
             x, kx, kpx, lgx, total_x, theta = cand, kc, kpc, lgc, total_c, theta_next
-            cand = soft_threshold(y - step * grad_phi(y, kpy, lgy, sh), threshold)
+            cand = soft_threshold(y - s * grad_phi(y, kpy, lgy, sh), t)
             gap = _max_abs(y - cand)
             it += 1
         else:
@@ -459,13 +557,16 @@ def pla_fit(obj: DcObjective, cfg: SolverConfig) -> tuple[np.ndarray, SolveTrace
     trace.iterates.append(alpha.copy())
     moved = 0.0  # the first solve has no previous step and runs to epsilon_inner
     inner_total = 0
+    working_set = None  # the set the last solve ended on, with its rows and step
 
     for k in range(1, cfg.max_outer + 1):
         omega = grad_h(obj, kminus)
         tol = max(cfg.epsilon_inner, INNER_RTOL * moved)
-        inner = inner_solve(obj, omega, alpha, cfg, step, tol, scores, kminus, loss_grad)
+        inner = inner_solve(
+            obj, omega, alpha, cfg, step, tol, scores, kminus, loss_grad, working_set
+        )
         alpha_new, scores = inner.alpha, inner.scores
-        kminus, loss_grad = inner.kminus, inner.loss_grad
+        kminus, loss_grad, working_set = inner.kminus, inner.loss_grad, inner.working_set
         inner_total += inner.iterations
         norm_new = float(np.linalg.norm(alpha_new))
         if norm_new > DIVERGENCE_NORM:

@@ -63,6 +63,7 @@ def inner_solve(
     scores: np.ndarray,
     kminus: np.ndarray,
     loss_grad: np.ndarray,
+    last_set=None,
 ) -> InnerResult:
     """Solve one linearized subproblem to the fixed-point tolerance ``tol``.
 

@@ -500,3 +500,23 @@ class TestConfigTypes:
         fields = {field.name for field in dataclasses.fields(spec)}
         assert passed | set(elsewhere) == fields
         assert not passed & set(elsewhere)
+
+    @pytest.mark.parametrize(
+        "command, override, key",
+        [("train", "solvr.max_outer=1", "solvr"),
+         ("predict", "ouput.predictions=p.csv", "ouput"),
+         ("eval", "model={}", "model"),
+         ("kernel-stats", 'kernal={"kind": "rbf", "sigma": 1}', "kernal")],
+    )
+    def test_every_command_rejects_unknown_top_level_keys(
+        self, clusters_csv, tmp_path, capsys, command, override, key
+    ):
+        # A misspelled section is an error that names it, not a section
+        # left out and replaced by its defaults.
+        cfg = train_config(tmp_path, clusters_csv)
+        if command != "train":
+            cfg = write_config(tmp_path, {"data": {"path": str(clusters_csv)}})
+        rc = main([command, "--config", cfg, "--set", override])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: unknown {command} config keys: ['{key}']\n"
+        assert not (tmp_path / "model.json").exists()

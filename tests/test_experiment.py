@@ -331,6 +331,8 @@ class TestExperimentSpecValidation:
             dict(standardize=1),
             dict(label_column=True),
             dict(delimiter=5),
+            dict(delimiter=""),
+            dict(delimiter=";;"),
         ],
     )
     def test_csv_options_rejected(self, kwargs):

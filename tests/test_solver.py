@@ -58,6 +58,12 @@ from reference_solvers import (
 import full_set_solver
 
 
+def working_set(obj, index, last=None, gamma=1.0):
+    """The working set of ``index`` in a fit of ``obj`` at ``gamma``."""
+    step = 1.0 / smooth_lipschitz_bound(obj, gamma)
+    return iklogit.solver._WorkingSet(obj, index, step, 1.0 / gamma, last)
+
+
 def dominant_lam1_objective(rng, n=8, lam=0.3):
     """Objective whose L1 weight absorbs the loss gradient at the origin."""
     obj = tl1_objective(rng, n=n, lam=lam, lam1=0.0)
@@ -180,11 +186,12 @@ class TestInnerSolve:
         # too.  On a working set (39 of 80 rows is still one), K a and W^T a
         # are products with the set's rows; zeros inside the set, and an
         # all-zero candidate, are taken as they come.
-        decomp = tl1_objective(rng, n=80).decomp
+        obj = tl1_objective(rng, n=80)
+        decomp = obj.decomp
         assert decomp.lowrank.shape[1] > 0
         subsets = [np.sort(rng.choice(80, m, replace=False)) for m in (30, 39)]
         for index in (None, *subsets):
-            ws = iklogit.solver._WorkingSet(decomp, index)
+            ws = working_set(obj, index)
             assert ws.index is index
             on_set = np.arange(80) if index is None else index
             size = on_set.size
@@ -210,11 +217,12 @@ class TestInnerSolve:
         # Sparse a, from empty to full support: K a and K+ a equal the full
         # products up to rounding.  On a working set a holds the
         # coefficients on the set and K+ a comes on the set.
-        decomp = tl1_objective(rng, n=80).decomp
+        obj = tl1_objective(rng, n=80)
+        decomp = obj.decomp
         assert decomp.lowrank.shape[1] > 0
         subset = np.sort(rng.choice(80, 39, replace=False))
         for index, counts in ((None, (0, 1, 5, 39, 40, 80)), (subset, (0, 1, 5, 39))):
-            ws = iklogit.solver._WorkingSet(decomp, index)
+            ws = working_set(obj, index)
             assert (ws.index is None) == (index is None)
             on_set = np.arange(80) if index is None else index
             for count in counts:
@@ -276,8 +284,8 @@ def recorded_working_sets(monkeypatch):
     sets = []
     init = iklogit.solver._WorkingSet.__init__
 
-    def recording(self, decomp, index):
-        init(self, decomp, index)
+    def recording(self, *args):
+        init(self, *args)
         sets.append(self.index)
 
     monkeypatch.setattr(iklogit.solver._WorkingSet, "__init__", recording)
@@ -436,6 +444,120 @@ class TestWorkingSet:
         assert len(trace.iterates) == len(ref.iterates)
         assert all(np.array_equal(a, b) for a, b in zip(trace.iterates, ref.iterates))
         assert np.array_equal(model.alpha, reference.alpha)
+
+
+class TestWorkingSetStep:
+    @staticmethod
+    def objective(kind, n=80):
+        """A TL1, an RBF, or a Gram with negative entries, at lam = 0.5."""
+        if kind == "rbf":
+            data = benchmark_data(0, n)
+            gram = gram_matrix(KernelSpec.rbf(1.0), data)
+            return DcObjective.from_labels(
+                decompose_gram(gram, 1e-6, psd=True), data.labels, 0.5, 0.01)
+        if kind == "tl1":
+            return tl1_objective(np.random.default_rng(0), n=n, lam=0.5, lam1=0.05)
+        rng = np.random.default_rng(0)
+        low_rank, bump = rng.normal(size=(n, 8)), rng.normal(size=(n, n))
+        gram = low_rank @ low_rank.T / 8 + 0.15 * (bump + bump.T) / 2
+        assert gram.min() < 0.0
+        return DcObjective(decompose_gram(gram, 1e-6), rng.choice([-1.0, 1.0], size=n), 0.5, 0.05)
+
+    @pytest.mark.parametrize("gamma", [1.0, 0.3])
+    @pytest.mark.parametrize("kind", ["tl1", "rbf", "negative entries"])
+    def test_step_bounds_the_curvature_on_the_set(self, kind, gamma):
+        # On a set W of fewer than n/2 coordinates the step is 1/L_W, with
+        # L_W = lambda_max(K[W,:] K[:,W] / (4n) + lam K+[W,W]) + 1/gamma, a
+        # bound on the curvature of the subproblem's smooth part on W, and
+        # at most the fit's L: the gradient on W is L_W-Lipschitz.  The bound
+        # reads no sign of K's entries.  A set of n/2 or more is all n, at 1/L.
+        obj = self.objective(kind)
+        n, gram, dense_kplus = obj.n, obj.decomp.gram, kplus(obj.decomp)
+        big_l = smooth_lipschitz_bound(obj, gamma)
+        rng = np.random.default_rng(1)
+        for size in (1, 10, 39):
+            index = np.sort(rng.choice(n, size, replace=False))
+            ws = working_set(obj, index, gamma=gamma)
+            assert ws.index is index
+            rows = gram[index]
+            restricted = rows @ rows.T / (4 * n) + obj.lam * dense_kplus[np.ix_(index, index)]
+            exact = float(np.linalg.eigvalsh(restricted)[-1]) + 1.0 / gamma
+            assert 1.0 / ws.step == pytest.approx(exact, rel=1e-12)
+            assert ws.step >= 1.0 / big_l
+            if size == 10:
+                assert 1.0 / ws.step < 0.9 * big_l
+            for _ in range(20):
+                a, b = np.zeros((2, n))
+                a[index], b[index] = rng.normal(size=(2, size))
+                num = np.linalg.norm((smooth_grad_g(obj, a) - smooth_grad_g(obj, b)
+                                      + (a - b) / gamma)[index])
+                assert num <= np.linalg.norm(a - b) / ws.step * (1 + 1e-10)
+        for index in (None, np.arange(n // 2)):
+            ws = working_set(obj, index, gamma=gamma)
+            assert ws.index is None and ws.step == 1.0 / big_l
+            assert ws.gram is gram
+
+    def test_reused_step_never_leaves_its_set(self):
+        # A set equal to the last one takes its rows and step; one inside
+        # it takes its step; any other set, a superset or one that swaps a
+        # coordinate, gets a bound of its own, even when inside a set that
+        # an earlier set reused the step of.
+        obj = self.objective("tl1")
+        rng = np.random.default_rng(2)
+        outer = np.sort(rng.choice(obj.n, 30, replace=False))
+        first = working_set(obj, outer)
+        same = working_set(obj, outer.copy(), last=first)
+        assert same.gram is first.gram and same.step == first.step
+        inside = outer[::2]
+        sub = working_set(obj, inside, last=first)
+        assert sub.step == first.step < working_set(obj, inside).step
+        assert np.array_equal(sub.gram, obj.decomp.gram[inside])
+        assert working_set(obj, inside[::2], last=sub).step == first.step
+        extra = np.setdiff1d(np.arange(obj.n), outer)[:1]
+        swapped = np.union1d(outer[1:], extra)
+        for index in (np.union1d(outer, extra), swapped, np.union1d(inside, extra)):
+            own = working_set(obj, index).step
+            assert working_set(obj, index, last=first).step == own
+            assert working_set(obj, index, last=sub).step == own
+
+    def test_every_step_of_a_fit_was_bounded_on_a_superset(self, rng, monkeypatch):
+        # Over a whole fit, with the set carried from one solve to the next:
+        # each set's step is the step computed for a set that contains it.
+        bounds, built = [], []
+        init = iklogit.solver._WorkingSet.__init__
+        bound = iklogit.solver._set_lipschitz_bound
+
+        def counting_bound(*args):
+            bounds.append(args[1])
+            return bound(*args)
+
+        def recording(self, *args):
+            before = len(bounds)
+            init(self, *args)
+            if self.index is not None:
+                built.append((set(self.index.tolist()), self.step, len(bounds) > before))
+
+        monkeypatch.setattr(iklogit.solver, "_set_lipschitz_bound", counting_bound)
+        monkeypatch.setattr(iklogit.solver._WorkingSet, "__init__", recording)
+        obj = tl1_objective(rng, n=100, d=3, lam=0.1, lam1=0.02)
+        _, trace = pla_fit(obj, SolverConfig())
+        assert trace.status == CONVERGED
+        computed = [(index, step) for index, step, fresh in built if fresh]
+        assert len(built) > 10 * len(computed) >= 20
+        inside = []
+        for index, step, _ in built:
+            bounded_on = [built for built, built_step in computed if step == built_step]
+            assert any(index <= built for built in bounded_on)
+            inside.append(not any(index == built for built in bounded_on))
+        assert any(inside)
+
+    def test_baseline_fit_takes_the_working_set_step(self):
+        # The benchmark's n = 500 TL1 fit (lam = 0.1, lam1 = 0.01): 2,165
+        # inner iterations over 366 outer steps.  At the fit's step 1/L on
+        # every working set it took 4,285 over 370.
+        model = fit(ModelSpec("l1-riklr", lam=0.1, lam1=0.01), benchmark_data(0, 500))
+        assert model.trace.status == CONVERGED
+        assert sum(model.trace.inner_iterations) <= 2165
 
 
 class TestPlaFit:
@@ -778,14 +900,15 @@ class TestProductBudget:
         assert len(lowrank) <= 1.3 * inner + 1 * outer + 2
 
     def test_products_per_inner_iteration(self, rng, monkeypatch):
-        # Fixed inner tolerance: long inner solves, few outer steps.
+        # Fixed inner tolerance: long inner solves, few outer steps (1,007
+        # inner iterations over 110 outer steps).
         monkeypatch.setattr(iklogit.solver, "INNER_RTOL", 0.0)
-        self.check_budget(rng, min_ratio=10)
+        self.check_budget(rng, min_ratio=9)
 
     def test_products_per_inner_iteration_default(self, rng, monkeypatch):
         # The same budget at the default step-relative tolerance, whose
-        # inner solves are shorter.
-        self.check_budget(rng, min_ratio=5)
+        # inner solves are shorter (548 inner iterations over 110 steps).
+        self.check_budget(rng, min_ratio=4.5)
 
     def test_sparse_fit_makes_few_full_products(self):
         # rbf-serve's problem at n = 400: supports of about 10 rows.  The
@@ -813,8 +936,11 @@ class TestProductBudget:
     def test_working_set_iterations_gather_no_rows(self, rng, monkeypatch):
         # Every solve of this TL1 fit runs on fewer than half of the n.
         # Rows of K and W are gathered only to build a working set, one
-        # gather each; the iterations on the set read the rows it holds.
-        gathers = []
+        # gather each, and K[W,W] once more for a set that computes its
+        # step bound; a set equal to the one the last solve ended on takes
+        # its rows and gathers none.  The iterations on the set read the
+        # rows it holds.
+        gathers, builds = [], []
 
         class Gathering(np.ndarray):
             def __getitem__(self, key):
@@ -830,12 +956,35 @@ class TestProductBudget:
             lowrank=obj.decomp.lowrank.view(Gathering),
         )
         obj = DcObjective(decomp, obj.y_signed, lam=obj.lam, lam1=obj.lam1)
-        sets = recorded_working_sets(monkeypatch)
+        init = iklogit.solver._WorkingSet.__init__
+        bound = iklogit.solver._set_lipschitz_bound
+        bounds = []
+
+        def counting_bound(*args):
+            bounds.append(args[1])
+            return bound(*args)
+
+        def recording(self, obj, index, step, inv_gamma, last):
+            before = len(gathers), len(bounds)
+            init(self, obj, index, step, inv_gamma, last)
+            if last is not None and self.gram is last.gram:
+                kind = "rows reused"
+            elif len(bounds) > before[1]:
+                kind = "bound computed"
+            else:
+                kind = "bound reused"
+            builds.append((self.index, kind, len(gathers) - before[0]))
+
+        monkeypatch.setattr(iklogit.solver, "_set_lipschitz_bound", counting_bound)
+        monkeypatch.setattr(iklogit.solver._WorkingSet, "__init__", recording)
         _, trace = pla_fit(obj, SolverConfig())
         assert trace.status == CONVERGED
-        assert len(sets) > 10 and all(s is not None for s in sets)
-        assert sum(trace.inner_iterations) > 5 * len(sets)
-        assert len(gathers) == 2 * len(sets)
+        assert len(builds) > 10 and all(index is not None for index, _, _ in builds)
+        assert sum(trace.inner_iterations) > 5 * len(builds)
+        per_kind = {"rows reused": 0, "bound reused": 2, "bound computed": 3}
+        assert all(count == per_kind[kind] for _, kind, count in builds)
+        assert {kind for _, kind, _ in builds} == set(per_kind)
+        assert len(gathers) == sum(count for _, _, count in builds)
 
     def test_outer_loop_adds_no_products(self, rng, monkeypatch):
         # K a, K- a and the loss gradient of each new iterate come back from
