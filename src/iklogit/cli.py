@@ -161,6 +161,14 @@ _COMMAND_KEYS = {
     "kernel-stats": ("data", "kernel", "name", "output"),
     "bench": _BENCH,
 }
+# The keys of each command's output section; its --output flag sets the first.
+_OUTPUT_KEYS = {
+    "train": ("model", "trace"),
+    "predict": ("predictions",),
+    "eval": ("metrics",),
+    "kernel-stats": ("stats",),
+    "bench": ("directory", "basename"),
+}
 # Keys the commands read themselves.
 _OWN = ("path", "data", "output")
 # Keys whose value is a section of its own, built into its spec.
@@ -349,14 +357,7 @@ def _merge_flags(cfg: dict, args: argparse.Namespace) -> dict:
         cfg["model_path"] = args.model
     output = getattr(args, "output", None)
     if output:
-        target = {
-            "train": ("output", "model"),
-            "predict": ("output", "predictions"),
-            "eval": ("output", "metrics"),
-            "kernel-stats": ("output", "stats"),
-            "bench": ("output", "directory"),
-        }[args.command]
-        cfg.setdefault(target[0], {})[target[1]] = output
+        cfg.setdefault("output", {})[_OUTPUT_KEYS[args.command][0]] = output
     if getattr(args, "trace", None):
         cfg.setdefault("output", {})["trace"] = args.trace
     return cfg
@@ -382,6 +383,7 @@ def main(argv: list[str] | None = None) -> int:
         cfg = _apply_overrides(cfg, args.set)
         _check_sections(cfg)
         _check_keys(cfg, _COMMAND_KEYS[args.command], f"{args.command} config")
+        _check_keys(cfg.get("output", {}), _OUTPUT_KEYS[args.command], "output")
         cfg = _merge_flags(cfg, args)
         return _COMMANDS[args.command](cfg)
     except NumericalError as exc:

@@ -520,3 +520,26 @@ class TestConfigTypes:
         assert rc == 1
         assert capsys.readouterr().err == f"error: unknown {command} config keys: ['{key}']\n"
         assert not (tmp_path / "model.json").exists()
+
+    @pytest.mark.parametrize(
+        "command, override, key",
+        [("train", "output.modle=m.json", "modle"),
+         ("predict", "output.prediction=p.csv", "prediction"),
+         ("eval", "output.metric=m.json", "metric"),
+         ("kernel-stats", "output.stat=s.json", "stat"),
+         ("bench", "output.dir=out", "dir")],
+    )
+    def test_every_command_rejects_unknown_output_keys(
+        self, clusters_csv, tmp_path, capsys, monkeypatch, command, override, key
+    ):
+        # A misspelled output key is an error that names it, raised before
+        # anything runs, not a file written under its default name.
+        monkeypatch.chdir(tmp_path)
+        cfg = train_config(tmp_path, clusters_csv)
+        if command != "train":
+            cfg = write_config(tmp_path, {"data": {"path": str(clusters_csv)}})
+        before = set(tmp_path.iterdir())
+        rc = main([command, "--config", cfg, "--set", override])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: unknown output keys: ['{key}']\n"
+        assert set(tmp_path.iterdir()) == before

@@ -560,6 +560,82 @@ class TestWorkingSetStep:
         assert sum(model.trace.inner_iterations) <= 2165
 
 
+class TestDescentCertificate:
+    @pytest.mark.parametrize("on_set", [True, False], ids=["working set", "all n"])
+    @pytest.mark.parametrize("kind", ["tl1", "rbf"])
+    def test_certified_candidates_do_not_raise_the_objective(self, kind, on_set):
+        # Beck & Teboulle (2009), Lemma 2.3: for the proximal step c from y
+        # at a step of at most 1/L_W, F(c) <= F(x) whenever
+        # cert = <y - c, c - x> + ||y - c||^2 / 2 <= 0, for every x.  So
+        # the inner solve evaluates F only where the certificate fails.
+        # Random x and y at distances 1e-4 to 1 from the subproblem's
+        # minimizer on the set, where F(x) - F(c) can be small, at the
+        # solver's step.  A certificate that always holds fails here, and
+        # so does one at 4 times the step on three of the four.
+        obj = TestWorkingSetStep.objective(kind)
+        n, gamma, lam1 = obj.n, 1.0, obj.lam1
+        dense_kplus = kplus(obj.decomp)
+        rng = np.random.default_rng(3)
+        omega, anchor = rng.normal(scale=0.1, size=(2, n))
+        ws = working_set(obj, np.sort(rng.choice(n, 30, replace=False)) if on_set else None)
+        assert (ws.index is None) != on_set
+        coords = np.arange(n) if ws.index is None else ws.index
+
+        def value(a):
+            return ref_inner_objective(obj.decomp.gram, dense_kplus, obj.y_signed, obj.lam,
+                                       lam1, omega, anchor, gamma, a)
+
+        def on_coords(v):
+            a = np.zeros(n)
+            a[coords] = v
+            return a
+
+        def prox_step(y):
+            grad = (smooth_grad_g(obj, y) - omega + (y - anchor) / gamma)[coords]
+            return on_coords(ref_soft_threshold(y[coords] - ws.step * grad, ws.step * lam1))
+
+        star = np.zeros(n)
+        for _ in range(300):
+            star = prox_step(star)
+        certified = 0
+        for _ in range(300):
+            x, y = (star + on_coords(10.0 ** rng.uniform(-4, 0) * rng.normal(size=coords.size))
+                    for _ in range(2))
+            cand = prox_step(y)
+            back, move = y - cand, cand - x
+            if back @ move + 0.5 * (back @ back) <= 0.0:
+                certified += 1
+                f_x = value(x)
+                assert value(cand) <= f_x + 1e-12 * abs(f_x)
+        assert 20 < certified < 280
+
+    def test_few_candidates_evaluate_the_objective(self, monkeypatch):
+        # Each candidate costs one product with the set's rows (_products);
+        # its objective, and lazily x's, only where the certificate fails.
+        # This TL1 fit evaluates 477 objectives over 1,588 candidates on
+        # its working sets (1,794 when every candidate and each set's
+        # start were evaluated).
+        counts = {"objectives": 0, "candidates": 0}
+        value, products = iklogit.solver.loss_value, iklogit.solver._products
+
+        def counting_value(*args):
+            counts["objectives"] += 1
+            return value(*args)
+
+        def counting_products(*args):
+            counts["candidates"] += 1
+            return products(*args)
+
+        monkeypatch.setattr(iklogit.solver, "loss_value", counting_value)
+        monkeypatch.setattr(iklogit.solver, "_products", counting_products)
+        sets = recorded_working_sets(monkeypatch)
+        model = fit(ModelSpec("l1-riklr", lam=0.1, lam1=0.01), benchmark_data(0, 200))
+        assert model.trace.status == CONVERGED
+        assert sum(s is not None for s in sets) > 0.9 * len(sets)
+        assert counts["candidates"] >= sum(model.trace.inner_iterations) > 1000
+        assert counts["objectives"] <= 0.4 * counts["candidates"]
+
+
 class TestPlaFit:
     def test_dominant_l1_converges_in_one_outer_step(self, rng):
         obj = dominant_lam1_objective(rng)
