@@ -174,7 +174,9 @@ _OWN = ("path", "data", "output")
 # Keys whose value is a section of its own, built into its spec.
 _NESTED = {"kernel": _kernel_spec, "solver": _solver_config}
 # Integer keys, where an integral float such as 1e3 counts as an int.
-_INTEGERS = ("max_outer", "max_inner", "repeats", "cv_folds", "base_seed")
+_INTEGERS = (
+    "max_outer", "max_inner", "repeats", "cv_folds", "base_seed", "label_column"
+)
 # Config keys spelled differently from their dataclass field.
 _FIELDS = {"lambda": "lam", "lambda1": "lam1"}
 

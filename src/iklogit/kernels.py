@@ -186,20 +186,18 @@ def gram_matrix(spec: KernelSpec, data: Dataset) -> np.ndarray:
             f"Gram matrix of size {n}x{n} needs {n * n * 8} bytes, "
             f"cap is {GRAM_MAX_BYTES}"
         )
-    return kernel_rows(spec, data, data.features)
+    return kernel_rows(spec, data.features, data.features)
 
 
 def kernel_rows(
-    spec: KernelSpec,
-    train: "Dataset | np.ndarray",
-    test_features: np.ndarray,
+    spec: KernelSpec, train_features: np.ndarray, test_features: np.ndarray
 ) -> np.ndarray:
     """Cross-kernel block: entry (i, j) = k(test_i, train_j).
 
-    ``train`` may be a Dataset or a bare (n, d) feature matrix.  The output
-    is filled in blocks of rows of at most KERNEL_BLOCK_BYTES (at least one
-    row each), feature by feature, so scratch memory beyond the result is
-    one such block plus a d x n copy of the training features.
+    ``train_features`` is an (n, d) feature matrix.  The output is filled
+    in blocks of rows of at most KERNEL_BLOCK_BYTES (at least one row each),
+    feature by feature, so scratch memory beyond the result is one such
+    block plus a d x n copy of the training features.
 
     Each distance is summed in feature order, 0 + t_1 + t_2 + ... + t_d.
     For d < 8 that is bitwise numpy's ``sum(axis=1)`` over the features.
@@ -210,7 +208,7 @@ def kernel_rows(
     every d.
     """
     _require_resolved(spec)
-    base = train.features if isinstance(train, Dataset) else np.asarray(train, float)
+    base = np.asarray(train_features, dtype=np.float64)
     if base.ndim != 2:
         raise InputError(f"training features must be 2-D, got shape {base.shape}")
     tests = np.asarray(test_features, dtype=np.float64)

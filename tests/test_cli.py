@@ -385,6 +385,17 @@ class TestNumberKeys:
         assert main(["train", "--config", cfg, "--set", "solver.max_outer=1e3"]) == 0
         assert "status: converged" in capsys.readouterr().out
 
+    def test_integral_float_label_column_trains_like_the_int(self, clusters_csv, tmp_path):
+        cfg = train_config(tmp_path, clusters_csv)
+        alphas = []
+        for value in ("-1", "-1.0"):
+            out = tmp_path / f"model{value}.json"
+            argv = ["train", "--config", cfg, "--set", f"data.label_column={value}",
+                    "--set", f"output.model={out}"]
+            assert main(argv) == 0
+            alphas.append(load_model(str(out)).alpha)
+        assert np.array_equal(alphas[0], alphas[1])
+
     @pytest.mark.parametrize(
         "override",
         ["repeats=1.5", "cv_folds=true", 'base_seed="0"', "tau=true",

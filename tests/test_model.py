@@ -312,7 +312,7 @@ class TestPredict:
         data = random_dataset(rng, n=15, d=3)
         model = fit(ModelSpec(variant="l1-riklr", lam=0.3, lam1=0.02), data)
         test = rng.normal(size=(40, 3))
-        whole = kernel_rows(model.kernel, data, test) @ model.alpha
+        whole = kernel_rows(model.kernel, data.features, test) @ model.alpha
         nonzero = np.count_nonzero(model.alpha)
         assert 3 < nonzero < 15
         # A block row holds one 8-byte value per nonzero coefficient (more

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import iklogit.spectral
-from iklogit import InputError, KernelSpec, decompose_gram, gram_matrix
+from iklogit import InputError, KernelSpec, ModelSpec, decompose_gram, fit, gram_matrix
 from iklogit.kernels import kernel_rows
 from iklogit.spectral import perron_bound, positive_decompose, sym_eigendecompose
 
@@ -54,19 +54,16 @@ class TestSymEigendecompose:
             sym_eigendecompose(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
     def test_empty_matrix_rejected(self):
-        for vectors_if_negative in (False, True):
-            with pytest.raises(InputError, match="empty"):
-                sym_eigendecompose(np.zeros((0, 0)), vectors_if_negative=vectors_if_negative)
+        with pytest.raises(InputError, match="empty"):
+            sym_eigendecompose(np.zeros((0, 0)))
         with pytest.raises(InputError, match="empty"):
             decompose_gram(np.zeros((0, 0)), 1e-6)
 
-    def test_vectors_only_for_a_negative_spectrum(self):
-        vals, vecs = sym_eigendecompose(np.diag([3.0, 1.0]), vectors_if_negative=True)
-        assert vecs is None
-        assert np.array_equal(vals, [3.0, 1.0])
-        vals, vecs = sym_eigendecompose(np.diag([3.0, -1.0]), vectors_if_negative=True)
-        assert vecs.shape == (2, 2)
-        assert np.allclose(vals, [3.0, -1.0], atol=1e-14)
+    def test_vectors_for_every_spectrum(self):
+        for diagonal in ([3.0, 1.0], [3.0, -1.0]):
+            vals, vecs = sym_eigendecompose(np.diag(diagonal))
+            assert np.allclose(vals, diagonal, atol=1e-14)
+            assert np.allclose(np.abs(vecs), np.eye(2), atol=1e-14)
 
 
 class TestPositiveDecompose:
@@ -86,7 +83,7 @@ class TestPositiveDecompose:
         fields = {f.name for f in dataclasses.fields(dec)}
         assert fields == {"gram", "tau", "lowrank", "spectral_norm", "top_eigenvalue"}
         # The two norms are the step bound's, read off the eigenvalues.
-        vals, _ = sym_eigendecompose(gram, vectors_if_negative=True)
+        vals, _ = sym_eigendecompose(gram)
         assert dec.spectral_norm == max(abs(float(vals[0])), abs(float(vals[-1])))
         assert dec.top_eigenvalue == max(float(vals[0]), 0.0)
 
@@ -148,6 +145,16 @@ class TestPositiveDecompose:
         with pytest.raises(InputError):
             positive_decompose(gram, np.ones(2), np.eye(3), tau=0.1)
 
+    def test_eigensystem_given_whole_or_not_at_all(self):
+        # Eigenvalues without eigenvectors and eigenvectors without
+        # eigenvalues fail the same check, on any spectrum.
+        for gram in (np.diag([2.0, -1.0]), np.diag([2.0, 0.0])):
+            vals = np.diag(gram).copy()
+            for pair in ((vals, None), (None, np.eye(2))):
+                with pytest.raises(InputError, match="both eigenvalues and eigenvectors"):
+                    positive_decompose(gram, *pair, tau=0.1)
+        assert positive_decompose(np.eye(2), None, None, tau=0.1).lowrank.shape == (2, 0)
+
 
 def full_eigh_split(gram):
     """Eigenvalues and W from a full eigh: the reference for indefinite Grams."""
@@ -158,23 +165,46 @@ def full_eigh_split(gram):
 
 
 class TestEigenvaluesOnly:
-    """Eigenvectors are computed only when the Gram has a negative eigenvalue."""
+    """An undeclared Gram runs one eigh, whatever the sign of its spectrum."""
 
-    def test_psd_gram_runs_no_eigh(self, rng, monkeypatch):
+    def test_undeclared_psd_gram_runs_one_eigh(self, rng, monkeypatch):
         gram = gram_matrix(KernelSpec.rbf(1.0), random_dataset(rng, 40, 3))
-        calls = []
+        spectra = []
         eigh = np.linalg.eigh
-        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(1) or eigh(a))
+
+        def recording_eigh(a):
+            result = eigh(a)
+            spectra.append(result[0])
+            return result
+
+        monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
         tau = 0.25
         dec = decompose_gram(gram, tau)
-        assert calls == []
+        assert len(spectra) == 1
+        vals = spectra[0]  # ascending
+        assert vals[0] >= 0.0
         assert dec.lowrank.shape == (40, 0)
-        vals, vecs = sym_eigendecompose(gram, vectors_if_negative=True)
-        assert calls == [] and vecs is None
-        assert np.array_equal(vals, np.linalg.eigvalsh(gram)[::-1])
-        assert dec.spectral_norm == dec.top_eigenvalue == vals[0]
+        assert dec.spectral_norm == max(abs(float(vals[-1])), abs(float(vals[0])))
+        assert dec.top_eigenvalue == float(vals[-1])
         alpha = rng.normal(size=40)
         assert np.array_equal(dec.kminus_dot(alpha), tau * alpha)
+
+    def test_tl1_fit_runs_one_eigh_and_no_eigvalsh(self, rng, monkeypatch):
+        # Working sets take an eigvalsh of order |W| < n/2 for their step;
+        # the Gram itself gets one eigh and no eigvalsh.
+        shapes = {"eigh": [], "eigvalsh": []}
+        for name in shapes:
+
+            def recording(a, *args, _name=name, _solver=getattr(np.linalg, name), **kwargs):
+                shapes[_name].append(np.shape(a))
+                return _solver(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, recording)
+        n = 30
+        spec = ModelSpec(variant="l1-riklr", lam=0.5, lam1=0.05, kernel=KernelSpec.tl1())
+        fit(spec, random_dataset(rng, n, 3))
+        assert shapes["eigh"] == [(n, n)]
+        assert (n, n) not in shapes["eigvalsh"]
 
     def test_indefinite_gram_matches_full_eigh_bitwise(self, rng):
         for n in (40, 120):
@@ -183,17 +213,10 @@ class TestEigenvaluesOnly:
             vals, factor = full_eigh_split(gram)
             assert np.any(vals < 0.0)
             dec = decompose_gram(gram, 1e-6)
-            assert np.array_equal(sym_eigendecompose(gram, vectors_if_negative=True)[0], vals)
+            assert np.array_equal(sym_eigendecompose(gram)[0], vals)
             assert np.array_equal(dec.lowrank, factor)
             assert dec.spectral_norm == max(abs(float(vals[0])), abs(float(vals[-1])))
             assert dec.top_eigenvalue == max(float(vals[0]), 0.0)
-
-    def test_missing_eigenvectors_rejected_for_negative_spectrum(self):
-        gram = np.diag([2.0, -1.0])
-        with pytest.raises(InputError, match="eigenvectors"):
-            positive_decompose(gram, np.array([2.0, -1.0]), None, tau=0.1)
-        dec = positive_decompose(np.diag([2.0, 0.0]), np.array([2.0, 0.0]), None, tau=0.1)
-        assert dec.lowrank.shape == (2, 0)
 
     @pytest.mark.parametrize(
         "kernel, bound",
@@ -202,7 +225,8 @@ class TestEigenvaluesOnly:
     )
     def test_peak_traced_memory(self, rng, kernel, bound):
         # Allocations of decompose_gram beyond its input, in units of one
-        # n x n matrix of doubles: eigenvectors for every Gram take about 2.
+        # n x n matrix of doubles: eigh's eigenvectors take 1 and W, n x r,
+        # adds r / n (about 1.01 on this RBF Gram and 1.35 on this TL1 one).
         n = 300
         gram = gram_matrix(kernel, random_dataset(rng, n, 3))
         decompose_gram(gram, 1e-6)  # first-call allocations stay out
@@ -335,7 +359,3 @@ class TestPsdDeclared:
         for gram in (np.ones((2, 3)), np.zeros((0, 0))):
             with pytest.raises(InputError):
                 decompose_gram(gram, 1e-6, psd=True)
-
-    def test_eigenvectors_without_eigenvalues_rejected(self):
-        with pytest.raises(InputError, match="eigenvalues"):
-            positive_decompose(np.eye(2), None, np.eye(2), tau=0.1)
