@@ -146,13 +146,12 @@ class TestPositiveDecompose:
             positive_decompose(gram, np.ones(2), np.eye(3), tau=0.1)
 
     def test_eigensystem_given_whole_or_not_at_all(self):
-        # Eigenvalues without eigenvectors and eigenvectors without
-        # eigenvalues fail the same check, on any spectrum.
-        for gram in (np.diag([2.0, -1.0]), np.diag([2.0, 0.0])):
-            vals = np.diag(gram).copy()
-            for pair in ((vals, None), (None, np.eye(2))):
-                with pytest.raises(InputError, match="both eigenvalues and eigenvectors"):
-                    positive_decompose(gram, *pair, tau=0.1)
+        # Half an eigensystem fails the same check on a PSD spectrum as on
+        # a negative one; neither half makes a PSD split.
+        gram = np.diag([2.0, 0.0])
+        for pair in ((np.array([2.0, 0.0]), None), (None, np.eye(2))):
+            with pytest.raises(InputError, match="both eigenvalues and eigenvectors"):
+                positive_decompose(gram, *pair, tau=0.1)
         assert positive_decompose(np.eye(2), None, None, tau=0.1).lowrank.shape == (2, 0)
 
 
@@ -217,6 +216,11 @@ class TestEigenvaluesOnly:
             assert np.array_equal(dec.lowrank, factor)
             assert dec.spectral_norm == max(abs(float(vals[0])), abs(float(vals[-1])))
             assert dec.top_eigenvalue == max(float(vals[0]), 0.0)
+
+    def test_missing_eigenvectors_rejected_for_negative_spectrum(self):
+        gram = np.diag([2.0, -1.0])
+        with pytest.raises(InputError, match="eigenvectors"):
+            positive_decompose(gram, np.array([2.0, -1.0]), None, tau=0.1)
 
     @pytest.mark.parametrize(
         "kernel, bound",
@@ -359,3 +363,7 @@ class TestPsdDeclared:
         for gram in (np.ones((2, 3)), np.zeros((0, 0))):
             with pytest.raises(InputError):
                 decompose_gram(gram, 1e-6, psd=True)
+
+    def test_eigenvectors_without_eigenvalues_rejected(self):
+        with pytest.raises(InputError, match="eigenvalues"):
+            positive_decompose(np.eye(2), None, np.eye(2), tau=0.1)
