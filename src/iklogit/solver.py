@@ -9,6 +9,28 @@ subproblem
 
 with a constant proximal weight gamma, starting from alpha_0 = 0.
 
+Extrapolation (SolverConfig.method "adca", the default): accelerated DCA
+(Nhat Phan, Le & Le Thi, IJCAI 2018) keeps this subproblem and moves only
+its anchor, the point alpha_k above, where h is linearized, the proximal
+term is centred and the inner solve starts.  Step k anchors at
+
+    z_k = alpha_k + beta_k (alpha_k - alpha_{k-1}),
+
+with beta_k = (theta_k - 1) / theta_{k+1} from FISTA's sequence theta_1 = 1,
+theta_{k+1} = (1 + sqrt(1 + 4 theta_k^2)) / 2, never restarted.  z_k is kept
+only if f(z_k) <= max(f_{k-ADCA_WINDOW+1}, ..., f_k), the largest of the
+last ADCA_WINDOW objective values; otherwise, and after a solve that took
+no iteration (which would leave the fit drifting on momentum alone), step k
+is the plain step from alpha_k.  A step from z_k does not raise f above
+f(z_k), so f_{k+1} is at most that window's largest value, not at most
+f_k.  K z_k and K- z_k are combinations of the carried products, so f(z_k)
+costs no product; a kept z_k costs its loss gradient, one full product.
+The step norm, the inner tolerance and the stop rule below still measure
+alpha_{k+1} - alpha_k.  On a Gram with no negative eigenvalue (W has no
+column) "adca" takes the plain step at every k, so its iterates there are
+the plain loop's, bitwise.  Method "pla" is the paper's plain loop,
+anchored at alpha_k at every step.
+
 Inexact inner solves: step k's subproblem is solved to the fixed-point
 tolerance max(epsilon_inner, INNER_RTOL * ||alpha_k - alpha_{k-1}||), so it
 is solved loosely while the iterates still move far and tightly near a
@@ -38,16 +60,18 @@ margins m_i = y_i (K a)_i and s_i = sigmoid(-m_i), so
     phi(m) = ln(1 + e^-m) + (m/2) sigmoid(-m) > 0
 
 (for m < 0, ln(1 + e^-m) > -m and m sigmoid(-m) >= m).  Every critical
-point has f > 0.  PLA does not increase f and its accumulation points are
-critical, so once some f_k <= 0 the iterates have no bounded subsequence.
-The iterate-norm cap DIVERGENCE_NORM stays as a backstop for unbounded
-iterates whose f stays above 0, a case the certificate does not cover.
+point has f > 0.  So once some f(alpha_k) <= 0, under either method, the
+sublevel set {f <= 0} holds no critical point.  That set is then unbounded
+and f attains no minimum: a minimum over a bounded {f <= 0}, a closed set,
+would be a critical point with f <= 0.  The iterate-norm cap
+DIVERGENCE_NORM stays as a backstop for unbounded iterates whose f stays
+above 0, a case the certificate does not cover.
 
 Inner loop: accelerated proximal gradient (momentum restart on objective
-increase), warm-started at alpha_k.  pla_fit computes the step 1/L_phi of
-:func:`smooth_lipschitz_bound` once per fit; the iterations on a working
-set smaller than n step by the set's own 1/L_W (below).  Convergence is
-certified by the proximal fixed-point residual
+increase), warm-started at the step's anchor.  pla_fit computes the step
+1/L_phi of :func:`smooth_lipschitz_bound` once per fit; the iterations on a
+working set smaller than n step by the set's own 1/L_W (below).
+Convergence is certified by the proximal fixed-point residual
 ||a - S_{t*lam1}(a - t grad_phi(a))||_inf at t = 1/L_phi, evaluated over all
 n at the point actually returned.
 
@@ -118,7 +142,8 @@ than n of the n = 500 benchmark fit).  The outer loop adds no product of
 its own: K a, K- a and the loss gradient of the new iterate come back from
 the inner solve and serve f_value, grad_h, the stationarity residual and
 the next warm start.  Only the starting point costs one dense product, its loss
-gradient: K a and K- a are 0 at alpha = 0.  No function computes a
+gradient: K a and K- a are 0 at alpha = 0.  Under "adca" each kept anchor
+z_k costs one more, its loss gradient.  No function computes a
 product it is not given: each takes the products it needs as arguments.
 """
 
@@ -161,15 +186,24 @@ INNER_RTOL = 1e-3
 # iterations, and fit-tl1 14,662, 14,491, 16,935 and 24,788 full products.
 INNER_CHECK_FACTOR = 3.0
 
+# The outer methods of SolverConfig.method (see the module docstring).
+METHODS = ("pla", "adca")
+
+# "adca" keeps its extrapolated anchor z only if f(z) is at most the largest
+# of the last ADCA_WINDOW objective values f_{k-ADCA_WINDOW+1}, ..., f_k.
+ADCA_WINDOW = 5
+
 log = logging.getLogger(__name__)
 
 
 @dataclass
 class SolverConfig:
-    """Proximal weight, tolerances and iteration caps of the two loops.
+    """Outer method, proximal weight, tolerances and iteration caps of the two loops.
 
     ``gamma`` is the constant proximal weight, a positive number.
     ``epsilon_inner`` is the floor of each inner tolerance (see INNER_RTOL).
+    ``method`` is "adca", which extrapolates each step's anchor on an
+    indefinite Gram, or "pla", the paper's plain loop (module docstring).
     """
 
     gamma: float = 1.0
@@ -177,8 +211,11 @@ class SolverConfig:
     max_outer: int = 500
     epsilon_inner: float = 1e-8
     max_inner: int = 5000
+    method: str = "adca"
 
     def __post_init__(self) -> None:
+        if self.method not in METHODS:
+            raise InputError(f"method must be one of {METHODS}, got {self.method!r}")
         check_number("gamma", self.gamma)
         self.gamma = float(self.gamma)
         check_number("epsilon_outer", self.epsilon_outer)
@@ -213,7 +250,8 @@ class SolveTrace:
     """Per-outer-iteration diagnostics of a pla_fit run.
 
     ``f_values`` and ``iterates`` carry the initial point, so they are one
-    longer than the per-step lists.
+    longer than the per-step lists.  ``extrapolated`` says whether a step's
+    subproblem was anchored at an extrapolated point (method "adca").
     """
 
     f_values: list[float] = field(default_factory=list)
@@ -221,6 +259,7 @@ class SolveTrace:
     stationarity_residuals: list[float] = field(default_factory=list)
     inner_iterations: list[int] = field(default_factory=list)
     inner_converged: list[bool] = field(default_factory=list)
+    extrapolated: list[bool] = field(default_factory=list)
     iterates: list[np.ndarray] = field(default_factory=list)
     status: str = MAX_ITERATIONS
 
@@ -238,6 +277,7 @@ class SolveTrace:
                 "stationarity_residual": self.stationarity_residuals[k],
                 "inner_iterations": self.inner_iterations[k],
                 "inner_converged": self.inner_converged[k],
+                "extrapolated": self.extrapolated[k],
             }
             for k in range(self.num_iterations)
         ]
@@ -556,6 +596,10 @@ def stationarity_residual(
 def pla_fit(obj: DcObjective, cfg: SolverConfig) -> tuple[np.ndarray, SolveTrace]:
     """Run the outer proximal linearized iteration from 0 to a critical point.
 
+    ``cfg.method`` picks the anchor of each step: alpha_k ("pla"), or the
+    extrapolated z_k where it passes the window test ("adca"; see the module
+    docstring), recorded per step in ``trace.extrapolated``.
+
     Returns the final iterate and the full trace.  Hitting ``max_outer``
     yields status ``max_iterations`` rather than an exception; inner-solve
     iteration caps are recorded per step in ``trace.inner_converged``.
@@ -581,16 +625,41 @@ def pla_fit(obj: DcObjective, cfg: SolverConfig) -> tuple[np.ndarray, SolveTrace
     moved = 0.0  # the first solve has no previous step and runs to epsilon_inner
     inner_total = 0
     working_set = None  # the set the last solve ended on, with its rows and step
+    # "adca" on an indefinite Gram: FISTA's theta, alpha_{k-1} with its
+    # K alpha and K- alpha, from which the anchor z_k is extrapolated, and
+    # whether the last solve took an iteration.
+    extrapolate = cfg.method == "adca" and obj.decomp.lowrank.shape[1] > 0
+    theta, last, solved = 1.0, (alpha, scores, kminus), False
 
     for k in range(1, cfg.max_outer + 1):
-        omega = grad_h(obj, kminus)
+        # The anchor z, where h is linearized, the proximal term is centred
+        # and the solve starts, with K z, K- z and its loss gradient.
+        z, z_scores, z_kminus, z_grad = alpha, scores, kminus, loss_grad
+        accepted = False
+        if extrapolate:
+            theta_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * theta * theta))
+            beta = (theta - 1.0) / theta_next
+            theta = theta_next
+            if solved:  # False at k = 1, where beta = 0
+                # z is linear in the iterates, and so are K z and K- z.
+                cand = alpha + beta * (alpha - last[0])
+                cand_scores = scores + beta * (scores - last[1])
+                window = max(trace.f_values[-ADCA_WINDOW:])
+                if f_value(obj, cand, cand_scores) <= window:
+                    accepted = True
+                    z, z_scores = cand, cand_scores
+                    z_kminus = kminus + beta * (kminus - last[2])
+                    z_grad = loss_gradient(obj, z_scores)
+            last = alpha, scores, kminus
+        omega = grad_h(obj, z_kminus)
         tol = max(cfg.epsilon_inner, INNER_RTOL * moved)
         inner = inner_solve(
-            obj, omega, alpha, cfg, step, tol, scores, kminus, loss_grad, working_set
+            obj, omega, z, cfg, step, tol, z_scores, z_kminus, z_grad, working_set
         )
         alpha_new, scores = inner.alpha, inner.scores
         kminus, loss_grad, working_set = inner.kminus, inner.loss_grad, inner.working_set
         inner_total += inner.iterations
+        solved = inner.iterations > 0
         norm_new = float(np.linalg.norm(alpha_new))
         if norm_new > DIVERGENCE_NORM:
             raise _diverged(
@@ -611,6 +680,7 @@ def pla_fit(obj: DcObjective, cfg: SolverConfig) -> tuple[np.ndarray, SolveTrace
         trace.stationarity_residuals.append(residual)
         trace.inner_iterations.append(inner.iterations)
         trace.inner_converged.append(inner.converged)
+        trace.extrapolated.append(accepted)
         if f_new <= 0.0:
             raise _diverged(
                 trace, k, f_new, norm_new, inner_total,

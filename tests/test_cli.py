@@ -1,6 +1,7 @@
 """CLI subcommands driven in-process through main(argv)."""
 
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -165,6 +166,52 @@ class TestTrain:
         rc = main(["train", "--config", str(tmp_path / "absent.json")])
         assert rc == 1
         assert "cannot read config" in capsys.readouterr().err
+
+
+class TestSolverMethod:
+    """solver.method picks the outer loop of train and bench."""
+
+    # SHA-256 of the model file that the plain loop wrote for this problem
+    # before "adca" existed (numpy 2.4, OpenBLAS 0.3.31, x86-64).
+    PLAIN_MODEL_SHA256 = "e3e84c5ab54e98cbccb9ba44f69b7302261034f7ce16feb78e5abfdbdc199214"
+
+    @staticmethod
+    def train_argv(tmp_path, method):
+        # The benchmark's TL1 problem at n = 80, where "adca" extrapolates.
+        data = benchmark_data(0, 80)
+        csv = write_csv(tmp_path / "baseline.csv", data.features, data.labels)
+        return [
+            "train", "--data", str(csv), "--set", "model.variant=l1-riklr",
+            "--set", "model.lambda=0.1", "--set", "model.lambda1=0.01",
+            "--set", f"solver.method={method}",
+            "--output", str(tmp_path / f"{method}.json"),
+            "--trace", str(tmp_path / f"{method}-trace.json"),
+        ]
+
+    def test_pla_writes_the_plain_loops_model(self, tmp_path, capsys):
+        files, flags = {}, {}
+        for method in ("pla", "adca"):
+            assert main(self.train_argv(tmp_path, method)) == 0
+            files[method] = (tmp_path / f"{method}.json").read_bytes()
+            trace = json.loads((tmp_path / f"{method}-trace.json").read_text())
+            flags[method] = [r["extrapolated"] for r in trace["records"]]
+        assert hashlib.sha256(files["pla"]).hexdigest() == self.PLAIN_MODEL_SHA256
+        assert not any(flags["pla"])
+        assert any(flags["adca"]) and files["adca"] != files["pla"]
+
+    def test_unknown_method_exits_one(self, clusters_csv, tmp_path, capsys):
+        argv = self.train_argv(tmp_path, "dca")
+        bench = write_config(
+            tmp_path,
+            {"data": {"path": str(clusters_csv)}, "variants": ["iklr"], "grid": [0.1],
+             "repeats": 1, "cv_folds": 2, "output": {"directory": str(tmp_path)}},
+        )
+        for argv in (argv, ["bench", "--config", bench, "--set", "solver.method=dca"]):
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert err == "error: method must be one of ('pla', 'adca'), got 'dca'\n"
+        assert not (tmp_path / "dca.json").exists()
+        assert not (tmp_path / "report.json").exists()
 
 
 class TestKernelStats:

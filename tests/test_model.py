@@ -491,6 +491,8 @@ class TestPsdByKernel:
         # sigma = 100 makes K nearly all ones: eigvalsh reports 41
         # eigenvalues near -1e-14, so the eigensolver path runs eigh and
         # splits its negative ones (43) off into W; the PSD path keeps W empty.
+        # Both run the plain loop: "adca" extrapolates only where W has a
+        # column, so it would take other steps on the eigensolver path.
         data = benchmark_data(0, 200)
         gram = gram_matrix(KernelSpec.rbf(100.0), data)
         runs = []
@@ -498,7 +500,7 @@ class TestPsdByKernel:
             decomp = decompose_gram(gram, 1e-6, psd=psd)
             assert decomp.lowrank.shape[1] == (0 if psd else 43)
             obj = DcObjective.from_labels(decomp, data.labels, 1.0, 0.01)
-            runs.append(pla_fit(obj, SolverConfig()))
+            runs.append(pla_fit(obj, SolverConfig(method="pla")))
         (a_eig, t_eig), (a_psd, t_psd) = runs
         assert t_psd.status == t_eig.status == CONVERGED
         assert t_psd.num_iterations == t_eig.num_iterations

@@ -56,6 +56,7 @@ from reference_solvers import (
     ref_soft_threshold,
 )
 import full_set_solver
+from test_acceptance import descent_battery
 
 
 def working_set(obj, index, last=None, gamma=1.0):
@@ -418,8 +419,12 @@ class TestWorkingSet:
         monkeypatch.setattr(iklogit.solver, "math", counting_math)
         monkeypatch.setattr(iklogit.solver, "_prox_residual", counting_prox_residual)
         monkeypatch.setattr(iklogit.solver, "inner_solve", recording_inner_solve)
+        # The plain loop: "adca" takes square roots of its own, for its
+        # outer steps' theta.
+        pla = SolverConfig(method="pla")
         for seed, n in ((5, 200), (7, 250)):
-            model = fit(ModelSpec("l1-riklr", lam=0.1, lam1=0.01), benchmark_data(seed, n))
+            spec = ModelSpec("l1-riklr", lam=0.1, lam1=0.01, solver=pla)
+            model = fit(spec, benchmark_data(seed, n))
             assert model.trace.status == CONVERGED
         assert len(solves) > 100
         assert [iterations for iterations, _ in solves] == [count for _, count in solves]
@@ -552,9 +557,10 @@ class TestWorkingSetStep:
         assert any(inside)
 
     def test_baseline_fit_takes_the_working_set_step(self):
-        # The benchmark's n = 500 TL1 fit (lam = 0.1, lam1 = 0.01): 2,165
-        # inner iterations over 366 outer steps.  At the fit's step 1/L on
-        # every working set it took 4,285 over 370.
+        # The benchmark's n = 500 TL1 fit (lam = 0.1, lam1 = 0.01): 578
+        # inner iterations over 104 outer steps, and 2,165 over 366 under
+        # "pla" (TestAdca).  At the fit's step 1/L on every working set
+        # "pla" took 4,285 over 370.
         model = fit(ModelSpec("l1-riklr", lam=0.1, lam1=0.01), benchmark_data(0, 500))
         assert model.trace.status == CONVERGED
         assert sum(model.trace.inner_iterations) <= 2165
@@ -612,9 +618,9 @@ class TestDescentCertificate:
     def test_few_candidates_evaluate_the_objective(self, monkeypatch):
         # Each candidate costs one product with the set's rows (_products);
         # its objective, and lazily x's, only where the certificate fails.
-        # This TL1 fit evaluates 477 objectives over 1,588 candidates on
-        # its working sets (1,794 when every candidate and each set's
-        # start were evaluated).
+        # This TL1 fit under "pla" evaluates 477 objectives over 1,588
+        # candidates on its working sets (1,794 when every candidate and
+        # each set's start were evaluated).
         counts = {"objectives": 0, "candidates": 0}
         value, products = iklogit.solver.loss_value, iklogit.solver._products
 
@@ -629,7 +635,8 @@ class TestDescentCertificate:
         monkeypatch.setattr(iklogit.solver, "loss_value", counting_value)
         monkeypatch.setattr(iklogit.solver, "_products", counting_products)
         sets = recorded_working_sets(monkeypatch)
-        model = fit(ModelSpec("l1-riklr", lam=0.1, lam1=0.01), benchmark_data(0, 200))
+        spec = ModelSpec("l1-riklr", lam=0.1, lam1=0.01, solver=SolverConfig(method="pla"))
+        model = fit(spec, benchmark_data(0, 200))
         assert model.trace.status == CONVERGED
         assert sum(s is not None for s in sets) > 0.9 * len(sets)
         assert counts["candidates"] >= sum(model.trace.inner_iterations) > 1000
@@ -713,6 +720,7 @@ class TestPlaFit:
         assert set(records[0]) == {
             "iteration", "objective", "step_norm",
             "stationarity_residual", "inner_iterations", "inner_converged",
+            "extrapolated",
         }
         assert records[0]["iteration"] == 1
 
@@ -872,6 +880,9 @@ class TestSolverConfigValidation:
             {"max_outer": 5.0},
             {"gamma": True},
             {"epsilon_inner": True},
+            {"method": "PLA"},
+            {"method": None},
+            {"method": ["adca"]},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
@@ -888,12 +899,13 @@ class TestSolverConfigValidation:
             with pytest.raises(InputError, match="gamma"):
                 SolverConfig(gamma=gamma)
 
-    def test_five_settable_fields_and_float_gamma(self):
+    def test_six_settable_fields_and_float_gamma(self):
         names = [f.name for f in dataclasses.fields(SolverConfig)]
         assert names == [
-            "gamma", "epsilon_outer", "max_outer", "epsilon_inner", "max_inner",
+            "gamma", "epsilon_outer", "max_outer", "epsilon_inner", "max_inner", "method",
         ]
         assert type(SolverConfig(gamma=2).gamma) is float
+        assert SolverConfig().method == "adca"
 
 
 class TestStationarityResidual:
@@ -1062,11 +1074,9 @@ class TestProductBudget:
         assert {kind for _, kind, _ in builds} == set(per_kind)
         assert len(gathers) == sum(count for _, _, count in builds)
 
-    def test_outer_loop_adds_no_products(self, rng, monkeypatch):
-        # K a, K- a and the loss gradient of each new iterate come back from
-        # the inner solve; outside it, only the starting point's loss
-        # gradient is computed (K a and K- a are 0 at alpha = 0).
-        obj, products, rows, lowrank = self.counted_objective(rng)
+    @staticmethod
+    def count_inside_solves(products, rows, lowrank, monkeypatch):
+        """The products that inner_solve makes, and its number of calls."""
         inside = {"products": 0, "rows": 0, "lowrank": 0, "solves": 0}
 
         def counting_inner_solve(*args, **kwargs):
@@ -1079,12 +1089,117 @@ class TestProductBudget:
             return result
 
         monkeypatch.setattr(iklogit.solver, "inner_solve", counting_inner_solve)
-        _, trace = pla_fit(obj, SolverConfig())
+        return inside
+
+    def test_outer_loop_adds_no_products(self, rng, monkeypatch):
+        # K a, K- a and the loss gradient of each new iterate come back from
+        # the inner solve; outside it, only the starting point's loss
+        # gradient is computed (K a and K- a are 0 at alpha = 0).  The
+        # plain loop: "adca" adds one per accepted extrapolation (TestAdca).
+        obj, products, rows, lowrank = self.counted_objective(rng)
+        inside = self.count_inside_solves(products, rows, lowrank, monkeypatch)
+        _, trace = pla_fit(obj, SolverConfig(method="pla"))
         assert trace.status == CONVERGED
         assert inside["solves"] == trace.num_iterations > 10
         assert len(products) - inside["products"] == 1
         assert len(rows) == inside["rows"]
         assert len(lowrank) == inside["lowrank"]
+
+
+class TestAdca:
+    """The default method "adca": PLA's steps from extrapolated anchors."""
+
+    @staticmethod
+    def check_window(trace):
+        """f_{k+1} <= max(f_{k-4}, ..., f_k) at every step."""
+        f, q = trace.f_values, iklogit.solver.ADCA_WINDOW
+        for k in range(trace.num_iterations):
+            assert f[k + 1] <= max(f[max(0, k + 1 - q):k + 1]), k
+
+    def test_battery_keeps_the_window_and_ends_critical(self):
+        # Acceptance 5's battery under "adca": f_{k+1} is at most the
+        # largest of the last 5 values at every step, not at most f_k, and
+        # each run ends at residual <= 10 epsilon_outer.  Its one split
+        # with a negative eigenvalue (mostly-psd) extrapolates.
+        cfg = SolverConfig()
+        extrapolated = 0
+        for name, obj in descent_battery():
+            _, trace = pla_fit(obj, cfg)
+            assert trace.status == CONVERGED, name
+            self.check_window(trace)
+            assert trace.stationarity_residuals[-1] <= 10.0 * cfg.epsilon_outer, name
+            extrapolated += sum(trace.extrapolated)
+        assert extrapolated > 0
+
+    @pytest.mark.parametrize("seed, n", [(0, 120), (5, 200)])
+    def test_benchmark_fits_keep_the_window(self, seed, n):
+        # TL1 fits of the benchmark's problem extrapolate at most steps.
+        data = benchmark_data(seed, n)
+        model = fit(ModelSpec("l1-riklr", lam=0.1, lam1=0.01), data)
+        trace = model.trace
+        assert trace.status == CONVERGED
+        assert 2 * sum(trace.extrapolated) > trace.num_iterations
+        self.check_window(trace)
+        assert trace.stationarity_residuals[-1] <= 10 * SolverConfig().epsilon_outer
+
+    @pytest.mark.parametrize("lam1", [0.0, 0.01])
+    def test_psd_gram_takes_the_plain_steps(self, lam1):
+        # W has no column (r = 0): every "adca" iterate is the "pla" one.
+        data = benchmark_data(0, 120)
+        gram = gram_matrix(KernelSpec.rbf(1.0), data)
+        obj = DcObjective.from_labels(decompose_gram(gram, 1e-6, psd=True), data.labels,
+                                      lam=0.01, lam1=lam1)
+        alpha, trace = pla_fit(obj, SolverConfig(method="adca"))
+        ref_alpha, ref = pla_fit(obj, SolverConfig(method="pla"))
+        assert trace.num_iterations == ref.num_iterations > 10
+        assert not any(trace.extrapolated)
+        assert trace.inner_iterations == ref.inner_iterations
+        assert all(np.array_equal(a, b) for a, b in zip(trace.iterates, ref.iterates))
+        assert np.array_equal(alpha, ref_alpha)
+
+    def test_one_full_product_per_accepted_extrapolation(self, rng, monkeypatch):
+        # An extrapolated anchor's K z and K- z combine the carried
+        # products, so its f costs none; an accepted one costs its loss
+        # gradient, one full product, and a rejected one nothing.
+        obj, products, rows, lowrank = TestProductBudget().counted_objective(rng)
+        inside = TestProductBudget.count_inside_solves(products, rows, lowrank, monkeypatch)
+        evaluations = [0]
+        value = iklogit.solver.f_value
+
+        def counting_f_value(*args):
+            evaluations[0] += 1
+            return value(*args)
+
+        monkeypatch.setattr(iklogit.solver, "f_value", counting_f_value)
+        _, trace = pla_fit(obj, SolverConfig())
+        assert trace.status == CONVERGED
+        accepted = sum(trace.extrapolated)
+        # f at the start, at each iterate and at each extrapolated anchor.
+        rejected = evaluations[0] - 1 - trace.num_iterations - accepted
+        assert accepted > 0 and rejected > 0
+        assert len(products) - inside["products"] == 1 + accepted
+        assert len(rows) == inside["rows"]
+        assert len(lowrank) == inside["lowrank"]
+
+    def test_pla_baseline_is_unchanged(self):
+        # The benchmark's n = 500 TL1 fit under "pla" takes the plain loop's
+        # 366 outer and 2,165 inner iterations, and ends at its f bitwise
+        # (numpy 2.4 with OpenBLAS 0.3.31 on x86-64; another BLAS kernel
+        # can move the last bits).  "adca" takes under a third of the
+        # outer steps and ends lower.
+        data = benchmark_data(0, 500)
+        traces = {}
+        for method in ("pla", "adca"):
+            spec = ModelSpec("l1-riklr", lam=0.1, lam1=0.01, solver=SolverConfig(method=method))
+            traces[method] = fit(spec, data).trace
+            assert traces[method].status == CONVERGED
+        pla, adca = traces["pla"], traces["adca"]
+        assert pla.num_iterations == 366
+        assert sum(pla.inner_iterations) == 2165
+        assert pla.f_values[-1] == 0.6695417814703342
+        assert not any(pla.extrapolated)
+        assert 3 * adca.num_iterations < pla.num_iterations
+        assert adca.f_values[-1] < pla.f_values[-1]
 
 
 class TestRateMonitor:
