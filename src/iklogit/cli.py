@@ -146,7 +146,7 @@ def _model_spec(section: dict, solver: SolverConfig) -> ModelSpec:
 
 # The keys of each config section.
 _DATA = ("path", "delimiter", "has_header", "label_column", "standardize")
-_SOLVER = ("gamma", "epsilon_outer", "max_outer", "epsilon_inner", "max_inner", "method")
+_SOLVER = ("gamma", "epsilon_outer", "max_outer", "epsilon_inner", "max_inner")
 _KERNEL = ("kind", "eta", "sigma")
 _MODEL = ("variant", "lambda", "lambda1", "tau", "kernel")
 _BENCH = (

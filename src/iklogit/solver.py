@@ -9,10 +9,10 @@ subproblem
 
 with a constant proximal weight gamma, starting from alpha_0 = 0.
 
-Extrapolation (SolverConfig.method "adca", the default): accelerated DCA
-(Nhat Phan, Le & Le Thi, IJCAI 2018) keeps this subproblem and moves only
-its anchor, the point alpha_k above, where h is linearized, the proximal
-term is centred and the inner solve starts.  Step k anchors at
+Extrapolation: accelerated DCA (Nhat Phan, Le & Le Thi, IJCAI 2018)
+keeps this subproblem and moves only its anchor, the point alpha_k above,
+where h is linearized, the proximal term is centred and the inner solve
+starts.  Step k anchors at
 
     z_k = alpha_k + beta_k (alpha_k - alpha_{k-1}),
 
@@ -26,10 +26,12 @@ f(z_k), so f_{k+1} is at most that window's largest value, not at most
 f_k.  K z_k and K- z_k are combinations of the carried products, so f(z_k)
 costs no product; a kept z_k costs its loss gradient, one full product.
 The step norm, the inner tolerance and the stop rule below still measure
-alpha_{k+1} - alpha_k.  On a Gram with no negative eigenvalue (W has no
-column) "adca" takes the plain step at every k, so its iterates there are
-the plain loop's, bitwise.  Method "pla" is the paper's plain loop,
-anchored at alpha_k at every step.
+alpha_{k+1} - alpha_k.  A split whose negative part is at most rounding
+noise, with no negative eigenvalue below -n eps ||K||_2 (an eigensolver's
+backward error), takes the plain step at every k, bitwise: so does an RBF
+Gram, declared PSD or not.  With EXTRAPOLATE =
+False every step is the plain one, the paper's loop, under which f never
+increases.
 
 Inexact inner solves: step k's subproblem is solved to the fixed-point
 tolerance max(epsilon_inner, INNER_RTOL * ||alpha_k - alpha_{k-1}||), so it
@@ -60,10 +62,16 @@ margins m_i = y_i (K a)_i and s_i = sigmoid(-m_i), so
     phi(m) = ln(1 + e^-m) + (m/2) sigmoid(-m) > 0
 
 (for m < 0, ln(1 + e^-m) > -m and m sigmoid(-m) >= m).  Every critical
-point has f > 0.  So once some f(alpha_k) <= 0, under either method, the
-sublevel set {f <= 0} holds no critical point.  That set is then unbounded
-and f attains no minimum: a minimum over a bounded {f <= 0}, a closed set,
-would be a critical point with f <= 0.  The iterate-norm cap
+point has f > 0.  So once some f(alpha_k) <= 0, the sublevel set {f <= 0}
+holds no critical point; it is then unbounded and f attains no minimum (a
+minimum over a bounded {f <= 0}, a closed set, would be a critical point
+with f <= 0).  That this run diverges needs f to stay <= 0 from then on,
+since its accumulation points are critical.  The plain step never raises
+f, so the fit stops at its first f <= 0.  An extrapolated step bounds
+f_{k+1} only by the largest of the last ADCA_WINDOW values, which
+therefore never increases, and f may climb back above 0 inside the window;
+so with extrapolation the fit stops once those ADCA_WINDOW values are all
+<= 0, and every later f is <= 0 too.  The iterate-norm cap
 DIVERGENCE_NORM stays as a backstop for unbounded iterates whose f stays
 above 0, a case the certificate does not cover.
 
@@ -142,7 +150,7 @@ than n of the n = 500 benchmark fit).  The outer loop adds no product of
 its own: K a, K- a and the loss gradient of the new iterate come back from
 the inner solve and serve f_value, grad_h, the stationarity residual and
 the next warm start.  Only the starting point costs one dense product, its loss
-gradient: K a and K- a are 0 at alpha = 0.  Under "adca" each kept anchor
+gradient: K a and K- a are 0 at alpha = 0.  Each kept extrapolated anchor
 z_k costs one more, its loss gradient.  No function computes a
 product it is not given: each takes the products it needs as arguments.
 """
@@ -186,11 +194,12 @@ INNER_RTOL = 1e-3
 # iterations, and fit-tl1 14,662, 14,491, 16,935 and 24,788 full products.
 INNER_CHECK_FACTOR = 3.0
 
-# The outer methods of SolverConfig.method (see the module docstring).
-METHODS = ("pla", "adca")
+# pla_fit extrapolates each outer step's anchor on a Gram with a negative
+# eigenvalue above rounding level; False gives the paper's plain loop.
+EXTRAPOLATE = True
 
-# "adca" keeps its extrapolated anchor z only if f(z) is at most the largest
-# of the last ADCA_WINDOW objective values f_{k-ADCA_WINDOW+1}, ..., f_k.
+# An extrapolated anchor z is kept only if f(z) is at most the largest of
+# the last ADCA_WINDOW objective values f_{k-ADCA_WINDOW+1}, ..., f_k.
 ADCA_WINDOW = 5
 
 log = logging.getLogger(__name__)
@@ -198,12 +207,10 @@ log = logging.getLogger(__name__)
 
 @dataclass
 class SolverConfig:
-    """Outer method, proximal weight, tolerances and iteration caps of the two loops.
+    """Proximal weight, tolerances and iteration caps of the two loops.
 
     ``gamma`` is the constant proximal weight, a positive number.
     ``epsilon_inner`` is the floor of each inner tolerance (see INNER_RTOL).
-    ``method`` is "adca", which extrapolates each step's anchor on an
-    indefinite Gram, or "pla", the paper's plain loop (module docstring).
     """
 
     gamma: float = 1.0
@@ -211,11 +218,8 @@ class SolverConfig:
     max_outer: int = 500
     epsilon_inner: float = 1e-8
     max_inner: int = 5000
-    method: str = "adca"
 
     def __post_init__(self) -> None:
-        if self.method not in METHODS:
-            raise InputError(f"method must be one of {METHODS}, got {self.method!r}")
         check_number("gamma", self.gamma)
         self.gamma = float(self.gamma)
         check_number("epsilon_outer", self.epsilon_outer)
@@ -251,7 +255,7 @@ class SolveTrace:
 
     ``f_values`` and ``iterates`` carry the initial point, so they are one
     longer than the per-step lists.  ``extrapolated`` says whether a step's
-    subproblem was anchored at an extrapolated point (method "adca").
+    subproblem was anchored at an extrapolated point.
     """
 
     f_values: list[float] = field(default_factory=list)
@@ -596,17 +600,18 @@ def stationarity_residual(
 def pla_fit(obj: DcObjective, cfg: SolverConfig) -> tuple[np.ndarray, SolveTrace]:
     """Run the outer proximal linearized iteration from 0 to a critical point.
 
-    ``cfg.method`` picks the anchor of each step: alpha_k ("pla"), or the
-    extrapolated z_k where it passes the window test ("adca"; see the module
-    docstring), recorded per step in ``trace.extrapolated``.
+    Each step is anchored at alpha_k, or at the extrapolated z_k where it
+    passes the window test (module docstring), as ``trace.extrapolated``
+    records per step.
 
     Returns the final iterate and the full trace.  Hitting ``max_outer``
     yields status ``max_iterations`` rather than an exception; inner-solve
     iteration caps are recorded per step in ``trace.inner_converged``.
     A diverging fit raises NumericalError whose ``trace`` is the partial
-    trace with status ``diverged``: at the first outer step with f <= 0
-    (the certificate of the module docstring; the trace includes that
-    step), at an iterate norm above DIVERGENCE_NORM, or at a non-finite f.
+    trace with status ``diverged``: once f <= 0 holds at the last outer step,
+    or at the last ADCA_WINDOW steps when the fit extrapolates (the
+    certificate of the module docstring; the trace includes that step), at
+    an iterate norm above DIVERGENCE_NORM, or at a non-finite f.
     Every stop is logged at INFO with its status, outer step, total inner
     iterations, f (nan when the norm cap fires, before f is evaluated) and
     iterate norm.  Step k's inner tolerance and the stop rule are those of
@@ -625,11 +630,13 @@ def pla_fit(obj: DcObjective, cfg: SolverConfig) -> tuple[np.ndarray, SolveTrace
     moved = 0.0  # the first solve has no previous step and runs to epsilon_inner
     inner_total = 0
     working_set = None  # the set the last solve ended on, with its rows and step
-    # "adca" on an indefinite Gram: FISTA's theta, alpha_{k-1} with its
-    # K alpha and K- alpha, from which the anchor z_k is extrapolated, and
-    # whether the last solve took an iteration.
-    extrapolate = cfg.method == "adca" and obj.decomp.lowrank.shape[1] > 0
+    # With extrapolation: FISTA's theta, alpha_{k-1} with its K alpha and
+    # K- alpha, from which the anchor z_k is extrapolated, and whether the
+    # last solve took an iteration.  The divergence certificate needs the
+    # last `certified` objective values <= 0.
+    extrapolate = EXTRAPOLATE and _indefinite(obj.decomp)
     theta, last, solved = 1.0, (alpha, scores, kminus), False
+    certified = ADCA_WINDOW if extrapolate else 1
 
     for k in range(1, cfg.max_outer + 1):
         # The anchor z, where h is linearized, the proximal term is centred
@@ -681,7 +688,7 @@ def pla_fit(obj: DcObjective, cfg: SolverConfig) -> tuple[np.ndarray, SolveTrace
         trace.inner_iterations.append(inner.iterations)
         trace.inner_converged.append(inner.converged)
         trace.extrapolated.append(accepted)
-        if f_new <= 0.0:
+        if max(trace.f_values[-certified:]) <= 0.0:
             raise _diverged(
                 trace, k, f_new, norm_new, inner_total,
                 f"iterates are diverging (f = {f_new:.6g} <= 0 at outer step {k}, "
@@ -702,6 +709,19 @@ def pla_fit(obj: DcObjective, cfg: SolverConfig) -> tuple[np.ndarray, SolveTrace
 
     _log_stop(trace.status, trace.num_iterations, inner_total, f_cur, norm_new)
     return alpha, trace
+
+
+def _indefinite(decomp: GramDecomposition) -> bool:
+    """Whether the split has a negative eigenvalue below -n eps ||K||_2.
+
+    W's squared column norms are the negated eigenvalues it carries; one
+    within an eigensolver's backward error n eps ||K||_2 of 0 is rounding.
+    """
+    lowrank = decomp.lowrank
+    if lowrank.shape[1] == 0:
+        return False
+    noise = lowrank.shape[0] * float(np.finfo(np.float64).eps) * decomp.spectral_norm
+    return float(np.max(np.einsum("ij,ij->j", lowrank, lowrank))) > noise
 
 
 def _diverged(

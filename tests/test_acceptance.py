@@ -15,6 +15,8 @@ import warnings
 import numpy as np
 import pytest
 
+import iklogit.solver
+
 from iklogit import (
     DcObjective,
     KernelSpec,
@@ -284,10 +286,11 @@ def descent_battery():
     return runs
 
 
-def test_criterion_05_descent_and_terminal_residual(record_property):
-    # The descent inequality is a property of the plain loop; "adca" keeps
-    # a window bound instead (tests/test_solver.py, TestAdca).
-    cfg = SolverConfig(method="pla")
+def test_criterion_05_descent_and_terminal_residual(record_property, monkeypatch):
+    # The descent inequality is a property of the plain loop; extrapolated
+    # steps keep a window bound instead (tests/test_solver.py, TestAdca).
+    monkeypatch.setattr(iklogit.solver, "EXTRAPOLATE", False)
+    cfg = SolverConfig()
     names = []
     for name, obj in descent_battery():
         alpha, trace = pla_fit(obj, cfg)

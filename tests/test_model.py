@@ -491,8 +491,6 @@ class TestPsdByKernel:
         # sigma = 100 makes K nearly all ones: eigvalsh reports 41
         # eigenvalues near -1e-14, so the eigensolver path runs eigh and
         # splits its negative ones (43) off into W; the PSD path keeps W empty.
-        # Both run the plain loop: "adca" extrapolates only where W has a
-        # column, so it would take other steps on the eigensolver path.
         data = benchmark_data(0, 200)
         gram = gram_matrix(KernelSpec.rbf(100.0), data)
         runs = []
@@ -500,9 +498,11 @@ class TestPsdByKernel:
             decomp = decompose_gram(gram, 1e-6, psd=psd)
             assert decomp.lowrank.shape[1] == (0 if psd else 43)
             obj = DcObjective.from_labels(decomp, data.labels, 1.0, 0.01)
-            runs.append(pla_fit(obj, SolverConfig(method="pla")))
+            runs.append(pla_fit(obj, SolverConfig()))
         (a_eig, t_eig), (a_psd, t_psd) = runs
         assert t_psd.status == t_eig.status == CONVERGED
+        # W's eigenvalues are rounding: neither path extrapolates its steps.
+        assert not any(t_eig.extrapolated) and not any(t_psd.extrapolated)
         assert t_psd.num_iterations == t_eig.num_iterations
         assert t_psd.inner_iterations == t_eig.inner_iterations
         support = [np.flatnonzero(np.abs(a) > SPARSITY_THRESHOLD) for a in (a_eig, a_psd)]

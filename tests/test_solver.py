@@ -419,12 +419,11 @@ class TestWorkingSet:
         monkeypatch.setattr(iklogit.solver, "math", counting_math)
         monkeypatch.setattr(iklogit.solver, "_prox_residual", counting_prox_residual)
         monkeypatch.setattr(iklogit.solver, "inner_solve", recording_inner_solve)
-        # The plain loop: "adca" takes square roots of its own, for its
-        # outer steps' theta.
-        pla = SolverConfig(method="pla")
+        # The plain loop: extrapolation takes square roots of its own, for
+        # its outer steps' theta.
+        monkeypatch.setattr(iklogit.solver, "EXTRAPOLATE", False)
         for seed, n in ((5, 200), (7, 250)):
-            spec = ModelSpec("l1-riklr", lam=0.1, lam1=0.01, solver=pla)
-            model = fit(spec, benchmark_data(seed, n))
+            model = fit(ModelSpec("l1-riklr", lam=0.1, lam1=0.01), benchmark_data(seed, n))
             assert model.trace.status == CONVERGED
         assert len(solves) > 100
         assert [iterations for iterations, _ in solves] == [count for _, count in solves]
@@ -558,9 +557,9 @@ class TestWorkingSetStep:
 
     def test_baseline_fit_takes_the_working_set_step(self):
         # The benchmark's n = 500 TL1 fit (lam = 0.1, lam1 = 0.01): 578
-        # inner iterations over 104 outer steps, and 2,165 over 366 under
-        # "pla" (TestAdca).  At the fit's step 1/L on every working set
-        # "pla" took 4,285 over 370.
+        # inner iterations over 104 outer steps, and 2,165 over 366 in the
+        # plain loop (TestAdca).  At the fit's step 1/L on every working set
+        # the plain loop took 4,285 over 370.
         model = fit(ModelSpec("l1-riklr", lam=0.1, lam1=0.01), benchmark_data(0, 500))
         assert model.trace.status == CONVERGED
         assert sum(model.trace.inner_iterations) <= 2165
@@ -618,7 +617,7 @@ class TestDescentCertificate:
     def test_few_candidates_evaluate_the_objective(self, monkeypatch):
         # Each candidate costs one product with the set's rows (_products);
         # its objective, and lazily x's, only where the certificate fails.
-        # This TL1 fit under "pla" evaluates 477 objectives over 1,588
+        # This TL1 fit in the plain loop evaluates 477 objectives over 1,588
         # candidates on its working sets (1,794 when every candidate and
         # each set's start were evaluated).
         counts = {"objectives": 0, "candidates": 0}
@@ -635,8 +634,8 @@ class TestDescentCertificate:
         monkeypatch.setattr(iklogit.solver, "loss_value", counting_value)
         monkeypatch.setattr(iklogit.solver, "_products", counting_products)
         sets = recorded_working_sets(monkeypatch)
-        spec = ModelSpec("l1-riklr", lam=0.1, lam1=0.01, solver=SolverConfig(method="pla"))
-        model = fit(spec, benchmark_data(0, 200))
+        monkeypatch.setattr(iklogit.solver, "EXTRAPOLATE", False)
+        model = fit(ModelSpec("l1-riklr", lam=0.1, lam1=0.01), benchmark_data(0, 200))
         assert model.trace.status == CONVERGED
         assert sum(s is not None for s in sets) > 0.9 * len(sets)
         assert counts["candidates"] >= sum(model.trace.inner_iterations) > 1000
@@ -802,9 +801,11 @@ class TestDivergenceCertificate:
             value = phi(margins).mean() + 0.5 * obj.lam1 * np.abs(alpha).sum()
             assert trace.f_values[-1] == pytest.approx(value, abs=1e-4)
 
-    def test_raises_at_first_nonpositive_f(self):
+    def test_raises_at_first_nonpositive_f(self, monkeypatch):
         # The benchmark's diverging fold setting, lam = 1 and lam1 = 1e-4:
-        # the norm cap fired only at outer step 72.
+        # the norm cap fired only at outer step 72.  The plain loop never
+        # raises f, so it stops at the first f <= 0.
+        monkeypatch.setattr(iklogit.solver, "EXTRAPOLATE", False)
         with pytest.raises(NumericalError, match="diverging") as info:
             fit(ModelSpec("l1-riklr", lam=1.0, lam1=1e-4), benchmark_data(0, 120))
         trace = info.value.trace
@@ -815,15 +816,32 @@ class TestDivergenceCertificate:
         assert np.linalg.norm(trace.iterates[-1]) < DIVERGENCE_NORM
         assert f"outer step {trace.num_iterations}," in str(info.value)
 
-    def test_negative_f_at_max_outer_now_raises(self):
-        # This fit used to run all 500 outer steps and end with f = -1.58,
-        # scored as a model; f first fell to 0 or below at step 411.
+    def test_negative_f_at_max_outer_now_raises(self, monkeypatch):
+        # The plain loop used to run all 500 outer steps of this fit and end
+        # with f = -1.58, scored as a model; f first falls to 0 or below at
+        # step 414.
+        monkeypatch.setattr(iklogit.solver, "EXTRAPOLATE", False)
         with pytest.raises(NumericalError, match="diverging") as info:
             fit(ModelSpec("l1-riklr", lam=0.01, lam1=1e-4), benchmark_data(1, 120))
         trace = info.value.trace
         assert trace.status == DIVERGED
         assert trace.num_iterations < SolverConfig().max_outer
         assert all(f > 0 for f in trace.f_values[:-1]) and trace.f_values[-1] <= 0
+
+    @pytest.mark.parametrize("seed, lam", [(0, 1.0), (1, 0.01)])
+    def test_extrapolated_fit_raises_once_the_window_is_nonpositive(self, seed, lam):
+        # Extrapolated steps bound f only by the largest of the last
+        # ADCA_WINDOW values, so one f <= 0 does not yet show that the run
+        # diverges; the fit stops at the first step where all of them are.
+        with pytest.raises(NumericalError, match="diverging") as info:
+            fit(ModelSpec("l1-riklr", lam=lam, lam1=1e-4), benchmark_data(seed, 120))
+        trace = info.value.trace
+        f, q = trace.f_values, iklogit.solver.ADCA_WINDOW
+        assert trace.status == DIVERGED and any(trace.extrapolated)
+        assert trace.num_iterations < SolverConfig().max_outer
+        assert max(f[-q:]) <= 0
+        assert all(max(f[max(0, k - q):k]) > 0 for k in range(1, len(f)))
+        assert np.linalg.norm(trace.iterates[-1]) < DIVERGENCE_NORM
 
 
 class TestStopLog:
@@ -880,9 +898,6 @@ class TestSolverConfigValidation:
             {"max_outer": 5.0},
             {"gamma": True},
             {"epsilon_inner": True},
-            {"method": "PLA"},
-            {"method": None},
-            {"method": ["adca"]},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
@@ -899,13 +914,12 @@ class TestSolverConfigValidation:
             with pytest.raises(InputError, match="gamma"):
                 SolverConfig(gamma=gamma)
 
-    def test_six_settable_fields_and_float_gamma(self):
+    def test_five_settable_fields_and_float_gamma(self):
         names = [f.name for f in dataclasses.fields(SolverConfig)]
         assert names == [
-            "gamma", "epsilon_outer", "max_outer", "epsilon_inner", "max_inner", "method",
+            "gamma", "epsilon_outer", "max_outer", "epsilon_inner", "max_inner",
         ]
         assert type(SolverConfig(gamma=2).gamma) is float
-        assert SolverConfig().method == "adca"
 
 
 class TestStationarityResidual:
@@ -1095,10 +1109,11 @@ class TestProductBudget:
         # K a, K- a and the loss gradient of each new iterate come back from
         # the inner solve; outside it, only the starting point's loss
         # gradient is computed (K a and K- a are 0 at alpha = 0).  The
-        # plain loop: "adca" adds one per accepted extrapolation (TestAdca).
+        # plain loop: extrapolation adds one per kept anchor (TestAdca).
         obj, products, rows, lowrank = self.counted_objective(rng)
         inside = self.count_inside_solves(products, rows, lowrank, monkeypatch)
-        _, trace = pla_fit(obj, SolverConfig(method="pla"))
+        monkeypatch.setattr(iklogit.solver, "EXTRAPOLATE", False)
+        _, trace = pla_fit(obj, SolverConfig())
         assert trace.status == CONVERGED
         assert inside["solves"] == trace.num_iterations > 10
         assert len(products) - inside["products"] == 1
@@ -1106,8 +1121,15 @@ class TestProductBudget:
         assert len(lowrank) == inside["lowrank"]
 
 
+def plain_fit(obj, monkeypatch):
+    """pla_fit in the paper's plain loop, with no extrapolated step."""
+    with monkeypatch.context() as patch:
+        patch.setattr(iklogit.solver, "EXTRAPOLATE", False)
+        return pla_fit(obj, SolverConfig())
+
+
 class TestAdca:
-    """The default method "adca": PLA's steps from extrapolated anchors."""
+    """Extrapolated outer steps (accelerated DCA), the default."""
 
     @staticmethod
     def check_window(trace):
@@ -1117,7 +1139,7 @@ class TestAdca:
             assert f[k + 1] <= max(f[max(0, k + 1 - q):k + 1]), k
 
     def test_battery_keeps_the_window_and_ends_critical(self):
-        # Acceptance 5's battery under "adca": f_{k+1} is at most the
+        # Acceptance 5's battery, extrapolated: f_{k+1} is at most the
         # largest of the last 5 values at every step, not at most f_k, and
         # each run ends at residual <= 10 epsilon_outer.  Its one split
         # with a negative eigenvalue (mostly-psd) extrapolates.
@@ -1142,20 +1164,37 @@ class TestAdca:
         self.check_window(trace)
         assert trace.stationarity_residuals[-1] <= 10 * SolverConfig().epsilon_outer
 
-    @pytest.mark.parametrize("lam1", [0.0, 0.01])
-    def test_psd_gram_takes_the_plain_steps(self, lam1):
-        # W has no column (r = 0): every "adca" iterate is the "pla" one.
-        data = benchmark_data(0, 120)
-        gram = gram_matrix(KernelSpec.rbf(1.0), data)
-        obj = DcObjective.from_labels(decompose_gram(gram, 1e-6, psd=True), data.labels,
-                                      lam=0.01, lam1=lam1)
-        alpha, trace = pla_fit(obj, SolverConfig(method="adca"))
-        ref_alpha, ref = pla_fit(obj, SolverConfig(method="pla"))
+    @staticmethod
+    def check_plain(obj, monkeypatch):
+        """The default fit of obj takes the plain loop's steps, bitwise."""
+        alpha, trace = pla_fit(obj, SolverConfig())
+        ref_alpha, ref = plain_fit(obj, monkeypatch)
         assert trace.num_iterations == ref.num_iterations > 10
         assert not any(trace.extrapolated)
         assert trace.inner_iterations == ref.inner_iterations
         assert all(np.array_equal(a, b) for a, b in zip(trace.iterates, ref.iterates))
         assert np.array_equal(alpha, ref_alpha)
+
+    @pytest.mark.parametrize("lam1", [0.0, 0.01])
+    def test_psd_gram_takes_the_plain_steps(self, lam1, monkeypatch):
+        # W has no column (r = 0).
+        data = benchmark_data(0, 120)
+        gram = gram_matrix(KernelSpec.rbf(1.0), data)
+        obj = DcObjective.from_labels(decompose_gram(gram, 1e-6, psd=True), data.labels,
+                                      lam=0.01, lam1=lam1)
+        self.check_plain(obj, monkeypatch)
+
+    def test_rounding_level_negative_part_takes_the_plain_steps(self, monkeypatch):
+        # sigma = 100 makes K nearly all ones, and eigh splits 43 eigenvalues
+        # of at least -9.1e-15 off into W (TestPsdByKernel in
+        # tests/test_model.py), far inside n eps ||K||_2 = 8.9e-12: they are
+        # rounding, not an indefinite Gram, so the steps stay plain.  Taken
+        # for a negative part, they let this fit extrapolate 41 of 125 steps.
+        data = benchmark_data(0, 200)
+        decomp = decompose_gram(gram_matrix(KernelSpec.rbf(100.0), data), 1e-6)
+        assert decomp.lowrank.shape[1] == 43
+        obj = DcObjective.from_labels(decomp, data.labels, 0.1, 0.01)
+        self.check_plain(obj, monkeypatch)
 
     def test_one_full_product_per_accepted_extrapolation(self, rng, monkeypatch):
         # An extrapolated anchor's K z and K- z combine the carried
@@ -1181,19 +1220,18 @@ class TestAdca:
         assert len(rows) == inside["rows"]
         assert len(lowrank) == inside["lowrank"]
 
-    def test_pla_baseline_is_unchanged(self):
-        # The benchmark's n = 500 TL1 fit under "pla" takes the plain loop's
-        # 366 outer and 2,165 inner iterations, and ends at its f bitwise
+    def test_plain_baseline_is_unchanged(self, monkeypatch):
+        # The benchmark's n = 500 TL1 fit in the plain loop takes its 366
+        # outer and 2,165 inner iterations, and ends at its f bitwise
         # (numpy 2.4 with OpenBLAS 0.3.31 on x86-64; another BLAS kernel
-        # can move the last bits).  "adca" takes under a third of the
-        # outer steps and ends lower.
+        # can move the last bits).  Extrapolated, it takes under a third of
+        # the outer steps and ends lower.
         data = benchmark_data(0, 500)
-        traces = {}
-        for method in ("pla", "adca"):
-            spec = ModelSpec("l1-riklr", lam=0.1, lam1=0.01, solver=SolverConfig(method=method))
-            traces[method] = fit(spec, data).trace
-            assert traces[method].status == CONVERGED
-        pla, adca = traces["pla"], traces["adca"]
+        spec = ModelSpec("l1-riklr", lam=0.1, lam1=0.01)
+        adca = fit(spec, data).trace
+        monkeypatch.setattr(iklogit.solver, "EXTRAPOLATE", False)
+        pla = fit(spec, data).trace
+        assert pla.status == adca.status == CONVERGED
         assert pla.num_iterations == 366
         assert sum(pla.inner_iterations) == 2165
         assert pla.f_values[-1] == 0.6695417814703342
