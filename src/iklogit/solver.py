@@ -26,12 +26,11 @@ f(z_k), so f_{k+1} is at most that window's largest value, not at most
 f_k.  K z_k and K- z_k are combinations of the carried products, so f(z_k)
 costs no product; a kept z_k costs its loss gradient, one full product.
 The step norm, the inner tolerance and the stop rule below still measure
-alpha_{k+1} - alpha_k.  A split whose negative part is at most rounding
-noise, with no negative eigenvalue below -n eps ||K||_2 (an eigensolver's
-backward error), takes the plain step at every k, bitwise: so does an RBF
-Gram, declared PSD or not.  With EXTRAPOLATE =
-False every step is the plain one, the paper's loop, under which f never
-increases.
+alpha_{k+1} - alpha_k.  A split that is not marked indefinite, with no
+eigenvalue below -n eps ||K||_2 (an eigensolver's backward error), takes
+the plain step at every k, bitwise: so does an RBF Gram, declared PSD or
+not.  With EXTRAPOLATE = False every step is the plain one, the paper's
+loop, under which f never increases.
 
 Inexact inner solves: step k's subproblem is solved to the fixed-point
 tolerance max(epsilon_inner, INNER_RTOL * ||alpha_k - alpha_{k-1}||), so it
@@ -107,7 +106,7 @@ L_W = min(L_phi, l_W).  The proximal residual does not decrease as the
 step grows, so a point that passes the stop test on W at 1/L_W passes
 there at 1/L_phi too, and the test over all n keeps 1/L_phi.  pla_fit
 hands the set each solve ends on to the next solve: a set equal to it
-reuses its rows of K and W and its step, and a set inside it reuses its
+reuses its rows of K and its step, and a set inside it reuses its
 step, since by Cauchy interlacing l_W of a subset is at most l_W of the
 set.
 
@@ -124,16 +123,16 @@ candidate has a non-finite cert, so its objective is evaluated and
 raises.  A fit-tl1 benchmark unit evaluates F 2,674 times for 9,178
 candidates, where evaluating every candidate took 10,493.
 
-Product budget: every product with K and K- is computed once per point and
-carried next to the iterate.  An inner iteration makes one product with
+Product budget: K- = rho I (see :mod:`.spectral`), so K- a = rho a costs
+no product.  Every product with K is computed once per point and carried
+next to the iterate.  An inner iteration makes one product with
 the |W| rows of K on the working set: the loss gradient K[W] (y * s) at the
 momentum point y, n |W| operations (a full n x n product when W is all n).
 K y and K+ y on W are combinations of the carried products, since
 y = c + beta (c - x) is linear in the iterates.  For the candidate
-c = S(y - t grad phi(y)), K c and W^T c are products with the working
-set's rows of K and W, which the set copies once when it is built, not once
-per candidate; over all n they are the full products.
-K- c = tau c + W (W^T c) adds one low-rank expansion.  The candidate's loss
+c = S(y - t grad phi(y)), K c is a product with the working set's rows of
+K, which the set copies once when it is built, not once per candidate;
+over all n it is the full product.  The candidate's loss
 gradient on W, a second product, is taken in two cases only.  A momentum
 restart needs it at the last candidate x, for the plain step from x.  The
 stop test needs it once the momentum point's residual ||y - c||_inf, which
@@ -141,12 +140,10 @@ costs nothing, is at most INNER_CHECK_FACTOR times the tolerance; when
 beta = 0 (the first iteration and the one after a restart) y is x, that
 residual is x's exact one on W, and x ends the working set's iterations
 with the products it carries.  On a working set smaller than all n that
-point costs one more full product, its loss gradient over all n, and one
-low-rank K- a.  A working set that is not equal to the last one gathers
-its rows of K and W once; one that is not inside it also bounds its step,
-with one product of its rows with themselves (n |W|^2 operations), one
-W[W] W[W]^T and one eigvalsh of order |W| (53 of the 373 sets smaller
-than n of the n = 500 benchmark fit).  The outer loop adds no product of
+point costs one more full product, its loss gradient over all n.  A
+working set that is not equal to the last one gathers its rows of K once;
+one that is not inside it also bounds its step, with one product of its
+rows with themselves (n |W|^2 operations) and one eigvalsh of order |W|.  The outer loop adds no product of
 its own: K a, K- a and the loss gradient of the new iterate come back from
 the inner solve and serve f_value, grad_h, the stationarity residual and
 the next warm start.  Only the starting point costs one dense product, its loss
@@ -292,12 +289,12 @@ def smooth_lipschitz_bound(obj: DcObjective, gamma: float) -> float:
 
     Sum of the three smooth pieces' curvature bounds: the logistic loss
     contributes ||K||_2^2 / (4n), the quadratic lam * ||K+||_2, and the
-    proximal term 1/gamma.  ||K||_2 and ||K+||_2 = max(mu_1, 0) + tau come
-    from the decomposition's stored norms: exact from the spectrum, or the
-    power iteration's upper bound for a Gram declared PSD.
+    proximal term 1/gamma.  ||K||_2 and ||K+||_2 <= max(mu_1, 0) + rho come
+    from the decomposition's stored norms and shift: exact from the
+    spectrum, or the power iteration's upper bound for a Gram declared PSD.
     """
     decomp = obj.decomp
-    kplus_norm = decomp.top_eigenvalue + decomp.tau
+    kplus_norm = decomp.top_eigenvalue + decomp.shift
     return decomp.spectral_norm**2 / (4.0 * obj.n) + obj.lam * kplus_norm + 1.0 / gamma
 
 
@@ -315,9 +312,8 @@ class _WorkingSet:
 
     ``index`` lists the coordinates in increasing order, or is None for all
     n: the set given, unless it is None or holds at least half of the n.
-    The other coordinates stay at 0.  ``gram`` and ``lowrank`` are the rows
-    of K and W on the set, which the products read: for all n, K and W
-    themselves, not copies.
+    The other coordinates stay at 0.  ``gram`` holds the rows of K on the
+    set, which the products read: for all n, K itself, not a copy.
 
     ``step`` is 1/L_W, the step of the iterations on the set.  Over all n it
     is the fit's own ``step`` = 1/L.  On a smaller set L_W = min(L, l_W),
@@ -331,7 +327,7 @@ class _WorkingSet:
     matrix's, so a step that holds on a set holds on each of its subsets.
     """
 
-    __slots__ = ("index", "gram", "lowrank", "step")
+    __slots__ = ("index", "gram", "step")
 
     def __init__(
         self,
@@ -341,21 +337,19 @@ class _WorkingSet:
         inv_gamma: float,
         last: _WorkingSet | None,
     ):
-        decomp = obj.decomp
         if index is None or 2 * index.size >= obj.n:
-            self.index, self.gram, self.lowrank = None, decomp.gram, decomp.lowrank
-            self.step = step
+            self.index, self.gram, self.step = None, obj.decomp.gram, step
             return
         self.index = index
         known = last is not None and last.index is not None
         if known and np.array_equal(index, last.index):
-            self.gram, self.lowrank, self.step = last.gram, last.lowrank, last.step
+            self.gram, self.step = last.gram, last.step
             return
-        self.gram, self.lowrank = decomp.gram[index], decomp.lowrank[index]
+        self.gram = obj.decomp.gram[index]
         if known and _inside(index, last.index):
             self.step = last.step
         else:
-            bound = _set_lipschitz_bound(obj, index, self.gram, self.lowrank, inv_gamma)
+            bound = _set_lipschitz_bound(obj, index, self.gram, inv_gamma)
             self.step = max(step, 1.0 / bound)
 
 
@@ -370,22 +364,18 @@ def _inside(index: np.ndarray, outer: np.ndarray) -> bool:
 
 
 def _set_lipschitz_bound(
-    obj: DcObjective,
-    index: np.ndarray,
-    gram_rows: np.ndarray,
-    lowrank_rows: np.ndarray,
-    inv_gamma: float,
+    obj: DcObjective, index: np.ndarray, gram_rows: np.ndarray, inv_gamma: float
 ) -> float:
     """lambda_max(K[W,:] K[:,W] / (4n) + lam K+[W,W]) + 1/gamma on the set W.
 
     A Lipschitz constant of the subproblem's smooth part restricted to the
     coordinates ``index``: the loss's Hessian there is at most
-    K[W,:] K[:,W] / (4n), and K+[W,W] = K[W,W] + tau I + W[W] W[W]^T.  It
-    takes the set's rows of K and W, one product of the rows with
-    themselves (n |W|^2 operations) and one ``eigvalsh`` of order |W|.
+    K[W,:] K[:,W] / (4n), and K+[W,W] = K[W,W] + rho I.  It takes the set's
+    rows of K, one product of the rows with themselves (n |W|^2
+    operations) and one ``eigvalsh`` of order |W|.
     """
-    kplus_on_set = gram_rows[:, index] + lowrank_rows @ lowrank_rows.T
-    kplus_on_set += obj.decomp.tau * np.eye(index.size)
+    kplus_on_set = gram_rows[:, index]
+    kplus_on_set += obj.decomp.shift * np.eye(index.size)
     mat = gram_rows @ gram_rows.T
     mat *= 1.0 / (4.0 * obj.n)
     mat += obj.lam * kplus_on_set
@@ -393,20 +383,18 @@ def _set_lipschitz_bound(
 
 
 def _products(decomp: GramDecomposition, a: np.ndarray, ws: _WorkingSet):
-    """K a over all n and K+ a on the working set ``ws``.
+    """K a over all n and K+ a = K a + rho a on the working set ``ws``.
 
-    ``a`` holds the coefficients on ``ws``.  Over all n these are the full
-    products K a and K a + K- a.  On a working set smaller than all n, K a
-    and W^T a are products with the set's rows of K (which is symmetric)
-    and W, which ``ws`` holds; they differ from the full products only in
-    rounding.
+    ``a`` holds the coefficients on ``ws``.  Over all n K a is the full
+    product.  On a working set smaller than all n it is a product with the
+    set's rows of K (which is symmetric), which ``ws`` holds; it differs
+    from the full product only in rounding.
     """
     if ws.index is None:
         k_a = decomp.gram @ a
-        return k_a, k_a + decomp.kminus_dot(a)
+        return k_a, k_a + decomp.shift * a
     k_a = a @ ws.gram
-    kminus_a = decomp.tau * a + ws.lowrank @ (a @ ws.lowrank)
-    return k_a, k_a[ws.index] + kminus_a
+    return k_a, k_a[ws.index] + decomp.shift * a
 
 
 # Overflow in the loop is diagnosed through the non-finite objective check.
@@ -435,8 +423,8 @@ def inner_solve(
     at step 1/L_W).  The objective is evaluated, at the candidate and the
     last candidate, only when the candidate's descent certificate fails
     (see the module docstring).  Each iteration takes the loss gradient at
-    the momentum point only, and the candidate's K c and K- c from the
-    working set's rows; the candidate's loss gradient is taken only for a
+    the momentum point only, and the candidate's K c from the working set's
+    rows; the candidate's loss gradient is taken only for a
     restart or for the stop test, which runs once the momentum point's free
     residual is within INNER_CHECK_FACTOR of ``tol``.
 
@@ -571,7 +559,7 @@ def inner_solve(
             # The end point over all n: one full product gives its loss gradient.
             a = np.zeros(obj.n)
             a[ws.index] = x
-            km_a = decomp.tau * a + decomp.lowrank @ (x @ ws.lowrank)
+            km_a = decomp.shift * a
             kp_a, lg_a = kx + km_a, None
         if lg_a is None:
             lg_a = loss_gradient(obj, kx)
@@ -634,7 +622,7 @@ def pla_fit(obj: DcObjective, cfg: SolverConfig) -> tuple[np.ndarray, SolveTrace
     # K- alpha, from which the anchor z_k is extrapolated, and whether the
     # last solve took an iteration.  The divergence certificate needs the
     # last `certified` objective values <= 0.
-    extrapolate = EXTRAPOLATE and _indefinite(obj.decomp)
+    extrapolate = EXTRAPOLATE and obj.decomp.indefinite
     theta, last, solved = 1.0, (alpha, scores, kminus), False
     certified = ADCA_WINDOW if extrapolate else 1
 
@@ -709,19 +697,6 @@ def pla_fit(obj: DcObjective, cfg: SolverConfig) -> tuple[np.ndarray, SolveTrace
 
     _log_stop(trace.status, trace.num_iterations, inner_total, f_cur, norm_new)
     return alpha, trace
-
-
-def _indefinite(decomp: GramDecomposition) -> bool:
-    """Whether the split has a negative eigenvalue below -n eps ||K||_2.
-
-    W's squared column norms are the negated eigenvalues it carries; one
-    within an eigensolver's backward error n eps ||K||_2 of 0 is rounding.
-    """
-    lowrank = decomp.lowrank
-    if lowrank.shape[1] == 0:
-        return False
-    noise = lowrank.shape[0] * float(np.finfo(np.float64).eps) * decomp.spectral_norm
-    return float(np.max(np.einsum("ij,ij->j", lowrank, lowrank))) > noise
 
 
 def _diverged(

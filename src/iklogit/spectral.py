@@ -1,24 +1,29 @@
 """Eigendecomposition, the shifted positive split of a Gram matrix, and ||K||_2.
 
-An indefinite Gram matrix K with eigenpairs (mu_i, u_i), mu sorted
-descending, splits as K = K+ - K- where both parts are positive definite:
+A symmetric Gram matrix K with eigenvalues mu_1 >= ... >= mu_n splits as
+K = K+ - K- with both parts positive definite by the shift split of Pham
+Dinh & Le Thi ("A D.C. optimization algorithm for solving the
+trust-region subproblem", SIAM J. Optim. 1998):
 
-* K+ carries ``mu_i + tau`` on the eigendirections with mu_i >= 0 and
-  ``tau`` elsewhere;
-* K- carries ``tau`` on the nonnegative directions and ``tau - mu_i`` on
-  the negative ones.
+    K- = rho I,    K+ = K + rho I,    rho = tau - mu_n,
 
-So K- = tau I + W W^T with W = V_- sqrt(-mu_-), where V_- and mu_- are the
-r negative eigenpairs, and K+ = K + K-.  The split stores K, the n x r
-factor W and the two numbers the solver's step bound reads: ||K||_2 and
-max(mu_1, 0).  Products with K- and K+ go through W.  One ``eigh`` gives
-the eigenvalues and eigenvectors; the eigenvectors are read once, to build
-W, and are not kept.  A Gram with no negative eigenvalue has r = 0.
+when mu_n < -n eps ||K||_2, so that lambda_min(K+) = tau, and rho = tau
+otherwise.  Below that level, an eigensolver's backward error, a negative
+mu_n is rounding, and the split is not marked indefinite.  The split
+stores K, rho and the two numbers the solver's step bound reads: ||K||_2
+and max(mu_1, 0).  It needs only the extreme eigenvalues: one
+``eigvalsh``, no eigenvectors.  Products with K- are rho a, and with K+
+are K a + rho a.
+
+The paper's own split (K+ carries mu_i + tau on the directions with
+mu_i >= 0 and tau elsewhere, K- carries tau and tau - mu_i) has the same
+K+ - K- = K but needs the eigenvectors; :func:`sym_eigendecompose` gives
+them to whoever builds it, and the fit does not.
 
 A Gram that the caller declares positive semidefinite (an RBF Gram: the
-Gaussian kernel is positive definite) runs no eigensolver at all: r = 0,
-and ||K||_2, the Perron root of the nonnegative K, is bounded from above by
-power iteration (:func:`perron_bound`).
+Gaussian kernel is positive definite) runs no eigensolver at all: rho =
+tau, and ||K||_2, the Perron root of the nonnegative K, is bounded from
+above by power iteration (:func:`perron_bound`).
 """
 
 from __future__ import annotations
@@ -49,31 +54,27 @@ PERRON_MAX_ITER = 200
 
 @dataclass(frozen=True, eq=False)
 class GramDecomposition:
-    """A Gram matrix, the low-rank factor of its negative part, and its norms.
+    """A Gram matrix, the shift of its split, and its norms.
 
     Attributes
     ----------
     gram : ndarray of shape (n, n)
         The original symmetric matrix K.
-    tau : float
-        The positive spectral shift.
-    lowrank : ndarray of shape (n, r)
-        W = V_- sqrt(-mu_-) over the r negative eigenpairs; K- = tau I + W W^T.
+    shift : float
+        rho, with K- = rho I and K+ = K + rho I; at least the user's tau.
     spectral_norm : float
         ||K||_2 = max(|mu_1|, |mu_n|), or an upper bound on it.
     top_eigenvalue : float
-        max(mu_1, 0), or an upper bound on it; ||K+||_2 = top_eigenvalue + tau.
+        max(mu_1, 0), or an upper bound on it; ||K+||_2 <= top_eigenvalue + shift.
+    indefinite : bool
+        Whether mu_n < -n eps ||K||_2, so that shift = tau - mu_n > tau.
     """
 
     gram: np.ndarray
-    tau: float
-    lowrank: np.ndarray
+    shift: float
     spectral_norm: float
     top_eigenvalue: float
-
-    def kminus_dot(self, alpha: np.ndarray) -> np.ndarray:
-        """K- alpha = tau alpha + W (W^T alpha), without forming K-."""
-        return self.tau * alpha + self.lowrank @ (self.lowrank.T @ alpha)
+    indefinite: bool
 
 
 def _checked_symmetric(matrix: np.ndarray) -> tuple[np.ndarray, float]:
@@ -114,7 +115,8 @@ def sym_eigendecompose(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Returns ``(eigenvalues, eigenvectors)`` with
     ``matrix ~= eigenvectors @ diag(eigenvalues) @ eigenvectors.T``, as
-    reversed views of ``np.linalg.eigh``'s output.
+    reversed views of ``np.linalg.eigh``'s output.  The fit does not call
+    it; spectrum reports and the paper's eigen split do.
 
     Raises InputError for empty, non-square, non-finite, or visibly
     asymmetric input, and NumericalError if the eigensolver fails to
@@ -153,76 +155,55 @@ def perron_bound(gram: np.ndarray) -> float:
     return upper
 
 
-def positive_decompose(
-    gram: np.ndarray,
-    eigenvalues: np.ndarray | None,
-    eigenvectors: np.ndarray | None,
-    tau: float,
-) -> GramDecomposition:
-    """Build the shifted positive decomposition from a precomputed eigensystem.
+def positive_decompose(gram: np.ndarray, tau: float, *, psd: bool = False) -> GramDecomposition:
+    """Build the shift split of ``gram`` (module docstring); ``tau`` > 0.
 
-    ``eigenvalues`` and ``eigenvectors`` are both given or both None.  Given,
-    they must be a descending eigendecomposition of ``gram`` (as produced by
-    :func:`sym_eigendecompose`), and W is built from the eigenpairs with a
-    negative eigenvalue.  ``tau`` must be strictly positive.
-
-    Both None declares ``gram`` positive semidefinite with no negative entry
-    and a positive diagonal, as an RBF Gram is: W gets no column and both
-    norms are :func:`perron_bound`.  The entries and diagonal are checked,
-    the semidefiniteness is not (see :func:`decompose_gram`).
+    By default one ``eigvalsh`` gives mu_1 and mu_n.  ``psd=True`` declares
+    ``gram`` positive semidefinite with no negative entry and a positive
+    diagonal, as an RBF Gram is: it runs no eigensolver, the shift is tau
+    and both norms are :func:`perron_bound`.  The entries and diagonal are
+    checked, the semidefiniteness is not (see :func:`decompose_gram`).
     """
     check_number("tau", tau)
-    if (eigenvalues is None) != (eigenvectors is None):
-        raise InputError("give both eigenvalues and eigenvectors, or neither")
-    if eigenvalues is None:
-        mat, lowest = _checked_symmetric(gram)
+    mat, lowest = _checked_symmetric(gram)
+    if psd:
         if lowest < 0.0 or float(mat.diagonal().min()) <= 0.0:
             raise InputError(
                 "a Gram declared PSD must have no negative entry and a positive diagonal"
             )
         bound = perron_bound(mat)
         return GramDecomposition(
-            gram=mat, tau=float(tau), lowrank=np.empty((mat.shape[0], 0)),
-            spectral_norm=bound, top_eigenvalue=bound,
+            gram=mat, shift=float(tau), spectral_norm=bound, top_eigenvalue=bound,
+            indefinite=False,
         )
-    vals = np.asarray(eigenvalues, dtype=np.float64)
-    vecs = np.asarray(eigenvectors, dtype=np.float64)
-    mat = np.asarray(gram, dtype=np.float64)
-    n = mat.shape[0]
-    if vals.shape != (n,) or vecs.shape != (n, n):
-        raise InputError("eigensystem shape does not match the matrix")
-    if np.any(np.diff(vals) > 0):
-        raise InputError("eigenvalues must be sorted descending")
-    neg = vals < 0.0
-    factor = vecs[:, neg]  # a copy, scaled in place
-    factor *= np.sqrt(-vals[neg])
+    try:
+        vals = np.linalg.eigvalsh(mat)  # ascending
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigendecomposition failed: {exc}") from exc
+    low, high = float(vals[0]), float(vals[-1])
+    norm = max(abs(low), abs(high))
+    indefinite = low < -mat.shape[0] * float(np.finfo(np.float64).eps) * norm
     return GramDecomposition(
-        gram=mat, tau=float(tau), lowrank=factor,
-        spectral_norm=max(abs(float(vals[0])), abs(float(vals[-1]))),
-        top_eigenvalue=max(float(vals[0]), 0.0),
+        gram=mat, shift=float(tau) - low if indefinite else float(tau),
+        spectral_norm=norm, top_eigenvalue=max(high, 0.0), indefinite=indefinite,
     )
 
 
 def decompose_gram(gram: np.ndarray, tau: float, *, psd: bool = False) -> GramDecomposition:
-    """Eigendecompose, then positively decompose.
+    """The shift split K- = rho I of a symmetric Gram (module docstring).
 
-    By default one ``eigh`` gives the eigenvalues and eigenvectors, and W is
-    built from the negative eigenpairs; a positive semidefinite Gram gets W
-    of shape (n, 0) from the same single ``eigh``.
+    By default one ``eigvalsh`` gives the extreme eigenvalues.  A negative
+    mu_n within the eigensolver's backward error n eps ||K||_2 of 0 is
+    rounding: such a Gram gets rho = tau and is not marked indefinite, as
+    the RBF Gram with sigma = 100 on 200 standard normal points in d = 5
+    is, whose smallest eigenvalues are near -1e-14.
 
     ``psd=True`` states that ``gram`` is positive semidefinite, as an RBF
-    Gram is, and runs no eigensolver: W gets shape (n, 0), and ||K||_2 comes
-    from :func:`perron_bound`.  The bound needs what is checked here (a
-    square, finite, symmetric ``gram`` with no negative entry and a positive
+    Gram is, and runs no eigensolver: rho = tau, and ||K||_2 comes from
+    :func:`perron_bound`.  The bound needs what is checked here (a square,
+    finite, symmetric ``gram`` with no negative entry and a positive
     diagonal, else InputError); the semidefiniteness itself is the caller's
-    statement and is not checked.  Eigenvalues that rounding makes slightly
-    negative are not split off into W.  This keeps g convex as long as
-    tau >> n eps ||K||_2, which holds for the default tau = 1e-6: an RBF
-    Gram with sigma = 100 on 200 standard normal points in d = 3 has 84 to
-    87 eigenvalues near -1e-14 under ``eigh`` (three draws), each of which
-    the default path splits off into W.
+    statement and is not checked.  That keeps g convex as long as
+    tau >> n eps ||K||_2, which holds for the default tau = 1e-6.
     """
-    if psd:
-        return positive_decompose(gram, None, None, tau)
-    vals, vecs = sym_eigendecompose(gram)
-    return positive_decompose(gram, vals, vecs, tau)
+    return positive_decompose(gram, tau, psd=psd)

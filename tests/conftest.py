@@ -113,30 +113,46 @@ def symmetric_objective(
     return DcObjective(decomp=decomp, y_signed=y, lam=lam, lam1=lam1)
 
 
-# Dense forms of a GramDecomposition, for checks only: the package applies
-# K+ and K- as products and keeps neither eigenvalues nor eigenvectors, so
-# these redo the eigendecomposition of the stored K.
-def _dense(decomp, sign: float) -> np.ndarray:
-    """V diag(max(sign * mu, 0) + tau) V^T: K+ for sign 1, K- for sign -1."""
+# Dense forms of the two splits, for checks only.  The fit's shift split is
+# K- = rho I and K+ = K + rho I, with the decomposition's stored shift rho;
+# the package applies both as products and forms neither.
+def kplus(decomp) -> np.ndarray:
+    return decomp.gram + decomp.shift * np.eye(decomp.gram.shape[0])
+
+
+def kminus(decomp) -> np.ndarray:
+    return decomp.shift * np.eye(decomp.gram.shape[0])
+
+
+def bfactor(decomp) -> np.ndarray:
+    """Matrix B with B^T B = K+ = K + rho I."""
     vals, vecs = sym_eigendecompose(decomp.gram)
-    mat = (vecs * (np.maximum(sign * vals, 0.0) + decomp.tau)) @ vecs.T
+    return np.sqrt(vals + decomp.shift)[:, None] * vecs.T
+
+
+# The paper's eigen split, which the fit does not use, rebuilt from an
+# eigendecomposition of K and the user's tau: K+ carries max(mu_i, 0) + tau
+# and K- carries max(-mu_i, 0) + tau on each eigendirection.
+def _eigen_dense(gram: np.ndarray, tau: float, sign: float) -> np.ndarray:
+    """V diag(max(sign * mu, 0) + tau) V^T: K+ for sign 1, K- for sign -1."""
+    vals, vecs = sym_eigendecompose(gram)
+    mat = (vecs * (np.maximum(sign * vals, 0.0) + tau)) @ vecs.T
     # Re-symmetrize to kill rounding skew before downstream eigen checks.
     return 0.5 * (mat + mat.T)
 
 
-def kplus(decomp) -> np.ndarray:
-    return _dense(decomp, 1.0)
+def eigen_kplus(gram: np.ndarray, tau: float) -> np.ndarray:
+    return _eigen_dense(gram, tau, 1.0)
 
 
-def kminus(decomp) -> np.ndarray:
-    return _dense(decomp, -1.0)
+def eigen_kminus(gram: np.ndarray, tau: float) -> np.ndarray:
+    return _eigen_dense(gram, tau, -1.0)
 
 
-def bfactor(decomp) -> np.ndarray:
-    """Matrix B with B^T B = K+."""
-    vals, vecs = sym_eigendecompose(decomp.gram)
-    shift = np.maximum(vals, 0.0) + decomp.tau
-    return np.sqrt(shift)[:, None] * vecs.T
+def eigen_bfactor(gram: np.ndarray, tau: float) -> np.ndarray:
+    """Matrix B with B^T B = the eigen split's K+."""
+    vals, vecs = sym_eigendecompose(gram)
+    return np.sqrt(np.maximum(vals, 0.0) + tau)[:, None] * vecs.T
 
 
 # Evaluators of the objective's pieces, for checks only.  The fit runs
@@ -150,7 +166,7 @@ def g_value(obj: DcObjective, alpha: np.ndarray) -> float:
     """Convex part: loss + (lam/2) a^T K+ a + lam1 ||a||_1."""
     a = _check_alpha(obj, alpha)
     scores = obj.decomp.gram @ a
-    kplus_a = scores + obj.decomp.kminus_dot(a)
+    kplus_a = scores + obj.decomp.shift * a
     smooth = loss_value(obj, scores) + 0.5 * obj.lam * float(a @ kplus_a)
     return smooth + obj.lam1 * float(np.abs(a).sum())
 
@@ -158,7 +174,7 @@ def g_value(obj: DcObjective, alpha: np.ndarray) -> float:
 def h_value(obj: DcObjective, alpha: np.ndarray) -> float:
     """Concave-side part: (lam/2) a^T K- a."""
     a = _check_alpha(obj, alpha)
-    return 0.5 * obj.lam * float(a @ obj.decomp.kminus_dot(a))
+    return 0.5 * obj.lam * obj.decomp.shift * float(a @ a)
 
 
 def smooth_grad_g(obj: DcObjective, alpha: np.ndarray) -> np.ndarray:
@@ -168,7 +184,7 @@ def smooth_grad_g(obj: DcObjective, alpha: np.ndarray) -> np.ndarray:
     """
     a = _check_alpha(obj, alpha)
     scores = obj.decomp.gram @ a
-    return loss_grad(obj, scores) + obj.lam * (scores + obj.decomp.kminus_dot(a))
+    return loss_grad(obj, scores) + obj.lam * (scores + obj.decomp.shift * a)
 
 
 def f_at(obj: DcObjective, alpha: np.ndarray) -> float:
@@ -178,7 +194,7 @@ def f_at(obj: DcObjective, alpha: np.ndarray) -> float:
 
 def grad_h_at(obj: DcObjective, alpha: np.ndarray) -> np.ndarray:
     """grad_h at alpha with its K- alpha."""
-    return grad_h(obj, obj.decomp.kminus_dot(_check_alpha(obj, alpha)))
+    return grad_h(obj, obj.decomp.shift * _check_alpha(obj, alpha))
 
 
 def solve_subproblem(obj: DcObjective, omega, anchor, cfg):
@@ -189,7 +205,7 @@ def solve_subproblem(obj: DcObjective, omega, anchor, cfg):
     scores = obj.decomp.gram @ a
     return inner_solve(
         obj, omega, a, cfg, step, cfg.epsilon_inner,
-        scores, obj.decomp.kminus_dot(a), loss_grad(obj, scores),
+        scores, obj.decomp.shift * a, loss_grad(obj, scores),
     )
 
 
@@ -204,11 +220,6 @@ def residual_at(obj: DcObjective, alpha: np.ndarray) -> float:
 def eigenvalues(decomp) -> np.ndarray:
     """Eigenvalues of the stored K, descending, from a fresh eigendecomposition."""
     return sym_eigendecompose(decomp.gram)[0]
-
-
-def num_nonneg(decomp) -> int:
-    """Count of eigenvalues >= 0."""
-    return int(np.count_nonzero(eigenvalues(decomp) >= 0.0))
 
 
 def write_csv(path: Path, features: np.ndarray, labels: np.ndarray) -> Path:

@@ -36,19 +36,16 @@ def _prox_residual(a, grad, step, t):
 def _products(decomp: GramDecomposition, a: np.ndarray):
     """K a, K+ a and the support of a.
 
-    When fewer than half of a's coefficients are nonzero, K a and W^T a are
-    sums of the support rows of K (which is symmetric) and W; they differ
-    from the full products only in rounding.
+    When fewer than half of a's coefficients are nonzero, K a is a sum of
+    the support rows of K (which is symmetric); it differs from the full
+    product only in rounding.  K- a is rho a.
     """
     nz = a.nonzero()[0]
     if 2 * nz.size < a.size:
-        coef = a[nz]
-        k_a = coef @ decomp.gram[nz]
-        kminus_a = decomp.tau * a + decomp.lowrank @ (coef @ decomp.lowrank[nz])
+        k_a = a[nz] @ decomp.gram[nz]
     else:
         k_a = decomp.gram @ a
-        kminus_a = decomp.kminus_dot(a)
-    return k_a, k_a + kminus_a, nz
+    return k_a, k_a + decomp.shift * a, nz
 
 
 # Overflow in the loop is diagnosed through the non-finite objective check.

@@ -42,6 +42,9 @@ from conftest import (
     UCI_FILES,
     bfactor,
     dataset_path,
+    eigen_bfactor,
+    eigen_kminus,
+    eigen_kplus,
     f_at,
     g_value,
     grad_h_at,
@@ -104,17 +107,23 @@ def check_decomposition(gram):
     # Grams all have one); confirm the premise before the checks.
     raw_eigs = np.linalg.eigvalsh(gram)
     assert raw_eigs[0] < 0 < raw_eigs[-1]
-    decomp = decompose_gram(gram, TAU)
     k_norm = max(1.0, np.linalg.norm(gram))
-    assert np.linalg.norm((kplus(decomp) - kminus(decomp)) - gram) <= 1e-8 * k_norm
-    # Independent eigensolves confirm both shifted parts sit at tau.
-    assert abs(np.linalg.eigvalsh(kplus(decomp))[0] - TAU) <= 1e-12
-    assert abs(np.linalg.eigvalsh(kminus(decomp))[0] - TAU) <= 1e-12
-    kp_norm = max(1.0, np.linalg.norm(kplus(decomp)))
-    assert (
-        np.linalg.norm(bfactor(decomp).T @ bfactor(decomp) - kplus(decomp))
-        <= 1e-8 * kp_norm
-    )
+    # The paper's eigen split, rebuilt from eigh and tau.  Independent
+    # eigensolves confirm both shifted parts sit at tau.
+    kp, km, b = eigen_kplus(gram, TAU), eigen_kminus(gram, TAU), eigen_bfactor(gram, TAU)
+    assert np.linalg.norm((kp - km) - gram) <= 1e-8 * k_norm
+    assert abs(np.linalg.eigvalsh(kp)[0] - TAU) <= 1e-12
+    assert abs(np.linalg.eigvalsh(km)[0] - TAU) <= 1e-12
+    assert np.linalg.norm(b.T @ b - kp) <= 1e-8 * max(1.0, np.linalg.norm(kp))
+    # The shift split the fit uses: K- = rho I with rho = tau - mu_n >= tau,
+    # so K+ = K + rho I sits at tau.
+    decomp = decompose_gram(gram, TAU)
+    kp, km, b = kplus(decomp), kminus(decomp), bfactor(decomp)
+    assert decomp.indefinite and decomp.shift >= TAU
+    assert abs(decomp.shift - (TAU - raw_eigs[0])) <= 1e-12
+    assert np.linalg.norm((kp - km) - gram) <= 1e-8 * k_norm
+    assert abs(np.linalg.eigvalsh(kp)[0] - TAU) <= 1e-12
+    assert np.linalg.norm(b.T @ b - kp) <= 1e-8 * max(1.0, np.linalg.norm(kp))
 
 
 def mixed_spectrum_matrix(r, n, kind):

@@ -1,5 +1,6 @@
 """Model layer: variant specs, fit/predict, serialization."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -489,20 +490,34 @@ class TestPsdByKernel:
 
     def test_matches_the_eigensolver_path_on_a_flat_gram(self):
         # sigma = 100 makes K nearly all ones: eigvalsh reports 41
-        # eigenvalues near -1e-14, so the eigensolver path runs eigh and
-        # splits its negative ones (43) off into W; the PSD path keeps W empty.
+        # eigenvalues of at least -1.0e-14, far inside n eps ||K||_2 =
+        # 8.9e-12.  They are rounding: the undeclared split gets rho = tau
+        # exactly and is not marked indefinite, so it differs from the
+        # declared one only in its norms, eigvalsh's against the power
+        # bound's.  With the declared norms it fits bitwise alike.
         data = benchmark_data(0, 200)
         gram = gram_matrix(KernelSpec.rbf(100.0), data)
+        undeclared = decompose_gram(gram, 1e-6)
+        declared = decompose_gram(gram, 1e-6, psd=True)
+        assert undeclared.shift == declared.shift == 1e-6
+        assert not undeclared.indefinite and not declared.indefinite
+        assert np.array_equal(undeclared.gram, declared.gram)
+        assert undeclared.spectral_norm == pytest.approx(declared.spectral_norm, rel=1e-14)
+        renormed = dataclasses.replace(
+            undeclared, spectral_norm=declared.spectral_norm,
+            top_eigenvalue=declared.top_eigenvalue,
+        )
         runs = []
-        for psd in (False, True):
-            decomp = decompose_gram(gram, 1e-6, psd=psd)
-            assert decomp.lowrank.shape[1] == (0 if psd else 43)
+        for decomp in (undeclared, renormed, declared):
             obj = DcObjective.from_labels(decomp, data.labels, 1.0, 0.01)
             runs.append(pla_fit(obj, SolverConfig()))
-        (a_eig, t_eig), (a_psd, t_psd) = runs
+        (a_eig, t_eig), (a_ren, t_ren), (a_psd, t_psd) = runs
         assert t_psd.status == t_eig.status == CONVERGED
-        # W's eigenvalues are rounding: neither path extrapolates its steps.
         assert not any(t_eig.extrapolated) and not any(t_psd.extrapolated)
+        assert np.array_equal(a_ren, a_psd)
+        assert t_ren.inner_iterations == t_psd.inner_iterations
+        assert all(np.array_equal(a, b) for a, b in zip(t_ren.iterates, t_psd.iterates))
+        # Its own norms move only the last bits.
         assert t_psd.num_iterations == t_eig.num_iterations
         assert t_psd.inner_iterations == t_eig.inner_iterations
         support = [np.flatnonzero(np.abs(a) > SPARSITY_THRESHOLD) for a in (a_eig, a_psd)]

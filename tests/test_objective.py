@@ -140,8 +140,10 @@ class TestDcSplit:
                 assert lhs <= rhs + 1e-10
 
     def test_g_is_strongly_convex_with_lam_tau_modulus(self, rng):
-        obj = symmetric_objective(rng, tau=0.1)
-        shift = 0.5 * obj.lam * obj.decomp.tau
+        # K+ = K + rho I has no eigenvalue below tau, whatever rho is.
+        tau = 0.1
+        obj = symmetric_objective(rng, tau=tau)
+        shift = 0.5 * obj.lam * tau
 
         def reduced(alpha):
             return g_value(obj, alpha) - shift * float(alpha @ alpha)
