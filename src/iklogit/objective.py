@@ -12,8 +12,9 @@ which splits into a difference of convex functions f = g - h with
     h(alpha) = (lam/2) alpha^T K- alpha
 
 Both g and h are convex; g is strongly convex with modulus lam * tau, since
-K+ has no eigenvalue below tau.  K+ a is applied as K a + K- a.  Every function here takes the products it
-needs (K a, K- a) as arguments; the solver computes each once per point.
+K+ has no eigenvalue below tau.  K+ a is applied as K a + K- a.  Every
+function here takes the products it needs (K a, K- a) as arguments; the
+solver computes each once per point.
 Setting lam1 = 0 recovers the plain (indefinite) kernel logistic model.
 """
 

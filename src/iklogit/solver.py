@@ -125,29 +125,30 @@ candidates, where evaluating every candidate took 10,493.
 
 Product budget: K- = rho I (see :mod:`.spectral`), so K- a = rho a costs
 no product.  Every product with K is computed once per point and carried
-next to the iterate.  An inner iteration makes one product with
-the |W| rows of K on the working set: the loss gradient K[W] (y * s) at the
+next to the iterate.  An inner iteration makes one product with the |W|
+rows of K on the working set: the loss gradient K[W] (y * s) at the
 momentum point y, n |W| operations (a full n x n product when W is all n).
 K y and K+ y on W are combinations of the carried products, since
 y = c + beta (c - x) is linear in the iterates.  For the candidate
 c = S(y - t grad phi(y)), K c is a product with the working set's rows of
 K, which the set copies once when it is built, not once per candidate;
-over all n it is the full product.  The candidate's loss
-gradient on W, a second product, is taken in two cases only.  A momentum
-restart needs it at the last candidate x, for the plain step from x.  The
-stop test needs it once the momentum point's residual ||y - c||_inf, which
-costs nothing, is at most INNER_CHECK_FACTOR times the tolerance; when
-beta = 0 (the first iteration and the one after a restart) y is x, that
-residual is x's exact one on W, and x ends the working set's iterations
-with the products it carries.  On a working set smaller than all n that
-point costs one more full product, its loss gradient over all n.  A
-working set that is not equal to the last one gathers its rows of K once;
-one that is not inside it also bounds its step, with one product of its
-rows with themselves (n |W|^2 operations) and one eigvalsh of order |W|.  The outer loop adds no product of
-its own: K a, K- a and the loss gradient of the new iterate come back from
-the inner solve and serve f_value, grad_h, the stationarity residual and
-the next warm start.  Only the starting point costs one dense product, its loss
-gradient: K a and K- a are 0 at alpha = 0.  Each kept extrapolated anchor
+over all n it is the full product.  The candidate's loss gradient on W, a
+second product, is taken in two cases only.  A momentum restart needs it
+at the last candidate x, for the plain step from x.  The stop test needs
+it once the momentum point's residual ||y - c||_inf, which costs nothing,
+is at most INNER_CHECK_FACTOR times the tolerance; when beta = 0 (the
+first iteration and the one after a restart) y is x, that residual is x's
+exact one on W, and x ends the working set's iterations with the products
+it carries.  On a working set smaller than all n that point costs one
+more full product, its loss gradient over all n.  A working set that is
+not equal to the last one gathers its rows of K once; one that is not
+inside it also bounds its step, with one product of its rows with
+themselves (n |W|^2 operations) and one eigvalsh of order |W|.  The outer
+loop adds no product of its own: K a, K- a and the loss gradient of the
+new iterate come back from the inner solve and serve f_value, grad_h, the
+stationarity residual and the next warm start.  Only the starting point
+costs one dense product, its loss gradient: K a and K- a are 0 at
+alpha = 0.  Each kept extrapolated anchor
 z_k costs one more, its loss gradient.  No function computes a
 product it is not given: each takes the products it needs as arguments.
 """
