@@ -9,39 +9,44 @@ subproblem
 
 with a constant proximal weight gamma, starting from alpha_0 = 0.
 
-Extrapolation: accelerated DCA (Nhat Phan, Le & Le Thi, IJCAI 2018)
-keeps this subproblem and moves only its anchor, the point alpha_k above,
-where h is linearized, the proximal term is centred and the inner solve
-starts.  Step k anchors at
+The plain loop above is the paper's, and it runs on every split that is
+not marked indefinite (no eigenvalue below -n eps ||K||_2, an
+eigensolver's backward error): an RBF Gram, declared PSD or not.  With
+EXTRAPOLATE = False it runs on every split.
 
-    z_k = alpha_k + beta_k (alpha_k - alpha_{k-1}),
+Relinearized loop: on a split marked indefinite, h is linearized again at
+every FISTA step, the proximal DC algorithm with extrapolation (pDCAe;
+Wen, Chen & Pong, Comput. Optim. Appl. 2018, after pDCA, Gotoh, Takeda &
+Tono, Math. Program. 2018).  With K- = rho I, grad h(x) = lam rho x, and
+one step from the momentum point y, with x the last candidate, is
 
-with beta_k = (theta_k - 1) / theta_{k+1} from FISTA's sequence theta_1 = 1,
-theta_{k+1} = (1 + sqrt(1 + 4 theta_k^2)) / 2, never restarted.  z_k is kept
-only if f(z_k) <= max(f_{k-ADCA_WINDOW+1}, ..., f_k), the largest of the
-last ADCA_WINDOW objective values; otherwise, and after a solve that took
-no iteration (which would leave the fit drifting on momentum alone), step k
-is the plain step from alpha_k.  A step from z_k does not raise f above
-f(z_k), so f_{k+1} is at most that window's largest value, not at most
-f_k.  K z_k and K- z_k are combinations of the carried products, so f(z_k)
-costs no product; a kept z_k costs its loss gradient, one full product.
-The step norm, the inner tolerance and the stop rule below still measure
-alpha_{k+1} - alpha_k.  A split that is not marked indefinite, with no
-eigenvalue below -n eps ||K||_2 (an eigensolver's backward error), takes
-the plain step at every k, bitwise: so does an RBF Gram, declared PSD or
-not.  With EXTRAPOLATE = False every step is the plain one, the paper's
-loop, under which f never increases.
+    c = S(y - t (grad loss(y) + lam K+ y - lam rho x)),    t = 1/L,
 
-Inexact inner solves: step k's subproblem is solved to the fixed-point
-tolerance max(epsilon_inner, INNER_RTOL * ||alpha_k - alpha_{k-1}||), so it
-is solved loosely while the iterates still move far and tightly near a
-critical point, where the steps shrink (inexact descent with a relative
-error bound, Attouch, Bolte & Svaiter, Math. Program. 2013).  The first
-step, with no previous one, uses epsilon_inner.  With INNER_RTOL = 0 every
-subproblem is solved to epsilon_inner, the paper's fixed inner tolerance,
-under the guarded outer stop below.
+with L = ||K||_2^2 / (4n) + lam ||K+||_2: the inner solve's step with
+1/gamma = 0 and its linear term moved to lam rho x each time x changes.
+So pla_fit runs this loop through inner_solve with ``relinearize``.  Each
+outer step is one restart period: one solve from alpha_k of at most
+RESTART_PERIOD iterations, with momentum restarted at its start.  Its
+stop and warm-start tests take the linear term at the point they test, so
+their residual is the stationarity residual of f, at t; the fit stops at
+the first point that passes it at epsilon_inner.  The momentum restart
+compares the DCA majorant at x, g(a) - h(x) - grad h(x)^T (a - x), and h
+is quadratic, so every candidate kept has
 
-The outer loop stops when max(||a_{k+1} - a_k||, |f_k - f_{k+1}|) falls
+    f(c) <= f(x) - (lam rho / 2) ||c - x||^2,
+
+and f never increases.
+
+Inexact inner solves (plain loop): step k's subproblem is solved to the
+fixed-point tolerance max(epsilon_inner, INNER_RTOL * ||alpha_k -
+alpha_{k-1}||), so it is solved loosely while the iterates still move far
+and tightly near a critical point, where the steps shrink (inexact
+descent with a relative error bound, Attouch, Bolte & Svaiter, Math.
+Program. 2013).  The first step, with no previous one, uses epsilon_inner.
+With INNER_RTOL = 0 every subproblem is solved to epsilon_inner, the
+paper's fixed inner tolerance, under the guarded outer stop below.
+
+The plain loop stops when max(||a_{k+1} - a_k||, |f_k - f_{k+1}|) falls
 below epsilon_outer and the stationarity residual is at most
 10 epsilon_outer, or at max_outer.  A step that repeats its iterate
 exactly stops when the residual is at most max(10 epsilon_outer,
@@ -52,10 +57,10 @@ a repeat that still returns its warm start has a residual of at most
 epsilon_inner: the repeat's looser bound stops it there instead of at
 max_outer when epsilon_inner > 10 epsilon_outer.
 
-Divergence certificate: the first outer step with f <= 0 stops the fit.
-At a critical point, 0 in grad loss + lam K a + lam1 d||a||_1; its inner
-product with a gives lam a^T K a = (1/n) sum m_i s_i - lam1 ||a||_1, with
-margins m_i = y_i (K a)_i and s_i = sigmoid(-m_i), so
+Divergence certificate: the first f <= 0 stops the fit.  At a critical
+point, 0 in grad loss + lam K a + lam1 d||a||_1; its inner product with a
+gives lam a^T K a = (1/n) sum m_i s_i - lam1 ||a||_1, with margins
+m_i = y_i (K a)_i and s_i = sigmoid(-m_i), so
 
     f(a) = (1/n) sum phi(m_i) + (lam1/2) ||a||_1,
     phi(m) = ln(1 + e^-m) + (m/2) sigmoid(-m) > 0
@@ -65,17 +70,16 @@ point has f > 0.  So once some f(alpha_k) <= 0, the sublevel set {f <= 0}
 holds no critical point; it is then unbounded and f attains no minimum (a
 minimum over a bounded {f <= 0}, a closed set, would be a critical point
 with f <= 0).  That this run diverges needs f to stay <= 0 from then on,
-since its accumulation points are critical.  The plain step never raises
-f, so the fit stops at its first f <= 0.  An extrapolated step bounds
-f_{k+1} only by the largest of the last ADCA_WINDOW values, which
-therefore never increases, and f may climb back above 0 inside the window;
-so with extrapolation the fit stops once those ADCA_WINDOW values are all
-<= 0, and every later f is <= 0 too.  The iterate-norm cap
-DIVERGENCE_NORM stays as a backstop for unbounded iterates whose f stays
-above 0, a case the certificate does not cover.
+since its accumulation points are critical, and neither loop raises f.
+The plain loop tests f at each outer step.  The relinearized one also
+tests it at each kept candidate, where it costs a loss value and no
+product, and ends the period at the first f <= 0: a period of
+RESTART_PERIOD steps can carry the iterates far past it.  The
+iterate-norm cap DIVERGENCE_NORM stays as a backstop for unbounded
+iterates whose f stays above 0, a case the certificate does not cover.
 
 Inner loop: accelerated proximal gradient (momentum restart on objective
-increase), warm-started at the step's anchor.  pla_fit computes the step
+increase), warm-started at alpha_k.  pla_fit computes the step
 1/L_phi of :func:`smooth_lipschitz_bound` once per fit; the iterations on a
 working set smaller than n step by the set's own 1/L_W (below).
 Convergence is certified by the proximal fixed-point residual
@@ -98,17 +102,17 @@ products and the step 1/L_phi, as a solve without working sets does.
 
 The step of a working set: the smooth part of the subproblem restricted to
 W has curvature at most l_W = lambda_max(K[W,:] K[:,W] / (4n) + lam K+[W,W])
-+ 1/gamma (:func:`_set_lipschitz_bound`), often a fraction of L_phi, and
-FISTA's rate depends on the curvature of the coordinates it moves (Beck &
-Teboulle, SIAM J. Imaging Sci. 2009).  So the iterations on W, their first
-candidate, restarts and stop tests included, take the step 1/L_W with
-L_W = min(L_phi, l_W).  The proximal residual does not decrease as the
-step grows, so a point that passes the stop test on W at 1/L_W passes
-there at 1/L_phi too, and the test over all n keeps 1/L_phi.  pla_fit
-hands the set each solve ends on to the next solve: a set equal to it
-reuses its rows of K and its step, and a set inside it reuses its
-step, since by Cauchy interlacing l_W of a subset is at most l_W of the
-set.
++ 1/gamma (:func:`_set_lipschitz_bound`; relinearized, 1/gamma = 0), often
+a fraction of L_phi, and FISTA's rate depends on the curvature of the
+coordinates it moves (Beck & Teboulle, SIAM J. Imaging Sci. 2009).  So the
+iterations on W, their first candidate, restarts and stop tests included,
+take the step 1/L_W with L_W = min(L_phi, l_W).  The proximal residual
+does not decrease as the step grows, so a point that passes the stop test
+on W at 1/L_W passes there at 1/L_phi too, and the test over all n keeps
+1/L_phi.  pla_fit hands the set each solve ends on to the next solve: a
+set equal to it reuses its rows of K and its step, and a set inside it
+reuses its step, since by Cauchy interlacing l_W of a subset is at most
+l_W of the set.
 
 Objective evaluations: momentum restarts when the candidate c, the
 proximal step from the momentum point y, has a larger subproblem objective
@@ -120,8 +124,11 @@ cert is positive or not finite: in exact arithmetic each restart decision
 is the one F gives.  A plain step from x (y = x) has cert =
 -||y - c||^2 / 2 <= 0, so a finite one is never evaluated; a non-finite
 candidate has a non-finite cert, so its objective is evaluated and
-raises.  A fit-tl1 benchmark unit evaluates F 2,674 times for 9,178
-candidates, where evaluating every candidate took 10,493.
+raises.  A fit-tl1 benchmark unit in the plain loop on the paper's eigen
+split evaluated F 2,674 times for 9,178 candidates, where evaluating every
+candidate took 10,493.  Relinearized, F is the majorant at x, whose linear
+term moves when x does: the kept candidate's F, which becomes F(x), is
+corrected by one dot product on W.
 
 Product budget: K- = rho I (see :mod:`.spectral`), so K- a = rho a costs
 no product.  Every product with K is computed once per point and carried
@@ -148,9 +155,11 @@ loop adds no product of its own: K a, K- a and the loss gradient of the
 new iterate come back from the inner solve and serve f_value, grad_h, the
 stationarity residual and the next warm start.  Only the starting point
 costs one dense product, its loss gradient: K a and K- a are 0 at
-alpha = 0.  Each kept extrapolated anchor
-z_k costs one more, its loss gradient.  No function computes a
-product it is not given: each takes the products it needs as arguments.
+alpha = 0.  Relinearizing adds no product either: the linear term is
+lam rho x, and the f <= 0 test at a kept candidate c reads K c, with a
+loss value only where (lam/2) c^T K c + lam1 ||c||_1 <= 0.  No function
+computes a product it is not given: each takes the products it needs as
+arguments.
 """
 
 from __future__ import annotations
@@ -192,13 +201,15 @@ INNER_RTOL = 1e-3
 # iterations, and fit-tl1 14,662, 14,491, 16,935 and 24,788 full products.
 INNER_CHECK_FACTOR = 3.0
 
-# pla_fit extrapolates each outer step's anchor on a Gram with a negative
-# eigenvalue above rounding level; False gives the paper's plain loop.
+# pla_fit runs the relinearized loop (pDCAe) on a split marked indefinite;
+# False gives the paper's plain loop on every split.
 EXTRAPOLATE = True
 
-# An extrapolated anchor z is kept only if f(z) is at most the largest of
-# the last ADCA_WINDOW objective values f_{k-ADCA_WINDOW+1}, ..., f_k.
-ADCA_WINDOW = 5
+# The relinearized loop restarts momentum every RESTART_PERIOD iterations;
+# each period is one outer step.  One benchmark unit at 50, 100, 200 and
+# 400: fit-tl1 takes 1,850, 2,068, 1,768 and 1,839 inner iterations, and
+# bench-protocol 38,254, 29,116, 25,053 and 23,203.
+RESTART_PERIOD = 200
 
 log = logging.getLogger(__name__)
 
@@ -209,6 +220,11 @@ class SolverConfig:
 
     ``gamma`` is the constant proximal weight, a positive number.
     ``epsilon_inner`` is the floor of each inner tolerance (see INNER_RTOL).
+    ``gamma``, ``epsilon_outer`` and INNER_RTOL apply to the plain loop
+    only, which every split not marked indefinite (PSD) takes.  The
+    relinearized loop has no proximal term, stops at a stationarity
+    residual of ``epsilon_inner``, caps each period at min(RESTART_PERIOD,
+    ``max_inner``) iterations and runs at most ``max_outer`` periods.
     """
 
     gamma: float = 1.0
@@ -231,7 +247,10 @@ class InnerResult:
     """Outcome of one subproblem solve.
 
     ``iterations`` is the index of the returned iterate (0 for the warm
-    start).  ``scores`` is K alpha, ``kminus`` is K- alpha and
+    start).  ``converged`` says whether alpha passed the residual test; it
+    is False after ``max_inner`` iterations and, relinearized, after a
+    period of RESTART_PERIOD, which is a restart and not a cap: the fit
+    goes on from alpha.  ``scores`` is K alpha, ``kminus`` is K- alpha and
     ``loss_grad`` is the loss gradient at alpha (see
     :func:`.objective.loss_grad`).  ``working_set`` is the set the solve
     ended on, which pla_fit hands to the next solve.
@@ -252,8 +271,10 @@ class SolveTrace:
     """Per-outer-iteration diagnostics of a pla_fit run.
 
     ``f_values`` and ``iterates`` carry the initial point, so they are one
-    longer than the per-step lists.  ``extrapolated`` says whether a step's
-    subproblem was anchored at an extrapolated point.
+    longer than the per-step lists.  Relinearized, a step is one period
+    (see :class:`InnerResult`), so ``inner_converged`` is False for each
+    period that ended at RESTART_PERIOD iterations; the benchmark's
+    ``solver.inner_capped`` counts those periods too.
     """
 
     f_values: list[float] = field(default_factory=list)
@@ -261,7 +282,6 @@ class SolveTrace:
     stationarity_residuals: list[float] = field(default_factory=list)
     inner_iterations: list[int] = field(default_factory=list)
     inner_converged: list[bool] = field(default_factory=list)
-    extrapolated: list[bool] = field(default_factory=list)
     iterates: list[np.ndarray] = field(default_factory=list)
     status: str = MAX_ITERATIONS
 
@@ -279,7 +299,6 @@ class SolveTrace:
                 "stationarity_residual": self.stationarity_residuals[k],
                 "inner_iterations": self.inner_iterations[k],
                 "inner_converged": self.inner_converged[k],
-                "extrapolated": self.extrapolated[k],
             }
             for k in range(self.num_iterations)
         ]
@@ -290,9 +309,10 @@ def smooth_lipschitz_bound(obj: DcObjective, gamma: float) -> float:
 
     Sum of the three smooth pieces' curvature bounds: the logistic loss
     contributes ||K||_2^2 / (4n), the quadratic lam * ||K+||_2, and the
-    proximal term 1/gamma.  ||K||_2 and ||K+||_2 <= max(mu_1, 0) + rho come
-    from the decomposition's stored norms and shift: exact from the
-    spectrum, or the power iteration's upper bound for a Gram declared PSD.
+    proximal term 1/gamma (0 at gamma = inf, the relinearized loop).
+    ||K||_2 and ||K+||_2 <= max(mu_1, 0) + rho come from the
+    decomposition's stored norms and shift: exact from the spectrum, or the
+    power iteration's upper bound for a Gram declared PSD.
     """
     decomp = obj.decomp
     kplus_norm = decomp.top_eigenvalue + decomp.shift
@@ -306,6 +326,20 @@ def _max_abs(v: np.ndarray) -> float:
 def _prox_residual(a: np.ndarray, grad: np.ndarray, step: float, t: float) -> float:
     """Proximal fixed-point residual ||a - S_t(a - step grad)||_inf."""
     return _max_abs(a - soft_threshold(a - step * grad, t))
+
+
+def _nonpositive_f(
+    obj: DcObjective, c: np.ndarray, k_c: np.ndarray, index: np.ndarray | None
+) -> bool:
+    """Whether f <= 0 at the point ``c`` on the coordinates ``index`` (None: all n).
+
+    f = loss + (lam/2) c^T K c + lam1 ||c||_1 with K c = ``k_c`` over all
+    n.  The loss is never negative, so it, the one term that costs O(n),
+    is evaluated only when the rest is <= 0.  No product is taken.
+    """
+    k_c_on_set = k_c if index is None else k_c[index]
+    rest = 0.5 * obj.lam * float(c @ k_c_on_set) + obj.lam1 * float(np.abs(c).sum())
+    return rest <= 0.0 and loss_value(obj, k_c) + rest <= 0.0
 
 
 class _WorkingSet:
@@ -411,6 +445,7 @@ def inner_solve(
     kminus: np.ndarray,
     loss_grad: np.ndarray,
     last_set: _WorkingSet | None = None,
+    relinearize: bool = False,
 ) -> InnerResult:
     """Solve one linearized subproblem to the fixed-point tolerance ``tol``.
 
@@ -445,14 +480,30 @@ def inner_solve(
     starts the next working set, which adds every coordinate its proximal
     step moves, with momentum restarted.  After ``cfg.max_inner`` steps
     the last candidate is returned with ``converged=False``.
+
+    With ``relinearize`` the solve is one period of the relinearized loop
+    (module docstring): ``omega`` is grad h at alpha_k, there is no
+    proximal term, and each kept candidate x moves the linear term to
+    grad h(x) = lam rho x.  The residual tests take the linear term at the
+    point they test.  The period ends after min(RESTART_PERIOD,
+    ``cfg.max_inner``) iterations with ``converged=False``, or at the
+    first kept candidate with f <= 0, which is returned.
     """
     anchor = np.asarray(alpha_k, dtype=np.float64)
     threshold = step * obj.lam1
     check_number("threshold", threshold, positive=False)
-    lam, inv_gamma, decomp = obj.lam, 1.0 / cfg.gamma, obj.decomp
+    lam, decomp = obj.lam, obj.decomp
     # grad phi(a) = loss gradient + lam K+ a + a / gamma - shift, where
     # phi = g's smooth part - omega^T (a - alpha_k) + ||a - alpha_k||^2 / (2 gamma).
-    shift = np.asarray(omega, dtype=np.float64) + inv_gamma * anchor
+    # Relinearized, 1/gamma = 0 and the shift is grad h at the last
+    # candidate x, lin x with lin = lam rho: omega at the warm start.
+    if relinearize:
+        inv_gamma, limit = 0.0, min(RESTART_PERIOD, cfg.max_inner)
+        shift = np.asarray(omega, dtype=np.float64)
+    else:
+        inv_gamma, limit = 1.0 / cfg.gamma, cfg.max_inner
+        shift = np.asarray(omega, dtype=np.float64) + inv_gamma * anchor
+    lin = lam * decomp.shift
 
     def total(a, k_a, kp_a, sh):
         """phi + lam1 ||a||_1 at a, less the constant of the solve."""
@@ -469,15 +520,16 @@ def inner_solve(
     # K a, K+ a, K- a and loss gradient.
     a, done, k_a, kp_a, lg_a = anchor, 0, scores, scores + kminus, loss_grad
     km_a = kp_a - k_a
-    index, it, capped, ws = None, 0, False, last_set
+    index, it, ended, ws = None, 0, False, last_set
     while True:
         # a's plain proximal step nxt and exact residual gap at the fit's
-        # step; a capped solve returns a whatever its residual.
+        # step; a solve that ended at its limit, or relinearized at f <= 0,
+        # returns a whatever its residual.
         grad = grad_phi(a, kp_a, lg_a, shift)
         nxt = soft_threshold(a - step * grad, threshold)
         gap = _max_abs(a - nxt)
-        if gap <= tol or capped:
-            return InnerResult(a, done, gap, not capped, k_a, km_a, lg_a, ws)
+        if gap <= tol or ended:
+            return InnerResult(a, done, gap, not ended, k_a, km_a, lg_a, ws)
         # W is the last W, a's support and every coordinate nxt moves (all n
         # when lam1 = 0): outside them a's exact residual is 0, so gap is its
         # residual on W.
@@ -501,7 +553,7 @@ def inner_solve(
         theta, beta = 1.0, 0.0
         # it is the candidate's index; a restart takes its iteration again.
         it += 1
-        while it <= cfg.max_inner:
+        while it <= limit:
             # cand is the proximal step from y; gap is y's free residual.
             back = y - cand
             gap = _max_abs(back)
@@ -531,11 +583,22 @@ def inner_solve(
                     cand = soft_threshold(x - s * grad_phi(x, kpx, lgx, sh), t)
                     continue
             lgc = None
+            # The shift the stop test takes at cand: relinearized, grad h(cand).
+            sh_c = lin * cand if relinearize else sh
             if gap <= INNER_CHECK_FACTOR * tol:
                 lgc = loss_gradient(obj, kc, ws.gram)
-                if _prox_residual(cand, grad_phi(cand, kpc, lgc, sh), s, t) <= tol:
+                if _prox_residual(cand, grad_phi(cand, kpc, lgc, sh_c), s, t) <= tol:
                     x, kx, kpx, lgx, done = cand, kc, kpc, lgc, it
                     break
+            if relinearize:
+                # cand is kept: the first f <= 0 ends the solve, and the
+                # shift moves to grad h(cand), with cand's objective.
+                if _nonpositive_f(obj, cand, kc, ws.index):
+                    x, kx, kpx, lgx, done, ended = cand, kc, kpc, lgc, it, True
+                    break
+                if total_c is not None:
+                    total_c += float(cand @ (sh - sh_c))
+                sh = sh_c
             theta_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * theta * theta))
             beta = (theta - 1.0) / theta_next
             if beta == 0.0:
@@ -552,7 +615,7 @@ def inner_solve(
             cand = soft_threshold(y - s * grad_phi(y, kpy, lgy, sh), t)
             it += 1
         else:
-            done, capped = cfg.max_inner, True
+            done, ended = limit, True
         k_a = kx
         if ws.index is None:
             a, kp_a, km_a, lg_a = x, kpx, kpx - kx, lgx
@@ -564,6 +627,8 @@ def inner_solve(
             kp_a, lg_a = kx + km_a, None
         if lg_a is None:
             lg_a = loss_gradient(obj, kx)
+        if relinearize:
+            shift = lin * a
 
 
 def stationarity_residual(
@@ -589,18 +654,19 @@ def stationarity_residual(
 def pla_fit(obj: DcObjective, cfg: SolverConfig) -> tuple[np.ndarray, SolveTrace]:
     """Run the outer proximal linearized iteration from 0 to a critical point.
 
-    Each step is anchored at alpha_k, or at the extrapolated z_k where it
-    passes the window test (module docstring), as ``trace.extrapolated``
-    records per step.
+    On a split marked indefinite (and with EXTRAPOLATE) each step is one
+    period of the relinearized loop, and the fit stops once a period ends
+    at a point that passes the residual test at epsilon_inner; elsewhere
+    each step is the plain loop's solve (module docstring).
 
     Returns the final iterate and the full trace.  Hitting ``max_outer``
     yields status ``max_iterations`` rather than an exception; inner-solve
-    iteration caps are recorded per step in ``trace.inner_converged``.
+    iteration caps, and relinearized periods that ended at RESTART_PERIOD,
+    are recorded per step in ``trace.inner_converged``.
     A diverging fit raises NumericalError whose ``trace`` is the partial
-    trace with status ``diverged``: once f <= 0 holds at the last outer step,
-    or at the last ADCA_WINDOW steps when the fit extrapolates (the
-    certificate of the module docstring; the trace includes that step), at
-    an iterate norm above DIVERGENCE_NORM, or at a non-finite f.
+    trace with status ``diverged``: once f <= 0 holds at the last outer step
+    (the certificate of the module docstring; the trace includes that
+    step), at an iterate norm above DIVERGENCE_NORM, or at a non-finite f.
     Every stop is logged at INFO with its status, outer step, total inner
     iterations, f (nan when the norm cap fires, before f is evaluated) and
     iterate norm.  Step k's inner tolerance and the stop rule are those of
@@ -608,7 +674,8 @@ def pla_fit(obj: DcObjective, cfg: SolverConfig) -> tuple[np.ndarray, SolveTrace
     """
     alpha = np.zeros(obj.n, dtype=np.float64)
     trace = SolveTrace()
-    step = 1.0 / smooth_lipschitz_bound(obj, cfg.gamma)
+    relinearize = EXTRAPOLATE and obj.decomp.indefinite
+    step = 1.0 / smooth_lipschitz_bound(obj, math.inf if relinearize else cfg.gamma)
     # K alpha, K- alpha and the loss gradient of the current iterate, carried
     # from one inner solve to the next; K alpha and K- alpha are 0 at alpha = 0.
     scores, kminus = np.zeros(obj.n), np.zeros(obj.n)
@@ -619,43 +686,17 @@ def pla_fit(obj: DcObjective, cfg: SolverConfig) -> tuple[np.ndarray, SolveTrace
     moved = 0.0  # the first solve has no previous step and runs to epsilon_inner
     inner_total = 0
     working_set = None  # the set the last solve ended on, with its rows and step
-    # With extrapolation: FISTA's theta, alpha_{k-1} with its K alpha and
-    # K- alpha, from which the anchor z_k is extrapolated, and whether the
-    # last solve took an iteration.  The divergence certificate needs the
-    # last `certified` objective values <= 0.
-    extrapolate = EXTRAPOLATE and obj.decomp.indefinite
-    theta, last, solved = 1.0, (alpha, scores, kminus), False
-    certified = ADCA_WINDOW if extrapolate else 1
 
     for k in range(1, cfg.max_outer + 1):
-        # The anchor z, where h is linearized, the proximal term is centred
-        # and the solve starts, with K z, K- z and its loss gradient.
-        z, z_scores, z_kminus, z_grad = alpha, scores, kminus, loss_grad
-        accepted = False
-        if extrapolate:
-            theta_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * theta * theta))
-            beta = (theta - 1.0) / theta_next
-            theta = theta_next
-            if solved:  # False at k = 1, where beta = 0
-                # z is linear in the iterates, and so are K z and K- z.
-                cand = alpha + beta * (alpha - last[0])
-                cand_scores = scores + beta * (scores - last[1])
-                window = max(trace.f_values[-ADCA_WINDOW:])
-                if f_value(obj, cand, cand_scores) <= window:
-                    accepted = True
-                    z, z_scores = cand, cand_scores
-                    z_kminus = kminus + beta * (kminus - last[2])
-                    z_grad = loss_gradient(obj, z_scores)
-            last = alpha, scores, kminus
-        omega = grad_h(obj, z_kminus)
-        tol = max(cfg.epsilon_inner, INNER_RTOL * moved)
+        omega = grad_h(obj, kminus)
+        tol = cfg.epsilon_inner if relinearize else max(cfg.epsilon_inner, INNER_RTOL * moved)
         inner = inner_solve(
-            obj, omega, z, cfg, step, tol, z_scores, z_kminus, z_grad, working_set
+            obj, omega, alpha, cfg, step, tol, scores, kminus, loss_grad, working_set,
+            relinearize,
         )
         alpha_new, scores = inner.alpha, inner.scores
         kminus, loss_grad, working_set = inner.kminus, inner.loss_grad, inner.working_set
         inner_total += inner.iterations
-        solved = inner.iterations > 0
         norm_new = float(np.linalg.norm(alpha_new))
         if norm_new > DIVERGENCE_NORM:
             raise _diverged(
@@ -676,8 +717,7 @@ def pla_fit(obj: DcObjective, cfg: SolverConfig) -> tuple[np.ndarray, SolveTrace
         trace.stationarity_residuals.append(residual)
         trace.inner_iterations.append(inner.iterations)
         trace.inner_converged.append(inner.converged)
-        trace.extrapolated.append(accepted)
-        if max(trace.f_values[-certified:]) <= 0.0:
+        if f_new <= 0.0:
             raise _diverged(
                 trace, k, f_new, norm_new, inner_total,
                 f"iterates are diverging (f = {f_new:.6g} <= 0 at outer step {k}, "
@@ -685,14 +725,19 @@ def pla_fit(obj: DcObjective, cfg: SolverConfig) -> tuple[np.ndarray, SolveTrace
                 "objective is unbounded below along this path",
             )
 
-        exact_repeat = bool(np.array_equal(alpha_new, alpha))
-        delta_f = abs(f_cur - f_new)
+        if relinearize:
+            # The period's last point passed the residual test at epsilon_inner.
+            stop = inner.converged
+        else:
+            # An exact repeat or the combined rule, each only at a small residual.
+            exact_repeat = bool(np.array_equal(alpha_new, alpha))
+            short = max(moved, abs(f_cur - f_new)) < cfg.epsilon_outer
+            bound = 10.0 * cfg.epsilon_outer
+            if exact_repeat:
+                bound = max(bound, cfg.epsilon_inner)
+            stop = (exact_repeat or short) and residual <= bound
         alpha, f_cur = alpha_new, f_new
-        # An exact repeat or the combined rule, each only at a small residual.
-        bound = 10.0 * cfg.epsilon_outer
-        if exact_repeat:
-            bound = max(bound, cfg.epsilon_inner)
-        if (exact_repeat or max(moved, delta_f) < cfg.epsilon_outer) and residual <= bound:
+        if stop:
             trace.status = CONVERGED
             break
 

@@ -61,6 +61,7 @@ def inner_solve(
     kminus: np.ndarray,
     loss_grad: np.ndarray,
     last_set=None,
+    relinearize=False,
 ) -> InnerResult:
     """Solve one linearized subproblem to the fixed-point tolerance ``tol``.
 
@@ -76,8 +77,10 @@ def inner_solve(
     point's free residual is within INNER_CHECK_FACTOR of ``tol``.  Returns
     the first candidate whose exact residual passes ``tol``, with
     ``iterations`` its index, or the last candidate with ``converged=False``
-    after ``cfg.max_inner`` steps.
+    after ``cfg.max_inner`` steps.  It is the plain loop's solve only, with
+    no relinearized mode.
     """
+    assert not relinearize, "the full-set reference has no relinearized mode"
     anchor = np.asarray(alpha_k, dtype=np.float64)
     threshold = step * obj.lam1
     check_number("threshold", threshold, positive=False)

@@ -296,8 +296,9 @@ def descent_battery():
 
 
 def test_criterion_05_descent_and_terminal_residual(record_property, monkeypatch):
-    # The descent inequality is a property of the plain loop; extrapolated
-    # steps keep a window bound instead (tests/test_solver.py, TestAdca).
+    # The descent inequality is a property of the plain loop's proximal
+    # term; relinearized steps lower f by (lam rho / 2) ||step||^2 instead
+    # (tests/test_solver.py, TestAdca).
     monkeypatch.setattr(iklogit.solver, "EXTRAPOLATE", False)
     cfg = SolverConfig()
     names = []

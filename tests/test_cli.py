@@ -9,7 +9,6 @@ import pytest
 from iklogit import KernelSpec, ModelSpec, SolverConfig, cli, load_model
 from iklogit.cli import main
 from iklogit.experiment import CsvOptions, ExperimentSpec
-from iklogit.solver import ADCA_WINDOW
 
 from conftest import benchmark_data, separated_dataset, write_csv
 
@@ -59,9 +58,8 @@ class TestTrain:
         assert f"inner_iterations: {inner}\n" in out
 
     def test_diverged_fit_writes_trace_but_no_model(self, tmp_path, capsys):
-        # The benchmark's diverging fold setting: f falls to 0 or below at an
-        # early outer step, and the fit stops once the last ADCA_WINDOW
-        # values are all <= 0.
+        # The benchmark's diverging fold setting: f falls to 0 or below
+        # inside the first period, and the fit stops at its first f <= 0.
         data = benchmark_data(0, 120)
         csv = write_csv(tmp_path / "diverging.csv", data.features, data.labels)
         trace_path = tmp_path / "trace.json"
@@ -76,8 +74,8 @@ class TestTrain:
         assert trace["status"] == "diverged"
         records = trace["records"]
         assert [r["iteration"] for r in records] == list(range(1, len(records) + 1))
-        objectives, q = [r["objective"] for r in records], ADCA_WINDOW
-        assert max(objectives[-q:]) <= 0 < max(objectives[-q - 1:-1])
+        objectives = [r["objective"] for r in records]
+        assert objectives[-1] <= 0 and all(f > 0 for f in objectives[:-1])
 
     def test_missing_data_path_exits_one(self, tmp_path, capsys):
         cfg = write_config(

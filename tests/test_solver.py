@@ -42,6 +42,7 @@ from iklogit.spectral import GramDecomposition, positive_decompose
 from conftest import (
     benchmark_data,
     eigenvalues,
+    f_at,
     grad_h_at,
     kplus,
     residual_at,
@@ -419,8 +420,7 @@ class TestWorkingSet:
         monkeypatch.setattr(iklogit.solver, "math", counting_math)
         monkeypatch.setattr(iklogit.solver, "_prox_residual", counting_prox_residual)
         monkeypatch.setattr(iklogit.solver, "inner_solve", recording_inner_solve)
-        # The plain loop: extrapolation takes square roots of its own, for
-        # its outer steps' theta.
+        # The plain loop, whose solves are not cut at RESTART_PERIOD.
         monkeypatch.setattr(iklogit.solver, "EXTRAPOLATE", False)
         for seed, n in ((5, 200), (7, 250)):
             model = fit(ModelSpec("l1-riklr", lam=0.1, lam1=0.01), benchmark_data(seed, n))
@@ -435,7 +435,9 @@ class TestWorkingSet:
     def test_all_n_fits_are_bitwise_the_full_set_loop(self, spec, monkeypatch):
         # klr (lam1 = 0) runs on all n with no set-up; this l1-riklr fit's
         # working sets each hold at least half of the n.  Either way every
-        # iterate is the full-set loop's, bitwise.
+        # iterate is the full-set loop's, bitwise.  The plain loop: the
+        # reference has no relinearized mode.
+        monkeypatch.setattr(iklogit.solver, "EXTRAPOLATE", False)
         data = benchmark_data(0, 120)
         sets = recorded_working_sets(monkeypatch)
         model = fit(spec, data)
@@ -527,6 +529,8 @@ class TestWorkingSetStep:
     def test_every_step_of_a_fit_was_bounded_on_a_superset(self, rng, monkeypatch):
         # Over a whole fit, with the set carried from one solve to the next:
         # each set's step is the step computed for a set that contains it.
+        # The plain loop: relinearized, this fit is one period on one set.
+        monkeypatch.setattr(iklogit.solver, "EXTRAPOLATE", False)
         bounds, built = [], []
         init = iklogit.solver._WorkingSet.__init__
         bound = iklogit.solver._set_lipschitz_bound
@@ -556,10 +560,11 @@ class TestWorkingSetStep:
         assert any(inside)
 
     def test_baseline_fit_takes_the_working_set_step(self):
-        # The benchmark's n = 500 TL1 fit (lam = 0.1, lam1 = 0.01): 578
-        # inner iterations over 104 outer steps, and 2,165 over 366 in the
-        # plain loop (TestAdca).  At the fit's step 1/L on every working set
-        # the plain loop took 4,285 over 370.
+        # The benchmark's n = 500 TL1 fit (lam = 0.1, lam1 = 0.01): 698
+        # inner iterations over 4 periods, and 3,236 over 464 outer steps in
+        # the plain loop (TestAdca).  On the paper's eigen split, at the
+        # fit's step 1/L on every working set, the plain loop took 4,285
+        # over 370, and 2,165 over 366 at each set's own step.
         model = fit(ModelSpec("l1-riklr", lam=0.1, lam1=0.01), benchmark_data(0, 500))
         assert model.trace.status == CONVERGED
         assert sum(model.trace.inner_iterations) <= 2165
@@ -719,12 +724,17 @@ class TestPlaFit:
         assert set(records[0]) == {
             "iteration", "objective", "step_norm",
             "stationarity_residual", "inner_iterations", "inner_converged",
-            "extrapolated",
         }
         assert records[0]["iteration"] == 1
 
 
 class TestInexactInner:
+    @pytest.fixture(autouse=True)
+    def plain_loop(self, monkeypatch):
+        # Step-relative tolerances are the plain loop's: each relinearized
+        # solve runs to epsilon_inner (TestAdca).
+        monkeypatch.setattr(iklogit.solver, "EXTRAPOLATE", False)
+
     @staticmethod
     def benchmark_fit(**solver):
         """The benchmark's TL1 problem at n=120 (lam=0.1, lam1=0.01)."""
@@ -829,18 +839,18 @@ class TestDivergenceCertificate:
         assert all(f > 0 for f in trace.f_values[:-1]) and trace.f_values[-1] <= 0
 
     @pytest.mark.parametrize("seed, lam", [(0, 1.0), (1, 0.01)])
-    def test_extrapolated_fit_raises_once_the_window_is_nonpositive(self, seed, lam):
-        # Extrapolated steps bound f only by the largest of the last
-        # ADCA_WINDOW values, so one f <= 0 does not yet show that the run
-        # diverges; the fit stops at the first step where all of them are.
+    def test_relinearized_raises_at_first_nonpositive_f(self, seed, lam):
+        # The same two settings at the default.  Relinearized, f never
+        # increases either, and it is tested at each kept candidate: both
+        # fits stop at their first f <= 0, inside their first period.
         with pytest.raises(NumericalError, match="diverging") as info:
             fit(ModelSpec("l1-riklr", lam=lam, lam1=1e-4), benchmark_data(seed, 120))
         trace = info.value.trace
-        f, q = trace.f_values, iklogit.solver.ADCA_WINDOW
-        assert trace.status == DIVERGED and any(trace.extrapolated)
-        assert trace.num_iterations < SolverConfig().max_outer
-        assert max(f[-q:]) <= 0
-        assert all(max(f[max(0, k - q):k]) > 0 for k in range(1, len(f)))
+        f = trace.f_values
+        assert trace.status == DIVERGED
+        assert trace.num_iterations == 1
+        assert trace.inner_iterations[0] < iklogit.solver.RESTART_PERIOD
+        assert f[-1] <= 0 < min(f[:-1])
         assert np.linalg.norm(trace.iterates[-1]) < DIVERGENCE_NORM
 
 
@@ -970,9 +980,9 @@ class TestProductBudget:
         assert obj.decomp.indefinite
         return self.counted(obj)
 
-    def check_budget(self, rng, min_ratio):
+    def check_budget(self, rng, min_ratio, monkeypatch):
         obj, products, rows = self.counted_objective(rng)
-        _, trace = pla_fit(obj, SolverConfig())
+        _, trace = plain_fit(obj, monkeypatch)
         assert trace.status == CONVERGED
         inner, outer = sum(trace.inner_iterations), trace.num_iterations
         assert inner > min_ratio * outer
@@ -989,15 +999,42 @@ class TestProductBudget:
         assert max(rows) < obj.n / 2
 
     def test_products_per_inner_iteration(self, rng, monkeypatch):
-        # Fixed inner tolerance: long inner solves, few outer steps (1,007
-        # inner iterations over 110 outer steps).
+        # The plain loop at a fixed inner tolerance: long inner solves, few
+        # outer steps (1,010 inner iterations over 110 outer steps).
         monkeypatch.setattr(iklogit.solver, "INNER_RTOL", 0.0)
-        self.check_budget(rng, min_ratio=9)
+        self.check_budget(rng, min_ratio=9, monkeypatch=monkeypatch)
 
     def test_products_per_inner_iteration_default(self, rng, monkeypatch):
         # The same budget at the default step-relative tolerance, whose
-        # inner solves are shorter (548 inner iterations over 110 steps).
-        self.check_budget(rng, min_ratio=4.5)
+        # inner solves are shorter (577 inner iterations over 110 steps).
+        self.check_budget(rng, min_ratio=4.5, monkeypatch=monkeypatch)
+
+    @pytest.mark.parametrize("lam, lam1, on_set", [(0.1, 0.01, False), (0.2, 0.02, True)],
+                             ids=["all n", "working set"])
+    def test_products_per_relinearized_iteration(self, rng, lam, lam1, on_set, monkeypatch):
+        # Relinearizing takes no product: the linear term is lam rho x, and
+        # f at a kept candidate is a loss value from its K c.  So an
+        # iteration costs what it costs in the plain loop, the loss
+        # gradient at y and K c, either with the working set's rows or full
+        # (each fit here is one period on one set: 172 iterations with 385
+        # full products, and 72 with 88 products and 74 row products).
+        # Outside the solves only the start's loss gradient is taken.
+        obj, products, rows = self.counted(
+            tl1_objective(rng, n=100, d=3, lam=lam, lam1=lam1))
+        assert obj.decomp.indefinite
+        inside = self.count_inside_solves(products, rows, monkeypatch)
+        _, trace = pla_fit(obj, SolverConfig())
+        assert trace.status == CONVERGED
+        inner, outer = sum(trace.inner_iterations), trace.num_iterations
+        assert inner > 50
+        assert len(products) + len(rows) <= 2.5 * inner + 2 * outer + 2
+        assert len(products) - inside["products"] == 1
+        full = [p for p in products if p == obj.n]
+        if on_set:
+            assert len(full) <= 2 * outer + 1
+            assert rows and max(rows) < obj.n / 2
+        else:
+            assert len(full) == len(products) and not rows
 
     def test_sparse_fit_makes_few_full_products(self):
         # rbf-serve's problem at n = 400: supports of about 10 rows.  The
@@ -1038,7 +1075,9 @@ class TestProductBudget:
                 return super().__getitem__(key)
 
         # lam = 0.2: at lam = 0.1 the shift split's solves average 4.5
-        # iterations per set, too few for the check below.
+        # iterations per set, too few for the check below.  The plain loop:
+        # relinearized, this fit is one period on one set.
+        monkeypatch.setattr(iklogit.solver, "EXTRAPOLATE", False)
         obj = tl1_objective(rng, n=100, d=3, lam=0.2, lam1=0.02)
         assert obj.decomp.indefinite
         decomp = dataclasses.replace(obj.decomp, gram=obj.decomp.gram.view(Gathering))
@@ -1093,7 +1132,8 @@ class TestProductBudget:
         # K a, K- a and the loss gradient of each new iterate come back from
         # the inner solve; outside it, only the starting point's loss
         # gradient is computed (K a and K- a are 0 at alpha = 0).  The
-        # plain loop: extrapolation adds one per kept anchor (TestAdca).
+        # plain loop, with many solves; relinearized, see
+        # test_products_per_relinearized_iteration.
         obj, products, rows = self.counted_objective(rng)
         inside = self.count_inside_solves(products, rows, monkeypatch)
         monkeypatch.setattr(iklogit.solver, "EXTRAPOLATE", False)
@@ -1105,55 +1145,174 @@ class TestProductBudget:
 
 
 def plain_fit(obj, monkeypatch):
-    """pla_fit in the paper's plain loop, with no extrapolated step."""
+    """pla_fit in the paper's plain loop, with h linearized once per solve."""
     with monkeypatch.context() as patch:
         patch.setattr(iklogit.solver, "EXTRAPOLATE", False)
         return pla_fit(obj, SolverConfig())
 
 
+def benchmark_objective(seed, n, lam=0.1, lam1=0.01):
+    """The objective of the benchmark's TL1 fit of ``n`` rows."""
+    data = benchmark_data(seed, n)
+    gram = gram_matrix(KernelSpec.tl1().resolve(data.d), data)
+    return DcObjective.from_labels(decompose_gram(gram, 1e-6), data.labels, lam, lam1)
+
+
+def check_period_descent(obj, trace):
+    """f_k - f_{k+1} >= lam rho ||alpha_{k+1} - alpha_k||^2 / (2 m) over each period.
+
+    Each of the m candidates a period keeps lowers f by (lam rho / 2) times
+    its own squared step, and the squared steps sum to at least the
+    period's squared step over m (Cauchy-Schwarz).
+    """
+    gain = obj.lam * obj.decomp.shift
+    f = trace.f_values
+    for k, (moved, m) in enumerate(zip(trace.step_norms, trace.inner_iterations)):
+        assert f[k] - f[k + 1] >= gain * moved**2 / (2 * max(m, 1)) - 1e-12, k
+
+
 class TestAdca:
-    """Extrapolated outer steps (accelerated DCA), the default."""
+    """The default loop on a split marked indefinite: h relinearized at every
+    FISTA step (pDCAe), in periods of at most RESTART_PERIOD iterations; the
+    plain loop, bitwise, on every other split."""
 
     @staticmethod
-    def check_window(trace):
-        """f_{k+1} <= max(f_{k-4}, ..., f_k) at every step."""
-        f, q = trace.f_values, iklogit.solver.ADCA_WINDOW
-        for k in range(trace.num_iterations):
-            assert f[k + 1] <= max(f[max(0, k + 1 - q):k + 1]), k
+    def relinearized_solves(monkeypatch):
+        """The ``relinearize`` flag of each inner_solve call that follows."""
+        flags = []
 
-    def test_battery_keeps_the_window_and_ends_critical(self):
-        # Acceptance 5's battery, extrapolated: f_{k+1} is at most the
-        # largest of the last 5 values at every step, not at most f_k, and
-        # each run ends at residual <= 10 epsilon_outer.  Its one split
-        # with a negative eigenvalue (mostly-psd) extrapolates.
+        def recording(*args):
+            flags.append(args[10])
+            return inner_solve(*args)
+
+        monkeypatch.setattr(iklogit.solver, "inner_solve", recording)
+        return flags
+
+    @pytest.mark.parametrize("problem", ["benchmark", "all n"])
+    def test_each_kept_candidate_lowers_f_by_its_majorant_gap(self, problem, rng, monkeypatch):
+        # A candidate c that the loop keeps has a DCA majorant at the last
+        # candidate x no larger than at x, and h = (lam rho / 2) ||a||^2 is
+        # quadratic, so f(c) <= f(x) - (lam rho / 2) ||c - x||^2 (Wen, Chen &
+        # Pong 2018).  Checked between consecutive kept candidates on one
+        # working set: a set starts from a point that passed its own stop
+        # test, which is not recorded.  Momentum candidates are among them,
+        # and periods of 50 put restarts between them.
+        if problem == "benchmark":
+            obj = benchmark_objective(0, 120)
+        else:
+            obj = tl1_objective(rng, n=100, d=3, lam=0.1, lam1=0.01)
+        monkeypatch.setattr(iklogit.solver, "RESTART_PERIOD", 50)
+        kept = []
+        check = iklogit.solver._nonpositive_f
+
+        def recording(obj, c, k_c, index):
+            a = np.zeros(obj.n)
+            a[slice(None) if index is None else index] = c
+            kept.append((index, f_at(obj, a), a))
+            return check(obj, c, k_c, index)
+
+        monkeypatch.setattr(iklogit.solver, "_nonpositive_f", recording)
+        _, trace = pla_fit(obj, SolverConfig())
+        assert trace.status == CONVERGED
+        gain = obj.lam * obj.decomp.shift
+        pairs = 0
+        for (set_x, f_x, x), (set_c, f_c, c) in zip(kept, kept[1:]):
+            if set_x is set_c:
+                pairs += 1
+                assert f_c <= f_x - 0.5 * gain * float((c - x) @ (c - x)) + 1e-12
+        assert pairs > 100
+
+    def test_battery_descends_and_ends_critical(self):
+        # Acceptance 5's battery at the default.  Its one split marked
+        # indefinite (mostly-psd) relinearizes: f falls over each period (see
+        # check_period_descent), and the fit ends at a residual of at most
+        # epsilon_inner.  The others take the plain loop (acceptance 5).
         cfg = SolverConfig()
-        extrapolated = 0
+        relinearized = 0
         for name, obj in descent_battery():
             _, trace = pla_fit(obj, cfg)
             assert trace.status == CONVERGED, name
-            self.check_window(trace)
-            assert trace.stationarity_residuals[-1] <= 10.0 * cfg.epsilon_outer, name
-            extrapolated += sum(trace.extrapolated)
-        assert extrapolated > 0
+            if obj.decomp.indefinite:
+                relinearized += 1
+                check_period_descent(obj, trace)
+                assert trace.stationarity_residuals[-1] <= cfg.epsilon_inner, name
+        assert relinearized == 1
 
     @pytest.mark.parametrize("seed, n", [(0, 120), (5, 200)])
-    def test_benchmark_fits_keep_the_window(self, seed, n):
-        # TL1 fits of the benchmark's problem extrapolate at most steps.
-        data = benchmark_data(seed, n)
-        model = fit(ModelSpec("l1-riklr", lam=0.1, lam1=0.01), data)
-        trace = model.trace
+    def test_benchmark_fits_descend(self, seed, n):
+        # TL1 fits of the benchmark's problem take one or two periods.
+        obj = benchmark_objective(seed, n)
+        _, trace = pla_fit(obj, SolverConfig())
         assert trace.status == CONVERGED
-        assert 2 * sum(trace.extrapolated) > trace.num_iterations
-        self.check_window(trace)
-        assert trace.stationarity_residuals[-1] <= 10 * SolverConfig().epsilon_outer
+        assert trace.num_iterations <= 2
+        check_period_descent(obj, trace)
+        assert trace.stationarity_residuals[-1] <= SolverConfig().epsilon_inner
+
+    def test_terminal_residual_within_epsilon_inner(self):
+        # The fit stops on the DC stationarity residual at epsilon_inner,
+        # with no outer tolerance in between: a looser epsilon_inner stops
+        # earlier, still within it.
+        obj = benchmark_objective(0, 200)
+        iterations = []
+        for eps in (1e-8, 1e-6):
+            _, trace = pla_fit(obj, SolverConfig(epsilon_inner=eps))
+            assert trace.status == CONVERGED and trace.inner_converged[-1]
+            assert trace.stationarity_residuals[-1] <= eps
+            iterations.append(sum(trace.inner_iterations))
+        assert iterations[1] < iterations[0]
+
+    def test_each_period_is_one_restart(self, monkeypatch):
+        # Each outer step is one relinearized solve at the fixed tolerance
+        # epsilon_inner.  A solve that reaches RESTART_PERIOD iterations ends
+        # there with converged False, and the next one restarts momentum
+        # from its point; only the last one passes the residual test.
+        monkeypatch.setattr(iklogit.solver, "RESTART_PERIOD", 50)
+        tols = []
+
+        def recording(obj, omega, alpha_k, cfg, step, tol, *rest):
+            tols.append((tol, rest[-1]))
+            return inner_solve(obj, omega, alpha_k, cfg, step, tol, *rest)
+
+        monkeypatch.setattr(iklogit.solver, "inner_solve", recording)
+        _, trace = pla_fit(benchmark_objective(0, 120), SolverConfig())
+        k = trace.num_iterations
+        assert trace.status == CONVERGED and k > 2
+        assert tols == [(SolverConfig().epsilon_inner, True)] * k
+        assert trace.inner_converged == [False] * (k - 1) + [True]
+        assert trace.inner_iterations[:-1] == [50] * (k - 1)
+
+    def test_diverging_fit_stops_at_its_first_nonpositive_f(self, rng, monkeypatch):
+        # TestStopLog's problem.  Tested only at the end of a period, its
+        # iterates reached a norm of 2e46 inside the first one.  Tested at
+        # each kept candidate, the fit stops at the first with f <= 0, far
+        # below the norm cap, and f_value confirms it.
+        obj = symmetric_objective(rng, n=10, lam=5.0, lam1=0.0, scale=2.0)
+        assert obj.decomp.indefinite
+        verdicts = []
+        check = iklogit.solver._nonpositive_f
+
+        def recording(*args):
+            verdicts.append(check(*args))
+            return verdicts[-1]
+
+        monkeypatch.setattr(iklogit.solver, "_nonpositive_f", recording)
+        with pytest.raises(NumericalError, match="<= 0 at outer step 1,") as info:
+            pla_fit(obj, SolverConfig())
+        trace = info.value.trace
+        assert trace.status == DIVERGED
+        assert verdicts[-1] and not any(verdicts[:-1])
+        assert trace.inner_iterations == [len(verdicts)]
+        assert trace.f_values[-1] <= 0 < trace.f_values[0]
+        assert np.linalg.norm(trace.iterates[-1]) < 1.0
 
     @staticmethod
     def check_plain(obj, monkeypatch):
         """The default fit of obj takes the plain loop's steps, bitwise."""
+        flags = TestAdca.relinearized_solves(monkeypatch)
         alpha, trace = pla_fit(obj, SolverConfig())
+        assert flags and not any(flags)
         ref_alpha, ref = plain_fit(obj, monkeypatch)
         assert trace.num_iterations == ref.num_iterations > 10
-        assert not any(trace.extrapolated)
         assert trace.inner_iterations == ref.inner_iterations
         assert all(np.array_equal(a, b) for a, b in zip(trace.iterates, ref.iterates))
         assert np.array_equal(alpha, ref_alpha)
@@ -1182,10 +1341,11 @@ class TestAdca:
     def test_extrapolates_exactly_on_splits_marked_indefinite(self, monkeypatch):
         # pla_fit reads the split's own field.  The RBF splits are built
         # after a TL1 split is freed, each in a fresh object that may take
-        # its address: a mark kept by id() would make one of them extrapolate.
+        # its address: a mark kept by id() would make one of them relinearize.
         data = benchmark_data(0, 120)
+        flags = self.relinearized_solves(monkeypatch)
         tl1 = fit(ModelSpec("l1-riklr", lam=0.1, lam1=0.01), data)
-        assert any(tl1.trace.extrapolated)
+        assert flags and all(flags)
         freed = decompose_gram(gram_matrix(tl1.kernel, data), 1e-6)
         assert freed.indefinite
         freed_id = id(freed)
@@ -1202,47 +1362,23 @@ class TestAdca:
                 del decomp, obj
         assert freed_id in ids
 
-    def test_one_full_product_per_accepted_extrapolation(self, rng, monkeypatch):
-        # An extrapolated anchor's K z and K- z combine the carried
-        # products, so its f costs none; an accepted one costs its loss
-        # gradient, one full product, and a rejected one nothing.
-        obj, products, rows = TestProductBudget().counted_objective(rng)
-        inside = TestProductBudget.count_inside_solves(products, rows, monkeypatch)
-        evaluations = [0]
-        value = iklogit.solver.f_value
-
-        def counting_f_value(*args):
-            evaluations[0] += 1
-            return value(*args)
-
-        monkeypatch.setattr(iklogit.solver, "f_value", counting_f_value)
-        _, trace = pla_fit(obj, SolverConfig())
-        assert trace.status == CONVERGED
-        accepted = sum(trace.extrapolated)
-        # f at the start, at each iterate and at each extrapolated anchor.
-        rejected = evaluations[0] - 1 - trace.num_iterations - accepted
-        assert accepted > 0 and rejected > 0
-        assert len(products) - inside["products"] == 1 + accepted
-        assert len(rows) == inside["rows"]
-
     def test_plain_baseline_is_unchanged(self, monkeypatch):
         # The benchmark's n = 500 TL1 fit in the plain loop takes its 464
         # outer and 3,236 inner iterations, and ends at its f bitwise
         # (numpy 2.4 with OpenBLAS 0.3.31 on x86-64; another BLAS kernel
-        # can move the last bits).  Extrapolated, it takes under a third of
-        # the outer steps and ends lower.
+        # can move the last bits).  Relinearized, it takes 698 inner
+        # iterations in 4 periods and ends lower.
         data = benchmark_data(0, 500)
         spec = ModelSpec("l1-riklr", lam=0.1, lam1=0.01)
-        adca = fit(spec, data).trace
+        relinearized = fit(spec, data).trace
         monkeypatch.setattr(iklogit.solver, "EXTRAPOLATE", False)
         pla = fit(spec, data).trace
-        assert pla.status == adca.status == CONVERGED
+        assert pla.status == relinearized.status == CONVERGED
         assert pla.num_iterations == 464
         assert sum(pla.inner_iterations) == 3236
         assert pla.f_values[-1] == 0.669541956250504
-        assert not any(pla.extrapolated)
-        assert 3 * adca.num_iterations < pla.num_iterations
-        assert adca.f_values[-1] < pla.f_values[-1]
+        assert 4 * sum(relinearized.inner_iterations) < sum(pla.inner_iterations)
+        assert relinearized.f_values[-1] < pla.f_values[-1]
 
 
 class TestRateMonitor:
